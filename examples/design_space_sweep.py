@@ -14,13 +14,12 @@ Everything runs through the staged artifact pipeline
 (``repro.pipeline``): stage artifacts are content-addressed by the
 configuration fields they actually depend on, so across the three
 sweeps below the kernel is emulated exactly once and each hardware
-point re-runs only the cache-sim-and-later stages.  Pass ``--jobs N``
-to fan the per-warp profiling out over processes, ``--cache-dir DIR``
-to persist artifacts so a rerun of this script recomputes nothing.
+point re-runs only the cache-sim-and-later stages.  Pass
+``--cache-dir DIR`` to persist artifacts so a rerun of this script
+recomputes nothing.
 
 Usage:
-    python examples/design_space_sweep.py [kernel_name] [--jobs N]
-                                          [--cache-dir DIR]
+    python examples/design_space_sweep.py [kernel_name] [--cache-dir DIR]
 """
 
 import argparse
@@ -73,7 +72,6 @@ def sweep_bandwidth(pipeline, name, config):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("kernel", nargs="?", default="kmeans_invert_mapping")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
 
@@ -84,9 +82,7 @@ def main() -> None:
 
     # One pipeline serves all three sweeps: the trace stage runs once
     # (it is hardware-independent), every hardware point below reuses it.
-    pipeline = Pipeline(
-        config, scale=scale, jobs=args.jobs, cache_dir=args.cache_dir
-    )
+    pipeline = Pipeline(config, scale=scale, cache_dir=args.cache_dir)
     model = GPUMech(config, pipeline=pipeline)
     inputs = pipeline.model_inputs(args.kernel)
 

@@ -26,6 +26,8 @@ it is optimistic for memory-divergent kernels.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.interval import IntervalProfile
 
 
@@ -45,8 +47,8 @@ def markov_chain_cpi(profile: IntervalProfile, n_warps: int) -> float:
     stall = profile.total_stall_cycles
     # A trailing interval without a stall should not count as a stall
     # trigger.
-    stalling_intervals = sum(
-        1 for i in profile.intervals if i.stall_cycles > 0.0
+    stalling_intervals = int(
+        np.count_nonzero(profile.columns.stall_cycles > 0.0)
     )
     if not stalling_intervals or stall <= 0.0:
         return 1.0 / profile.issue_rate  # never stalls: issue-bound

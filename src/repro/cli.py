@@ -146,8 +146,8 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", choices=sorted(_SCALES), default="small",
                         help="workload scale preset")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweep points and "
-                        "per-warp profiling (default: serial)")
+                        help="worker processes for sweep points "
+                        "(default: serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent content-addressed artifact store; "
                         "reruns skip every already-computed stage")

@@ -18,7 +18,12 @@ The paper's primary contribution.  The pipeline (Fig. 5):
 :class:`repro.core.model.GPUMech` ties the stages together.
 """
 
-from repro.core.interval import Interval, IntervalProfile, build_interval_profile
+from repro.core.interval import (
+    Interval,
+    IntervalProfile,
+    IntervalProfiles,
+    build_interval_profile,
+)
 from repro.core.latency import LatencyTable
 from repro.core.kmeans import KMeansResult, kmeans
 from repro.core.representative import (
@@ -41,6 +46,7 @@ __all__ = [
     "GPUMech",
     "Interval",
     "IntervalProfile",
+    "IntervalProfiles",
     "KMeansResult",
     "LatencyTable",
     "MultithreadingResult",

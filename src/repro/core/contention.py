@@ -32,19 +32,24 @@ Normalisation: queueing delays are converted to CPI per
 with the multithreading model; see DESIGN.md ("Modelling notes") for why
 the per-representative-warp-instruction reading of Eq. 17 is
 dimensionally inconsistent.
+
+The per-interval formulas are elementwise: given one interval's numbers
+they return one delay, given the profile's columns one delay per
+interval, which is how :func:`model_contention` evaluates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+
+import numpy as np
 
 from repro.config import GPUConfig
-from repro.core.interval import IntervalProfile
+from repro.core.interval import ArrayFieldsEq, IntervalProfile, ordered_sum
 
 
-@dataclass
-class ContentionResult:
+@dataclass(eq=False)
+class ContentionResult(ArrayFieldsEq):
     """Predicted queuing-delay CPI components.
 
     Besides the paper's per-interval expected queuing delays
@@ -71,8 +76,8 @@ class ContentionResult:
     cpi_queue_model: float
     cpi_mshr_floor: float
     cpi_bandwidth_floor: float
-    per_interval_mshr: List[float]
-    per_interval_queue: List[float]
+    per_interval_mshr: np.ndarray
+    per_interval_queue: np.ndarray
     avg_miss_latency: float
     # SFU-contention extension (zero under the paper's balanced-design
     # assumption, i.e. n_sfu_units == warp_size):
@@ -132,40 +137,52 @@ class ContentionResult:
         return self.cpi_mshr_model + self.cpi_queue_model
 
 
-def _mean_wave(n_requests: float, n_mshrs: int) -> float:
+def _mean_wave(n_requests, n_mshrs: int):
     """Mean over j=1..N of ceil(j / M): the average service wave index."""
-    n = int(n_requests)
-    if n <= 0:
-        return 1.0
+    n = np.asarray(n_requests).astype(np.int64)  # int(): truncation
     full = n // n_mshrs
-    total = n_mshrs * full * (full + 1) // 2 + (n - full * n_mshrs) * (full + 1)
-    return total / n
+    served = n_mshrs * full  # requests in the full waves
+    waves = full + 1
+    total = served * waves // 2 + (n - served) * waves
+    return np.divide(total, n, out=np.ones(n.shape), where=n > 0)
 
 
-def mshr_queuing_delay(
-    core_reqs: float, n_mshrs: int, avg_miss_latency: float
-) -> float:
+def mshr_queuing_delay(core_reqs, n_mshrs: int, avg_miss_latency: float):
     """Eq. 19: expected per-request queuing delay from limited MSHRs."""
-    if core_reqs <= n_mshrs:
-        return 0.0
-    return avg_miss_latency * (_mean_wave(core_reqs, n_mshrs) - 1.0)
+    core_reqs = np.asarray(core_reqs)
+    delay = np.zeros(core_reqs.shape)
+    over = core_reqs > n_mshrs
+    if over.any():
+        delay[over] = avg_miss_latency * (
+            _mean_wave(core_reqs[over], n_mshrs) - 1.0
+        )
+    return delay
 
 
-def md1_wait(total_reqs: float, interval_cycles: float, service: float) -> float:
+def md1_wait(total_reqs, interval_cycles, service: float):
     """Expected M/D/1 waiting time, capped at half the max backlog (Eq. 21).
 
     The generic deterministic-service queue used for the DRAM bus and,
-    in the extension, for the SFU pipeline.
+    in the extension, for the SFU pipeline.  No traffic, or an interval
+    without cycles, waits nothing.
     """
-    if total_reqs <= 0.0 or interval_cycles <= 0.0:
-        return 0.0
-    arrival_rate = total_reqs / interval_cycles  # Eq. 23
+    total_reqs = np.asarray(total_reqs, dtype=np.float64)
+    arrival_rate = np.divide(  # Eq. 23
+        total_reqs,
+        interval_cycles,
+        out=np.zeros(total_reqs.shape),
+        where=np.asarray(interval_cycles) > 0.0,
+    )
     rho = arrival_rate * service  # Eq. 22
     cap = service * total_reqs / 2.0  # Eq. 21's backlog cap
-    if rho >= 1.0:
-        return cap
-    wait = arrival_rate * service * service / (2.0 * (1.0 - rho))
-    return min(wait, cap)
+    # Below saturation the M/D/1 wait, at or above it the cap itself.
+    wait = np.divide(
+        rho * service,
+        2.0 * (1.0 - rho),
+        out=np.copy(cap),
+        where=rho < 1.0,
+    )
+    return np.minimum(cap, wait)
 
 
 def dram_queuing_delay(
@@ -195,36 +212,33 @@ def model_contention(
     avg_miss_latency: float,
 ) -> ContentionResult:
     """Predict the contention CPI for the representative warp's profile."""
-    per_mshr: List[float] = []
-    per_queue: List[float] = []
-    issue_rate = profile.issue_rate
+    intervals = profile.columns
     sfu_limited = config.n_sfu_units < config.warp_size
     sfu_service = config.sfu_service_cycles
 
-    for interval in profile.intervals:
-        # --- MSHRs (reads only) ------------------------------------------
-        core_mshr_reqs = interval.exp_mshr_reqs * n_warps  # Eq. 18
-        delay = mshr_queuing_delay(core_mshr_reqs, config.n_mshrs,
-                                   avg_miss_latency)
-        # Charged per memory instruction that occupies MSHRs (Eq. 20).
-        per_mshr.append(delay * interval.exp_mshr_loads)
+    # --- MSHRs (reads only) ----------------------------------------------
+    core_mshr_reqs = intervals.exp_mshr_reqs * n_warps  # Eq. 18
+    delay = mshr_queuing_delay(core_mshr_reqs, config.n_mshrs,
+                               avg_miss_latency)
+    # Charged per memory instruction that occupies MSHRs (Eq. 20).
+    per_mshr = delay * intervals.exp_mshr_loads
 
-        # --- DRAM bandwidth (reads that miss L2 + write-through stores) --
-        core_dram_reqs = interval.dram_reqs * n_warps
-        wait = dram_queuing_delay(
-            core_dram_reqs, interval.cycles(issue_rate), config
-        )
-        per_queue.append(wait * interval.exp_dram_loads)
+    # --- DRAM bandwidth (reads that miss L2 + write-through stores) ------
+    core_dram_reqs = intervals.dram_reqs * n_warps
+    wait = dram_queuing_delay(
+        core_dram_reqs, intervals.cycles(profile.issue_rate), config
+    )
+    per_queue = wait * intervals.exp_dram_loads
 
     total_insts = n_warps * profile.n_insts
-    cpi_mshr = sum(per_mshr) / total_insts if total_insts else 0.0
-    cpi_queue = sum(per_queue) / total_insts if total_insts else 0.0
+    cpi_mshr = ordered_sum(per_mshr) / total_insts if total_insts else 0.0
+    cpi_queue = ordered_sum(per_queue) / total_insts if total_insts else 0.0
 
     rep_insts = profile.n_insts
-    mshr_reqs = sum(i.exp_mshr_reqs for i in profile.intervals)
-    dram_reqs = sum(i.dram_reqs for i in profile.intervals)
-    sfu_insts = sum(i.n_sfu for i in profile.intervals)
-    smem_slots = sum(i.smem_slots for i in profile.intervals)
+    mshr_reqs = ordered_sum(intervals.exp_mshr_reqs)
+    dram_reqs = ordered_sum(intervals.dram_reqs)
+    sfu_insts = int(intervals.n_sfu.sum())
+    smem_slots = int(intervals.smem_slots.sum())
     mshr_floor = 0.0
     bandwidth_floor = 0.0
     sfu_floor = 0.0

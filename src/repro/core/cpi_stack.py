@@ -29,6 +29,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.config import GPUConfig
 from repro.core.contention import ContentionResult
 from repro.core.interval import IntervalProfile
@@ -62,6 +64,9 @@ _EVENT_CATEGORY = {
     MissEvent.L2_MISS: StallType.DRAM,
 }
 
+#: Categories a single-warp stall is split over, in split-column order.
+_STALL_SPLIT = (StallType.DEP,) + tuple(_EVENT_CATEGORY.values())
+
 
 @dataclass
 class CPIStack:
@@ -76,8 +81,13 @@ class CPIStack:
 
     @property
     def total(self) -> float:
-        """Sum of all categories (the final CPI)."""
-        return sum(self.components.values())
+        """Sum of all categories (the final CPI), added in category
+        order on every interpreter (the builtin ``sum`` compensates
+        floats from Python 3.12 on)."""
+        total = 0.0
+        for value in self.components.values():
+            total += value
+        return total
 
     def scaled(self, factor: float) -> "CPIStack":
         """A copy with every category multiplied by ``factor``."""
@@ -144,27 +154,41 @@ def render_stacks(
 def single_warp_stack(
     profile: IntervalProfile, latency_table: LatencyTable
 ) -> CPIStack:
-    """The representative warp's per-instruction CPI stack."""
+    """The representative warp's per-instruction CPI stack.
+
+    Each interval's stall goes to DEP or — when a load with cache
+    statistics caused it — splits over L1/L2/DRAM by that PC's
+    miss-event distribution.
+    """
     stack = CPIStack()
     n_insts = profile.n_insts
     if not n_insts:
         return stack
     components = stack.components
     components[StallType.BASE] = 1.0 / profile.issue_rate
-    for interval in profile.intervals:
-        stall = interval.stall_cycles
-        if stall <= 0.0:
-            continue
-        if not interval.cause_is_memory:
-            components[StallType.DEP] += stall / n_insts
-            continue
-        stats = latency_table.stats_for(interval.cause_pc)
+    intervals = profile.columns
+    # Split of a stall over (DEP, L1, L2, DRAM): row 0 for compute
+    # causes, one row per memory cause PC.
+    memory = intervals.cause_is_memory
+    causes = intervals.cause_pc[memory]
+    pcs = sorted(set(causes.tolist()))
+    split = [(1.0, 0.0, 0.0, 0.0)]
+    for pc in pcs:
+        stats = latency_table.stats_for(pc)
         if stats is None or not stats.n_insts:
-            components[StallType.DEP] += stall / n_insts
-            continue
-        for event, category in _EVENT_CATEGORY.items():
-            fraction = stats.inst_event_fraction(event)
-            components[category] += stall * fraction / n_insts
+            split.append((1.0, 0.0, 0.0, 0.0))
+        else:
+            split.append((0.0,) + tuple(
+                stats.inst_event_fraction(event) for event in _EVENT_CATEGORY
+            ))
+    row = np.zeros(profile.n_intervals, dtype=np.intp)
+    row[memory] = np.searchsorted(pcs, causes) + 1
+    # Unstalled intervals and other categories add exact zeros, so each
+    # category's left-to-right sum is the one of its own terms.
+    terms = intervals.stall_cycles[:, None] * np.array(split)[row] / n_insts
+    totals = np.add.accumulate(terms)[-1] + 0.0
+    for category, total in zip(_STALL_SPLIT, totals.tolist()):
+        components[category] += total
     return stack
 
 

@@ -20,16 +20,20 @@ instructions only — ``reduceat``'s pairwise summation is *not*
 bitwise-compatible with the scalar loop's sequential adds, and bitwise
 equality with the scalar backend is the contract
 (``tests/test_vectorized_equivalence.py``).
+
+The per-interval arrays *are* the artifact: they become the launch-wide
+:class:`~repro.core.interval.IntervalColumns` of an
+:class:`~repro.core.interval.IntervalProfiles` as they are, with per-warp
+offsets — no per-interval Python object is ever built.
 """
 
 from __future__ import annotations
 
-import gc
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.interval import Interval, IntervalProfile
+from repro.core.interval import IntervalColumns, IntervalProfiles
 from repro.core.latency import LatencyTable
 from repro.memory.hierarchy import MissEvent
 from repro.trace.trace_types import MAX_DEPS, OpCode, WarpTrace
@@ -78,41 +82,20 @@ def build_interval_profiles(
     warps: Sequence[WarpTrace],
     latency_table: LatencyTable,
     issue_rate: float = 1.0,
-) -> List[IntervalProfile]:
+) -> IntervalProfiles:
     """Vectorized counterpart of per-warp ``build_interval_profile``."""
     n_warps = len(warps)
-    if not n_warps:
-        return []
+    warp_ids = np.array([w.warp_id for w in warps], dtype=np.int64)
     lengths = np.array([len(w) for w in warps], dtype=np.int64)
-    max_len = int(lengths.max())
+    max_len = int(lengths.max()) if n_warps else 0
     if not max_len:
-        return [
-            IntervalProfile(warp_id=w.warp_id, issue_rate=issue_rate)
-            for w in warps
-        ]
+        return IntervalProfiles(
+            IntervalColumns.from_rows(()),
+            np.zeros(n_warps + 1, dtype=np.int64),
+            warp_ids,
+            issue_rate,
+        )
 
-    # Generational GC is paused for the whole build: none of the
-    # millions of boxed scalars and Interval objects created here can be
-    # part of a cycle, and letting collections walk the growing heap
-    # measured ~7x slower at large launches.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _build(warps, latency_table, issue_rate, lengths)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _build(
-    warps: Sequence[WarpTrace],
-    latency_table: LatencyTable,
-    issue_rate: float,
-    lengths: np.ndarray,
-) -> List[IntervalProfile]:
-    n_warps = len(warps)
-    max_len = int(lengths.max())
     lat_by_pc = latency_table.as_array
     step = 1.0 / issue_rate
     warp_starts = np.zeros(n_warps + 1, dtype=np.int64)
@@ -237,42 +220,28 @@ def _build(
         np.add.at(e2, seg_of, fracs[2][load_pcs])
         np.add.at(e3, seg_of, fracs[3][load_pcs])
 
-    # One C-level construction pass for every interval of every warp
-    # (GC is paused by the caller for this bulk allocation).
-    intervals = list(
-        map(
-            Interval,
-            seg_insts.tolist(),
-            stall_seg.tolist(),
-            cause_pc_seg.tolist(),
-            cause_mem_seg.tolist(),
-            seg_loads.tolist(),
-            seg_stores.tolist(),
-            seg_load_reqs.tolist(),
-            seg_store_reqs.tolist(),
-            seg_sfu.tolist(),
-            seg_smem.tolist(),
-            seg_slots.tolist(),
-            e0.tolist(),
-            e1.tolist(),
-            e2.tolist(),
-            e3.tolist(),
-        )
-    )
-
-    # Hand each warp its contiguous slice of the flat interval list.
+    # Each warp owns a contiguous run of segments.
     seg_warp = np.searchsorted(warp_starts[1:], starts, side="right")
-    seg_counts = np.bincount(seg_warp, minlength=n_warps).tolist()
-    profiles = []
-    pos = 0
-    for warp, count in zip(warps, seg_counts):
-        profile = IntervalProfile(
-            warp_id=warp.warp_id, issue_rate=issue_rate
-        )
-        profile.intervals = intervals[pos : pos + count]
-        pos += count
-        profiles.append(profile)
-    return profiles
+    offsets = np.zeros(n_warps + 1, dtype=np.int64)
+    np.cumsum(np.bincount(seg_warp, minlength=n_warps), out=offsets[1:])
+    columns = IntervalColumns.of(
+        seg_insts,
+        stall_seg,
+        cause_pc_seg,
+        cause_mem_seg,
+        seg_loads,
+        seg_stores,
+        seg_load_reqs,
+        seg_store_reqs,
+        seg_sfu,
+        seg_smem,
+        seg_slots,
+        e0,
+        e1,
+        e2,
+        e3,
+    )
+    return IntervalProfiles(columns, offsets, warp_ids, issue_rate)
 
 
 def _seg_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -37,18 +37,24 @@ document here; the unit tests pin the corrected behaviour):
 Eq. 7 as printed is instructions/cycles (an IPC); we return its
 reciprocal so ``cpi`` is cycles per core-instruction, directly comparable
 with the oracle's ``total_cycles * n_cores / total_insts``.
+
+The per-interval counts are elementwise: given an
+:class:`~repro.core.interval.Interval` they return one count, given a
+profile's :class:`~repro.core.interval.IntervalColumns` one count per
+interval, which is how :func:`model_multithreading` evaluates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-from repro.core.interval import Interval, IntervalProfile
+import numpy as np
+
+from repro.core.interval import ArrayFieldsEq, IntervalProfile, ordered_sum
 
 
-@dataclass
-class MultithreadingResult:
+@dataclass(eq=False)
+class MultithreadingResult(ArrayFieldsEq):
     """CPI prediction of the multithreading model (no contention)."""
 
     policy: str
@@ -56,7 +62,7 @@ class MultithreadingResult:
     cpi: float  # cycles per core-instruction
     ipc_core: float
     total_nonoverlapped: float
-    per_interval_nonoverlapped: List[float]
+    per_interval_nonoverlapped: np.ndarray
     rep_total_cycles: float
     rep_insts: int
 
@@ -68,17 +74,15 @@ class MultithreadingResult:
         return self.cpi / single if single else 0.0
 
 
-def nonoverlapped_rr(
-    interval: Interval, issue_prob: float, n_warps: int
-) -> float:
+def nonoverlapped_rr(interval, issue_prob: float, n_warps: int):
     """Eq. 10-11: non-overlapped instructions of one interval under RR,
     assuming *randomly interleaved* warps (the paper's probabilistic
     counting)."""
-    waiting_slots = max(interval.n_insts - 1, 0)
+    waiting_slots = np.maximum(0, interval.n_insts - 1)
     return issue_prob * (n_warps - 1) * waiting_slots
 
 
-def nonoverlapped_rr_lockstep(interval: Interval, n_warps: int) -> float:
+def nonoverlapped_rr_lockstep(interval, n_warps: int):
     """Non-overlapped instructions under RR with *aligned* warps.
 
     Round-robin keeps homogeneous warps in lockstep: when the
@@ -97,22 +101,22 @@ def nonoverlapped_rr_lockstep(interval: Interval, n_warps: int) -> float:
     paper's Fig. 2 example exactly (interval of 1 instruction + 10
     stalls, 3 warps -> core IPC 3/11).
     """
-    trailing_overlap = min(interval.stall_cycles, float(n_warps - 1))
+    trailing_overlap = np.minimum(float(n_warps - 1), interval.stall_cycles)
     return (n_warps - 1) * interval.n_insts - trailing_overlap
 
 
 def nonoverlapped_gto(
-    interval: Interval,
+    interval,
     issue_prob: float,
     n_warps: int,
     avg_interval_insts: float,
     issue_rate: float,
-) -> float:
+):
     """Eq. 12-16 (with the min/max corrections): one interval under GTO."""
-    issue_prob_in_stall = min(issue_prob * interval.stall_cycles, 1.0)
+    issue_prob_in_stall = np.minimum(1.0, issue_prob * interval.stall_cycles)
     issue_warps_in_stall = issue_prob_in_stall * (n_warps - 1)
     issued_in_stall = avg_interval_insts * issue_warps_in_stall
-    return max(issued_in_stall - interval.stall_cycles * issue_rate, 0.0)
+    return np.maximum(0.0, issued_in_stall - interval.stall_cycles * issue_rate)
 
 
 def kernel_alignment(warp_trace, latency_table) -> float:
@@ -183,26 +187,24 @@ def model_multithreading(
     issue_prob = profile.issue_prob
     avg_insts = profile.avg_interval_insts
 
-    per_interval: List[float] = []
+    intervals = profile.columns
     if n_warps == 1:
-        per_interval = [0.0] * profile.n_intervals
+        per_interval = np.zeros(profile.n_intervals)
     elif policy == "rr":
         weight = {
             "lockstep": 1.0,
             "probabilistic": 0.0,
             "blended": min(max(alignment, 0.0), 1.0),
         }[rr_mode]
-        for interval in profile.intervals:
-            lockstep = nonoverlapped_rr_lockstep(interval, n_warps)
-            random = nonoverlapped_rr(interval, issue_prob, n_warps)
-            per_interval.append(weight * lockstep + (1.0 - weight) * random)
+        lockstep = nonoverlapped_rr_lockstep(intervals, n_warps)
+        random = nonoverlapped_rr(intervals, issue_prob, n_warps)
+        per_interval = weight * lockstep + (1.0 - weight) * random
     else:
-        per_interval = [
-            nonoverlapped_gto(i, issue_prob, n_warps, avg_insts, issue_rate)
-            for i in profile.intervals
-        ]
+        per_interval = nonoverlapped_gto(
+            intervals, issue_prob, n_warps, avg_insts, issue_rate
+        )
 
-    total_nonoverlapped = sum(per_interval)  # Eq. 8
+    total_nonoverlapped = ordered_sum(per_interval)  # Eq. 8
     rep_insts = profile.n_insts
     rep_cycles = profile.total_cycles
     # Eq. 7 (inverted to CPI): the non-overlapped instructions add issue

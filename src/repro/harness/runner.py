@@ -97,8 +97,8 @@ class Runner:
         Workload scale the suite kernels are built at (trace cache keys
         include it, so one process can hold runners at several scales).
     jobs:
-        Process-pool width for :meth:`evaluate_many` and the per-warp
-        profile loop; 1 (the default) runs everything serially.
+        Process-pool width for :meth:`evaluate_many`; 1 (the default)
+        runs everything serially.
     cache_dir:
         Optional directory for a persistent on-disk artifact store
         (content-addressed; safe to share across runs and processes).

@@ -22,14 +22,15 @@
    (disabled tracing allocates nothing).
 
 Independent (kernel × sweep-point) evaluations fan out over a
-``ProcessPoolExecutor`` via :meth:`Pipeline.evaluate_many`; the per-warp
-interval-profile loop of a single evaluation fans out the same way when
-``jobs > 1``.  Parallel execution is bitwise-deterministic: workers run
-the identical pure stage functions and results are collected in request
-order.  Each worker ships its metric deltas and spans back with every
-result, so after a parallel sweep the parent's stage counters equal a
-serial run's (exact whenever requests do not share intermediate
-artifacts; shared artifacts may be computed once per worker).
+``ProcessPoolExecutor`` via :meth:`Pipeline.evaluate_many`; a single
+evaluation runs in one process (the interval-profile stage is one
+batched numpy pass over all warps).  Parallel execution is
+bitwise-deterministic: workers run the identical pure stage functions
+and results are collected in request order.  Each worker ships its
+metric deltas and spans back with every result, so after a parallel
+sweep the parent's stage counters equal a serial run's (exact whenever
+requests do not share intermediate artifacts; shared artifacts may be
+computed once per worker).
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ from repro.pipeline.stages import (
 from repro.pipeline.store import ArtifactStore, open_store
 from repro.staticcheck.report import StaticCheckError
 from repro.workloads.generators import Scale
-
-#: Minimum warps before the per-warp profile loop is worth forking for.
-_PARALLEL_WARP_THRESHOLD = 8
 
 _LOG = logging.getLogger(__name__)
 
@@ -132,11 +130,6 @@ def _evaluate_in_worker(request: EvalRequest):
     _WORKER_BASELINE = snapshot
     spans = pipeline.tracer.drain() if pipeline.tracer.enabled else []
     return result, delta, spans
-
-
-def _profile_chunk(args):
-    warps, latency_table, config = args
-    return compute_profiles(warps, latency_table, config)
 
 
 class Pipeline:
@@ -418,33 +411,11 @@ class Pipeline:
             self._execute(
                 "interval_profiles",
                 key,
-                lambda: self._compute_profiles(trace, latency_table, config),
+                lambda: compute_profiles(trace.warps, latency_table, config),
                 arch=config.arch,
             ),
             key,
         )
-
-    def _compute_profiles(self, trace, latency_table, config):
-        warps = trace.warps
-        if self.jobs <= 1 or len(warps) < _PARALLEL_WARP_THRESHOLD:
-            return compute_profiles(warps, latency_table, config)
-        # Fan the per-warp Eq. 4 scans out across processes in order-
-        # preserving chunks (one of the two dominant per-configuration
-        # costs, Sec. VI-D).
-        n_chunks = min(self.jobs * 2, len(warps))
-        bounds = [
-            (len(warps) * i) // n_chunks for i in range(n_chunks + 1)
-        ]
-        chunks = [
-            (warps[bounds[i]:bounds[i + 1]], latency_table, config)
-            for i in range(n_chunks)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with ProcessPoolExecutor(
-            max_workers=self.jobs, mp_context=_mp_context()
-        ) as pool:
-            parts = list(pool.map(_profile_chunk, chunks))
-        return [profile for part in parts for profile in part]
 
     def _clustering(self, profiles, profiles_key, config, strategy):
         key = stage_key("clustering", config, profiles_key, strategy)

@@ -147,6 +147,14 @@ class StageSpec:
     #: latency table, profiles, clustering) read must be declared in
     #: ``config_fields`` directly.
     key_inputs: Optional[Tuple[str, ...]] = None
+    #: Version of the artifact's pickled layout, folded into the key
+    #: from 2 on.  Bump it whenever the artifact type changes shape: a
+    #: disk store written by older code then misses on this stage instead
+    #: of handing old objects to new code, while stages still at layout
+    #: 1 keep their keys and their cached artifacts.  A stage whose key
+    #: hashes a bumped upstream key (``clustering`` over
+    #: ``interval_profiles``) misses already and needs no bump of its own.
+    layout: int = 1
 
     @property
     def effective_key_inputs(self) -> Tuple[str, ...]:
@@ -199,6 +207,7 @@ STAGES = {
             inputs=("latency_table",),
             config_fields=PROFILE_FIELDS,
             description="per-warp interval profiles (Eq. 4)",
+            layout=2,  # launch-wide interval columns
         ),
         StageSpec(
             "clustering",
@@ -212,6 +221,7 @@ STAGES = {
             config_fields=PREDICT_FIELDS,
             description="multi-warp analytical model (Eq. 3/17)",
             key_inputs=("trace",),
+            layout=2,  # per-interval results are arrays
         ),
         StageSpec(
             "oracle",
@@ -228,11 +238,14 @@ def stage_key(stage: str, config: GPUConfig, *parts: object) -> str:
 
     ``parts`` are the non-config inputs (kernel identity, upstream
     artifact keys, call parameters); the config contributes only the
-    fingerprint of the fields the stage declares.
+    fingerprint of the fields the stage declares, the stage its
+    artifact layout version.
     """
     spec = STAGES[stage]
-    fingerprint = config.fingerprint(spec.config_fields)
-    payload = repr((fingerprint,) + parts).encode("utf-8")
+    head = (config.fingerprint(spec.config_fields),)
+    if spec.layout > 1:
+        head += (("layout", spec.layout),)
+    payload = repr(head + parts).encode("utf-8")
     return "%s:%s" % (stage, hashlib.sha256(payload).hexdigest()[:24])
 
 
@@ -306,7 +319,7 @@ def compute_latency_table(trace, cache_result, config):
 
 
 def compute_profiles(warps, latency_table, config: GPUConfig):
-    """Interval profiles for an ordered slice of warp traces.
+    """Interval profiles of a launch's warp traces, in launch order.
 
     Interval-construction semantics are an architecture-backend hook
     (``config.arch``); both shipped backends use the Eq. 4 scan.

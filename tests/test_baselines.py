@@ -8,9 +8,7 @@ from repro.core.interval import Interval, IntervalProfile
 
 
 def profile_of(intervals):
-    p = IntervalProfile(warp_id=0)
-    p.intervals.extend(intervals)
-    return p
+    return IntervalProfile.from_intervals(0, intervals)
 
 
 class TestNaive:

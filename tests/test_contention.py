@@ -91,9 +91,7 @@ class TestDRAMQueuing:
 
 
 def profile_with(interval):
-    p = IntervalProfile(warp_id=0)
-    p.intervals.append(interval)
-    return p
+    return IntervalProfile.from_intervals(0, [interval])
 
 
 class TestModelContention:
@@ -169,9 +167,8 @@ class TestModelContention:
         assert queue == pytest.approx(result.cpi_queue_model)
 
     def test_per_interval_lists_align(self):
-        profile = IntervalProfile(warp_id=0)
-        profile.intervals.extend(
-            [Interval(n_insts=5, stall_cycles=1.0)] * 3
+        profile = IntervalProfile.from_intervals(
+            0, [Interval(n_insts=5, stall_cycles=1.0)] * 3
         )
         result = model_contention(profile, 4, GPUConfig(), 420.0)
         assert len(result.per_interval_mshr) == 3

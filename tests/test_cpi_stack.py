@@ -61,11 +61,10 @@ class TestCPIStackType:
 
 class TestSingleWarpStack:
     def test_compute_stall_goes_to_dep(self):
-        profile = IntervalProfile(warp_id=0)
-        profile.intervals.append(
+        profile = IntervalProfile.from_intervals(0, [
             Interval(n_insts=2, stall_cycles=8.0, cause_pc=0,
                      cause_is_memory=False)
-        )
+        ])
         stack = single_warp_stack(profile, latency_table_with({}))
         assert stack[StallType.BASE] == 1.0
         assert stack[StallType.DEP] == pytest.approx(4.0)
@@ -73,11 +72,10 @@ class TestSingleWarpStack:
 
     def test_memory_stall_split_by_distribution(self):
         stats = memory_pc_stats(3, l1=0.1, l2=0.2, dram=0.7)
-        profile = IntervalProfile(warp_id=0)
-        profile.intervals.append(
+        profile = IntervalProfile.from_intervals(0, [
             Interval(n_insts=10, stall_cycles=100.0, cause_pc=3,
                      cause_is_memory=True)
-        )
+        ])
         stack = single_warp_stack(profile, latency_table_with({3: stats}))
         assert stack[StallType.L1] == pytest.approx(1.0)
         assert stack[StallType.L2] == pytest.approx(2.0)
@@ -85,11 +83,10 @@ class TestSingleWarpStack:
         assert stack.total == pytest.approx(profile.single_warp_cpi)
 
     def test_memory_cause_without_stats_falls_back_to_dep(self):
-        profile = IntervalProfile(warp_id=0)
-        profile.intervals.append(
+        profile = IntervalProfile.from_intervals(0, [
             Interval(n_insts=2, stall_cycles=6.0, cause_pc=9,
                      cause_is_memory=True)
-        )
+        ])
         stack = single_warp_stack(profile, latency_table_with({}))
         assert stack[StallType.DEP] == pytest.approx(3.0)
 
@@ -103,15 +100,14 @@ class TestSingleWarpStack:
 class TestFullStack:
     def build(self, n_warps=4):
         stats = memory_pc_stats(3, dram=1.0)
-        profile = IntervalProfile(warp_id=0)
-        profile.intervals.append(
+        profile = IntervalProfile.from_intervals(0, [
             Interval(
                 n_insts=10, stall_cycles=420.0, cause_pc=3,
                 cause_is_memory=True, n_loads=1, load_reqs=32,
                 exp_mshr_reqs=32.0, exp_dram_read_reqs=32.0,
                 exp_mshr_loads=1.0, exp_dram_loads=1.0,
             )
-        )
+        ])
         config = GPUConfig()
         table = latency_table_with({3: stats})
         mt = model_multithreading(profile, n_warps, "rr")

@@ -1,12 +1,26 @@
 """Unit tests for the interval algorithm (Sec. III-B, Fig. 6)."""
 
+import io
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.config import GPUConfig
-from repro.core.interval import Interval, IntervalProfile, build_interval_profile
-from repro.core.latency import LatencyTable
+from repro.core.interval import (
+    Interval,
+    IntervalColumns,
+    IntervalProfile,
+    IntervalProfiles,
+    build_interval_profile,
+    build_interval_profiles,
+)
+from repro.core.latency import LatencyTable, build_latency_table
+from repro.memory.cache_simulator import simulate_caches
+from repro.trace.emulator import emulate
 from repro.trace.trace_types import MAX_DEPS, NO_DEP, OpCode, WarpTrace
+from repro.workloads import Scale
+from repro.workloads.suite import SUITE
 
 
 def make_trace(rows, req_counts=None):
@@ -148,9 +162,12 @@ class TestIntervalAccounting:
 
 class TestProfileAggregates:
     def test_eq5_warp_perf(self):
-        profile = IntervalProfile(warp_id=0, issue_rate=1.0)
-        profile.intervals.append(Interval(n_insts=1, stall_cycles=10.0))
-        profile.intervals.append(Interval(n_insts=4, stall_cycles=10.0))
+        profile = IntervalProfile.from_intervals(
+            0,
+            [Interval(n_insts=1, stall_cycles=10.0),
+             Interval(n_insts=4, stall_cycles=10.0)],
+            issue_rate=1.0,
+        )
         # Eq. 5: 5 insts / (5 + 20) cycles.
         assert profile.warp_perf == pytest.approx(5 / 25)
         assert profile.issue_prob == profile.warp_perf
@@ -172,16 +189,80 @@ class TestProfileAggregates:
     def test_aggregates_computed_once(self):
         # n_insts / total_stall_cycles sit inside per-cycle model loops;
         # they must be cached on first access, not re-summed per call.
-        profile = IntervalProfile(warp_id=0)
-        profile.intervals.append(Interval(n_insts=2, stall_cycles=5.0))
+        profile = IntervalProfile.from_intervals(
+            0, [Interval(n_insts=2, stall_cycles=5.0)]
+        )
         assert profile.n_insts == 2
         assert profile.total_stall_cycles == 5.0
-        # Were the properties re-summing, this append would change them.
-        profile.intervals.append(Interval(n_insts=7, stall_cycles=9.0))
+        # Were the properties re-summing, swapping in more intervals
+        # would change them.
+        profile.columns = IntervalColumns.from_rows(
+            [Interval(n_insts=2, stall_cycles=5.0),
+             Interval(n_insts=7, stall_cycles=9.0)]
+        )
         assert profile.n_insts == 2
         assert profile.total_stall_cycles == 5.0
         # The cache is per-instance state, not class state.
-        other = IntervalProfile(warp_id=1)
-        other.intervals.append(Interval(n_insts=1, stall_cycles=1.0))
+        other = IntervalProfile.from_intervals(
+            1, [Interval(n_insts=1, stall_cycles=1.0)]
+        )
         assert other.n_insts == 1
         assert other.total_stall_cycles == 1.0
+
+
+def pickled_objects(value):
+    """Types of every object pickling ``value`` writes, with counts."""
+    counts = {}
+
+    class Recorder(pickle.Pickler):
+        def persistent_id(self, obj):
+            counts[type(obj)] = counts.get(type(obj), 0) + 1
+            return None
+
+    Recorder(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(value)
+    return counts
+
+
+def suite_profiles(name, scale):
+    config = GPUConfig.small(n_cores=2, warps_per_core=8)
+    kernel, memory = SUITE[name].build(scale)
+    trace = emulate(kernel, config, memory=memory)
+    table = build_latency_table(trace, simulate_caches(trace, config), config)
+    return build_interval_profiles(trace.warps, table, config.issue_rate)
+
+
+class TestProfilesArtifact:
+    def test_pickles_as_a_fixed_number_of_arrays(self):
+        small = suite_profiles("vectoradd", Scale.tiny())
+        large = suite_profiles("sgemm_tile", Scale.small())
+        assert len(large) > len(small)
+        assert len(large.columns.n_insts) > 10 * len(small.columns.n_insts)
+        for profiles in (small, large):
+            counts = pickled_objects(profiles)
+            # 15 columns + offsets + warp ids, nothing per warp or row.
+            assert counts[np.ndarray] == 17
+            assert Interval not in counts
+            assert IntervalProfile not in counts
+
+    def test_views_slice_the_launch_columns(self):
+        profiles = suite_profiles("kmeans_invert_mapping", Scale.tiny())
+        assert isinstance(profiles, IntervalProfiles)
+        offsets = profiles.offsets
+        for index, profile in enumerate(profiles):
+            assert profile is profiles[index]  # one view per warp
+            assert profile.warp_id == profiles.warp_ids[index]
+            assert profile.n_intervals == offsets[index + 1] - offsets[index]
+            assert np.shares_memory(profile.columns.stall_cycles,
+                                    profiles.columns.stall_cycles) or (
+                profile.n_intervals == 0
+            )
+
+    def test_a_pickled_view_carries_only_its_rows(self):
+        profiles = suite_profiles("kmeans_invert_mapping", Scale.tiny())
+        view = profiles[1]
+        n_insts = view.n_insts  # now cached
+        copy = pickle.loads(pickle.dumps(view))
+        assert copy == view
+        assert len(copy.columns.n_insts) == view.n_intervals
+        assert "n_insts" not in vars(copy)
+        assert copy.n_insts == n_insts

@@ -90,6 +90,25 @@ class TestPredict:
         text = prediction.summary()
         assert "saxpy" in text and "CPI" in text
 
+    def test_separately_computed_predictions_compare_equal(self, config):
+        kernel = build_divergent_load(n_threads=512, block_size=64)
+        first = GPUMech(config).predict_kernel(kernel)
+        second = GPUMech(config).predict_kernel(kernel)
+        # Per-interval results are arrays; several intervals each.
+        assert len(first.contention.per_interval_mshr) > 1
+        assert first.contention.per_interval_mshr is not (
+            second.contention.per_interval_mshr
+        )
+        assert first.contention == second.contention
+        assert first.multithreading == second.multithreading
+        assert first == second
+        # A difference in a single interval still makes them unequal.
+        changed = second.multithreading.per_interval_nonoverlapped.copy()
+        changed[-1] += 1.0
+        second.multithreading.per_interval_nonoverlapped = changed
+        assert first.multithreading != second.multithreading
+        assert first != second
+
 
 class TestResidentWarps:
     def test_limited_by_warp_slots(self, config):

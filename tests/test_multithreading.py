@@ -13,9 +13,7 @@ from repro.core.multithreading import (
 
 
 def profile_of(intervals):
-    p = IntervalProfile(warp_id=0)
-    p.intervals.extend(intervals)
-    return p
+    return IntervalProfile.from_intervals(0, intervals)
 
 
 class TestPaperFigure2:

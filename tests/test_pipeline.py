@@ -1,11 +1,15 @@
 """Tests for the staged artifact pipeline (fingerprints, invalidation,
 parallel equivalence, on-disk reuse)."""
 
+import hashlib
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import ALL_FIELDS, HARDWARE_FIELDS, TRACE_FIELDS, GPUConfig
+from repro.core.interval import Interval, IntervalProfiles
+from repro.core.model import resident_warps_per_core
 from repro.harness import experiments as ex
 from repro.harness.runner import KernelResult, Runner, nanmean
 from repro.pipeline import (
@@ -17,6 +21,7 @@ from repro.pipeline import (
     TieredStore,
     open_store,
 )
+from repro.pipeline.stages import stage_key
 from repro.workloads import Scale
 
 
@@ -184,6 +189,60 @@ class TestDiskStore:
     def test_open_store_defaults_to_memory(self):
         assert isinstance(open_store(), MemoryStore)
         assert "open" not in repr(open_store())  # smoke: constructible
+
+
+def legacy_key(stage, config, *parts):
+    """``stage_key`` as it was before artifact-layout versions."""
+    fingerprint = config.fingerprint(STAGES[stage].config_fields)
+    payload = repr((fingerprint,) + parts).encode("utf-8")
+    return "%s:%s" % (stage, hashlib.sha256(payload).hexdigest()[:24])
+
+
+class TestArtifactLayout:
+    def test_layout_one_stages_keep_their_keys(self, config):
+        for stage, spec in STAGES.items():
+            same = stage_key(stage, config, "k", 3) == legacy_key(
+                stage, config, "k", 3
+            )
+            assert same == (spec.layout == 1), stage
+
+    def test_columnar_stages_are_versioned(self):
+        # clustering needs no bump of its own: its key hashes the
+        # profiles key, which the profiles' layout version changes.
+        for stage in ("interval_profiles", "predict"):
+            assert STAGES[stage].layout >= 2, stage
+
+    def test_legacy_profiles_on_disk_are_recomputed(self, config, tmp_path):
+        """A store filled before the columnar layout holds list-of-rows
+        profiles under the old keys; they must miss, not be returned."""
+        kernel = "vectoradd"
+        pipeline = Pipeline(config, scale=Scale.tiny(), cache_dir=str(tmp_path))
+        cache_key = stage_key("cache_sim", config, pipeline.trace_key(kernel),
+                              None)
+        latency_key = stage_key("latency_table", config, cache_key)
+        profiles_key = legacy_key("interval_profiles", config, latency_key)
+        clustering_key = legacy_key("clustering", config, profiles_key,
+                                    "clustering")
+        legacy = [SimpleNamespace(warp_id=0, issue_rate=1.0,
+                                  intervals=[Interval(n_insts=3)])]
+        disk = DiskStore(str(tmp_path))
+        disk.put(profiles_key, legacy)
+        disk.put(clustering_key, SimpleNamespace(index=0, profile=legacy[0]))
+        assert disk.get(profiles_key) is not None
+
+        inputs = pipeline.model_inputs(kernel)
+        assert pipeline.counters["interval_profiles"] == 1
+        assert pipeline.counters["clustering"] == 1
+        assert isinstance(inputs.profiles, IntervalProfiles)
+
+        # predict's key leaves the profiles key out, so only its own
+        # layout version keeps a legacy prediction from being read.
+        n_warps = resident_warps_per_core(inputs.trace, config)
+        predict_key = legacy_key("predict", config, pipeline.trace_key(kernel),
+                                 None, n_warps, "clustering", pipeline.rr_mode)
+        disk.put(predict_key, SimpleNamespace(cpi=-1.0))
+        assert pipeline.predict(kernel).cpi > 0
+        assert pipeline.counters["predict"] == 1
 
 
 class TestGPUMechThroughPipeline:

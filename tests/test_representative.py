@@ -7,9 +7,9 @@ from repro.core.representative import feature_vectors, select_representative
 
 
 def profile(warp_id, n_insts, stall):
-    p = IntervalProfile(warp_id=warp_id)
-    p.intervals.append(Interval(n_insts=n_insts, stall_cycles=stall))
-    return p
+    return IntervalProfile.from_intervals(
+        warp_id, [Interval(n_insts=n_insts, stall_cycles=stall)]
+    )
 
 
 class TestFeatureVectors:

@@ -99,11 +99,9 @@ class TestOracle:
 
 class TestModel:
     def profile_with_sfu(self, n_sfu, n_insts=20):
-        profile = IntervalProfile(warp_id=0)
-        profile.intervals.append(
-            Interval(n_insts=n_insts, stall_cycles=10.0, n_sfu=n_sfu)
+        return IntervalProfile.from_intervals(
+            0, [Interval(n_insts=n_insts, stall_cycles=10.0, n_sfu=n_sfu)]
         )
-        return profile
 
     def test_balanced_design_no_charge(self):
         result = model_contention(
