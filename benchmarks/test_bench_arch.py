@@ -71,7 +71,8 @@ def test_bench_arch_dispatch(benchmark):
                 profile, n_warps, config.scheduler
             )
             contention = model_contention(
-                profile, n_warps, config, inputs.avg_miss_latency
+                profile, n_warps, config,
+                inputs.cache_result.avg_miss_latency(config),
             )
             stack = build_cpi_stack(
                 profile, inputs.latency_table, multithreading, contention,

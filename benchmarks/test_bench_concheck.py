@@ -8,7 +8,7 @@ Two contracts (enforced in the ``concheck`` CI job):
 * the opt-in ``REPRO_CONCHECK=1`` lock sanitizer keeps a traced sweep
   within a bounded multiple of its unsanitized wall-clock.  The
   sanitizer is a debugging tool, not an always-on proxy, so the
-  allowance is a multiplier rather than depcheck's 5% — but it must
+  allowance is a multiplier rather than a few percent — but it must
   stay cheap enough to run over the full suite in CI.
 
 When the sanitizer is *off*, ``make_lock`` returns plain stdlib locks

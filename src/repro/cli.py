@@ -335,42 +335,6 @@ def _cmd_analyze(args) -> int:
     return 1 if n_errors else 0
 
 
-def _cmd_depcheck(args) -> int:
-    import json
-
-    from repro.depcheck import analyze_stage_deps, check_runtime
-    from repro.depcheck.runtime import runtime_sweep
-
-    report = analyze_stage_deps()
-    runtime_info = None
-    if args.runtime:
-        scale = _SCALES[args.scale]()
-        observed, kernels = runtime_sweep(scale=scale)
-        report.diagnostics.extend(
-            check_runtime(observed, report, kernels=kernels)
-        )
-        runtime_info = {
-            "kernels": len(kernels),
-            "observed": {
-                stage: sorted(reads) for stage, reads in observed.items()
-            },
-        }
-    if args.format == "json":
-        # Machine-readable output bypasses the logging layer (see lint).
-        payload = report.to_dict()
-        payload["runtime"] = runtime_info
-        print(json.dumps(payload, indent=2))
-    else:
-        emit(report.render_text())
-        if runtime_info is not None:
-            emit(
-                "runtime sanitizer: %d kernel(s) swept, %d stage(s) "
-                "observed" % (runtime_info["kernels"],
-                              len(runtime_info["observed"]))
-            )
-    return 1 if report.has_errors else 0
-
-
 def _cmd_concheck(args) -> int:
     from repro.concheck import (
         Allowlist,
@@ -700,21 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "store; reruns skip every already-computed stage")
     _add_obs_args(analyze)
 
-    depcheck = sub.add_parser(
-        "depcheck",
-        help="verify pipeline cache-key soundness (static field-"
-        "dependency inference, optionally the runtime access sanitizer)",
-    )
-    depcheck.add_argument("--runtime", action="store_true",
-                          help="also sweep the suite with the access-"
-                          "recording config proxy and cross-validate")
-    depcheck.add_argument("--format", choices=("text", "json"),
-                          default="text", help="report output format")
-    depcheck.add_argument("--scale", choices=sorted(_SCALES),
-                          default="tiny",
-                          help="workload scale for the runtime sweep")
-    _add_obs_args(depcheck)
-
     concheck = sub.add_parser(
         "concheck",
         help="verify concurrency and fork safety (thread-escape, lock "
@@ -863,7 +812,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "characterize": _cmd_characterize,
         "lint": _cmd_lint,
         "analyze": _cmd_analyze,
-        "depcheck": _cmd_depcheck,
         "concheck": _cmd_concheck,
         "profile": _cmd_profile,
         "serve-metrics": _cmd_serve_metrics,

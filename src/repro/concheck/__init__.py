@@ -1,7 +1,7 @@
 """``repro.concheck`` — concurrency- and fork-safety analysis.
 
 Static side (:func:`analyze_concurrency`): four passes over the
-:class:`~repro.depcheck.modindex.ModuleIndex` — thread-escape,
+:class:`~repro.concheck.modindex.ModuleIndex` — thread-escape,
 lock-discipline (guard consistency + acquisition-order cycles),
 fork/pickle-safety across the ``ProcessPoolExecutor`` boundary, and a
 census of module-level mutable state.  Findings are either fixed or
@@ -28,6 +28,7 @@ from repro.concheck.locks import (
     check_lock_order,
     guarded_fields,
 )
+from repro.concheck.modindex import ModuleIndex
 from repro.concheck.report import (
     Allowlist,
     AllowlistEntry,
@@ -48,7 +49,6 @@ from repro.concheck.runtime import (
     uninstall,
 )
 from repro.concheck.threads import check_thread_shared
-from repro.depcheck.modindex import ModuleIndex
 
 #: Severity ranking for stable report ordering.
 _SEVERITY_ORDER = {"error": 0, "warning": 1, "info": 2}

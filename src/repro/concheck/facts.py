@@ -10,9 +10,8 @@ passes reason about:
 * **lock activity** — which locks a function acquires (``with
   self._lock:``) and the nesting edges between them;
 * **call edges** — resolved callee qualnames (annotation- and
-  constructor-typed, the :mod:`repro.depcheck` approach), with the
-  held-lock set at the call site so lock-order analysis can follow
-  acquisitions through calls;
+  constructor-typed), with the held-lock set at the call site so
+  lock-order analysis can follow acquisitions through calls;
 * **spawn points** — ``threading.Thread(target=...)`` sites, HTTP
   handler classes passed to a ``ThreadingHTTPServer``-style
   constructor, and ``ProcessPoolExecutor`` boundaries with the types
@@ -30,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.depcheck.modindex import (
+from repro.concheck.modindex import (
     ClassInfo,
     FunctionInfo,
     ModuleIndex,

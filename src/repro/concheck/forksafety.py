@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Set, Tuple
 
 from repro.concheck.facts import CodeFacts
 from repro.concheck.report import ConDiagnostic
-from repro.depcheck.modindex import ClassInfo
+from repro.concheck.modindex import ClassInfo
 from repro.staticcheck.report import Severity
 
 #: Constructor names whose instances must not cross a fork boundary.

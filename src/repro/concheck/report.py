@@ -1,10 +1,10 @@
 """Concurrency diagnostics, the aggregate report, and the allowlist.
 
-Mirrors :mod:`repro.depcheck.stagedeps`: findings are small frozen
-dataclasses carrying a stable ``check_id``, a *subject* (the shared
-state, lock pair or global the finding is about — the thing an
-allowlist entry matches), a severity from the shared
-:class:`~repro.staticcheck.report.Severity` scale and a human message.
+Findings are small frozen dataclasses carrying a stable ``check_id``,
+a *subject* (the shared state, lock pair or global the finding is
+about — the thing an allowlist entry matches), a severity from the
+shared :class:`~repro.staticcheck.report.Severity` scale and a human
+message.
 
 Check ids (static passes):
 

@@ -34,7 +34,7 @@ import threading
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 #: Environment toggle; any value other than ``""``/``"0"`` installs the
-#: monitor at import time (the ``REPRO_DEPCHECK`` precedent).
+#: monitor at import time.
 CONCHECK_ENV = "REPRO_CONCHECK"
 
 

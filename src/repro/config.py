@@ -45,7 +45,7 @@ KNOWN_ARCHES = ("gpumech2014", "subcore")
 #: never changes the trace and is deliberately absent.  ``simt_width``
 #: is absent too: validation pins it to ``warp_size``, so the emulator
 #: never reads it and keying on it would only double-count warp width
-#: (a fact ``repro.depcheck`` verifies statically and at runtime).
+#: (the trace stage's config view, which hides it, enforces that).
 TRACE_FIELDS: FrozenSet[str] = frozenset(
     {"warp_size", "line_size", "smem_banks", "arch"}
 )

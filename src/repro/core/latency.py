@@ -29,11 +29,9 @@ class LatencyTable:
         self,
         latencies: np.ndarray,
         pc_stats: Dict[int, PCStats],
-        config: GPUConfig,
     ):
         self._latencies = latencies
         self.pc_stats = pc_stats
-        self.config = config
 
     def latency(self, pc: int) -> float:
         """Latency (cycles) of the static instruction at ``pc``."""
@@ -77,7 +75,7 @@ def build_latency_table(
     for pc in smem_pcs.tolist():
         mean_degree = conflict_sum[pc] / conflict_count[pc]
         latencies[pc] += max(mean_degree - 1.0, 0.0)
-    return LatencyTable(latencies, cache_result.per_pc, config)
+    return LatencyTable(latencies, cache_result.per_pc)
 
 
 def _latency_of(

@@ -38,7 +38,6 @@ class ModelInputs:
     latency_table: LatencyTable
     profiles: IntervalProfiles
     selection: RepresentativeSelection
-    avg_miss_latency: float
 
     @property
     def representative(self) -> IntervalProfile:
@@ -227,7 +226,8 @@ class GPUMech:
             alignment=alignment,
         )
         contention = arch.model_contention(
-            profile, n_warps, self.config, inputs.avg_miss_latency
+            profile, n_warps, self.config,
+            inputs.cache_result.avg_miss_latency(self.config),
         )
         stack = arch.build_cpi_stack(
             profile, inputs.latency_table, multithreading, contention,

@@ -5,7 +5,10 @@
 
 1. *keyed* — a content-addressed key from the kernel identity, the
    workload scale, the fingerprint of exactly the config fields the
-   stage reads, and the keys of its upstream artifacts;
+   stage reads, and the keys of its upstream artifacts — and computed
+   on a view of the config holding only the fields that key covers, so
+   an undeclared read raises instead of caching a result that could go
+   stale;
 2. *memoised* — looked up in an :class:`~repro.pipeline.store.ArtifactStore`
    (in-memory by default; memory-fronted disk with ``cache_dir``), so a
    hardware sweep automatically re-runs only the cache-sim-and-later
@@ -46,11 +49,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.backend import BACKEND_STAGES, current_backend
 from repro.config import GPUConfig
-from repro.depcheck.runtime import (
-    depcheck_enabled,
-    record_stage,
-    recording_config,
-)
 from repro.obs.metrics import MetricsRegistry, diff_snapshots
 from repro.obs.tracer import Tracer, get_tracer
 from repro.pipeline.stages import (
@@ -63,6 +61,7 @@ from repro.pipeline.stages import (
     compute_profiles,
     compute_trace,
     compute_xcheck,
+    config_view,
     stage_key,
     trace_digest,
 )
@@ -211,12 +210,14 @@ class Pipeline:
     def _scale_part(self) -> tuple:
         return (self.scale.n_blocks, self.scale.block_size, self.scale.iters)
 
-    def _execute(self, stage: str, key: str, compute: Callable,
-                 arch: Optional[str] = None):
+    def _execute(self, stage: str, key: str, config: GPUConfig,
+                 compute: Callable[[GPUConfig], Any]):
         """Store lookup, else compute + record + put.
 
-        ``arch`` labels the execution with the architecture backend
-        (``GPUConfig.arch``) in both the span args and the per-arch
+        ``compute`` receives :func:`~repro.pipeline.stages.config_view`
+        of ``config``: only the fields ``key`` covers, so a read of any
+        other field raises before anything is stored.  ``config.arch``
+        labels the execution in both the span args and the per-arch
         shadow counters — the observability face of the multi-backend
         refactor (cross-arch sweeps show up separated per backend).
         """
@@ -224,27 +225,15 @@ class Pipeline:
         if artifact is not None:
             self.metrics.counter("pipeline.stage_hits", stage=stage).inc()
             return artifact
-        span_args = {"key": key}
-        if arch is not None:
-            span_args["arch"] = arch
+        arch = config.arch
+        span_args = {"key": key, "arch": arch}
         backend = None
         if stage in BACKEND_STAGES:
             backend = current_backend()
             span_args["trace.backend"] = backend
         with self.tracer.span(stage, category="stage", args=span_args):
             start = time.perf_counter()
-            if depcheck_enabled():
-                # Sanitizer window: attribute config-proxy reads to this
-                # stage (keys/fingerprints were computed before this
-                # point, so only genuine compute reads land here).
-                with record_stage(stage) as reads:
-                    artifact = compute()
-                for field_name in sorted(reads):
-                    self.metrics.counter(
-                        "depcheck.field_reads", stage=stage, field=field_name
-                    ).inc()
-            else:
-                artifact = compute()
+            artifact = compute(config_view(stage, config))
             elapsed = time.perf_counter() - start
         metrics = self.metrics
         metrics.counter("pipeline.stage_executions", stage=stage).inc()
@@ -261,11 +250,10 @@ class Pipeline:
             metrics.counter(
                 "pipeline.backend_seconds", stage=stage, backend=backend
             ).inc(elapsed)
-        if arch is not None:
-            # Per-architecture shadow counters, same pattern as above.
-            metrics.counter(
-                "pipeline.arch_executions", stage=stage, arch=arch
-            ).inc()
+        # Per-architecture shadow counters, same pattern as above.
+        metrics.counter(
+            "pipeline.arch_executions", stage=stage, arch=arch
+        ).inc()
         _LOG.debug("stage %s executed in %.1f ms (%s)",
                    stage, elapsed * 1e3, key)
         self.store.put(key, artifact)
@@ -277,8 +265,6 @@ class Pipeline:
         config = config if config is not None else self.config
         if policy is not None and policy != config.scheduler:
             config = config.with_(scheduler=policy)
-        if depcheck_enabled():
-            config = recording_config(config)
         return config
 
     # -- stage accessors ----------------------------------------------------
@@ -292,7 +278,8 @@ class Pipeline:
         any other stage); raises :class:`StaticCheckError` on errors."""
         key = stage_key("lint", self.config, kernel_name, self._scale_part())
         report = self._execute(
-            "lint", key, lambda: compute_lint(kernel_name, self.scale)
+            "lint", key, self.config,
+            lambda config: compute_lint(kernel_name, self.scale),
         )
         if report.has_errors:
             raise StaticCheckError(report)
@@ -311,10 +298,8 @@ class Pipeline:
             "costmodel", config, kernel_name, self._scale_part()
         )
         return self._execute(
-            "costmodel",
-            key,
-            lambda: compute_costmodel(kernel_name, self.scale, config),
-            arch=config.arch,
+            "costmodel", key, config,
+            lambda config: compute_costmodel(kernel_name, self.scale, config),
         )
 
     def crosscheck(
@@ -329,15 +314,13 @@ class Pipeline:
         """
         config = self._effective_config(config)
         cost = self.analyze(kernel_name, config)
-        trace = self.trace(kernel_name, config)
+        trace, trace_key_ = self._trace(kernel_name, config)
         cost_key = stage_key(
             "costmodel", config, kernel_name, self._scale_part()
         )
-        key = stage_key(
-            "xcheck", config, self.trace_key(kernel_name, config), cost_key
-        )
+        key = stage_key("xcheck", config, trace_key_, cost_key)
 
-        def compute():
+        def compute(config):
             report = compute_xcheck(
                 kernel_name, self.scale, trace, cost, config
             )
@@ -348,7 +331,7 @@ class Pipeline:
                 )
             return report
 
-        return self._execute("xcheck", key, compute, arch=config.arch)
+        return self._execute("xcheck", key, config, compute)
 
     def trace(self, kernel_name: str, config: Optional[GPUConfig] = None):
         """The (cached) functional trace of a suite kernel.
@@ -357,27 +340,27 @@ class Pipeline:
         no trace artifact is ever built — or cached — from a kernel
         that fails verification.
         """
+        return self._trace(kernel_name, self._effective_config(config))[0]
+
+    def _trace(self, kernel_name: str, config: GPUConfig):
         if self.lint:
             self.verify(kernel_name)
-        config = self._effective_config(config)
         key = self.trace_key(kernel_name, config)
-        return self._execute(
-            "trace", key,
-            lambda: compute_trace(kernel_name, self.scale, config),
-            arch=config.arch,
+        trace = self._execute(
+            "trace", key, config,
+            lambda config: compute_trace(kernel_name, self.scale, config),
         )
+        return trace, key
 
     def _cache_sim(self, trace, trace_key_, config, warps_per_core):
         key = stage_key("cache_sim", config, trace_key_, warps_per_core)
 
-        def compute():
+        def compute(config):
             result = compute_cache_sim(trace, config, warps_per_core)
             self._record_cache_metrics(result)
             return result
 
-        return self._execute(
-            "cache_sim", key, compute, arch=config.arch
-        ), key
+        return self._execute("cache_sim", key, config, compute), key
 
     def _record_cache_metrics(self, result) -> None:
         """Absorb one cache simulation's hit/miss statistics (miss only:
@@ -397,10 +380,10 @@ class Pipeline:
         key = stage_key("latency_table", config, cache_key)
         return (
             self._execute(
-                "latency_table",
-                key,
-                lambda: compute_latency_table(trace, cache_result, config),
-                arch=config.arch,
+                "latency_table", key, config,
+                lambda config: compute_latency_table(
+                    trace, cache_result, config
+                ),
             ),
             key,
         )
@@ -409,10 +392,10 @@ class Pipeline:
         key = stage_key("interval_profiles", config, latency_key)
         return (
             self._execute(
-                "interval_profiles",
-                key,
-                lambda: compute_profiles(trace.warps, latency_table, config),
-                arch=config.arch,
+                "interval_profiles", key, config,
+                lambda config: compute_profiles(
+                    trace.warps, latency_table, config
+                ),
             ),
             key,
         )
@@ -421,12 +404,42 @@ class Pipeline:
         key = stage_key("clustering", config, profiles_key, strategy)
         return (
             self._execute(
-                "clustering", key,
-                lambda: compute_clustering(profiles, strategy),
-                arch=config.arch,
+                "clustering", key, config,
+                lambda config: compute_clustering(profiles, strategy),
             ),
             key,
         )
+
+    def _model_inputs(
+        self, trace, trace_key_, config, selection_strategy, warps_per_core
+    ):
+        """Fig. 5 left side: cache sim → ... → clustering.
+
+        Returns the inputs and the clustering key, which covers every
+        config field any of them depends on.
+        """
+        from repro.core.model import ModelInputs  # circular at import time
+
+        cache_result, cache_key = self._cache_sim(
+            trace, trace_key_, config, warps_per_core
+        )
+        latency_table, latency_key = self._latency_table(
+            trace, cache_result, cache_key, config
+        )
+        profiles, profiles_key = self._profiles(
+            trace, latency_table, latency_key, config
+        )
+        selection, clustering_key = self._clustering(
+            profiles, profiles_key, config, selection_strategy
+        )
+        inputs = ModelInputs(
+            trace=trace,
+            cache_result=cache_result,
+            latency_table=latency_table,
+            profiles=profiles,
+            selection=selection,
+        )
+        return inputs, clustering_key
 
     # -- public products ----------------------------------------------------
 
@@ -439,14 +452,10 @@ class Pipeline:
     ):
         """Fig. 5 left side for a suite kernel: trace → ... → clustering."""
         config = self._effective_config(config)
-        trace = self.trace(kernel_name, config)
-        return self.model_inputs_from_trace(
-            trace,
-            config=config,
-            selection_strategy=selection_strategy,
-            warps_per_core=warps_per_core,
-            trace_key_=self.trace_key(kernel_name, config),
-        )
+        trace, trace_key_ = self._trace(kernel_name, config)
+        return self._model_inputs(
+            trace, trace_key_, config, selection_strategy, warps_per_core
+        )[0]
 
     def model_inputs_from_trace(
         self,
@@ -457,31 +466,12 @@ class Pipeline:
         trace_key_: Optional[str] = None,
     ):
         """Fig. 5 left side for an externally supplied trace."""
-        from repro.core.model import ModelInputs  # circular at import time
-
         config = self._effective_config(config)
         if trace_key_ is None:
             trace_key_ = "trace:" + trace_digest(trace)
-        cache_result, cache_key = self._cache_sim(
-            trace, trace_key_, config, warps_per_core
-        )
-        latency_table, latency_key = self._latency_table(
-            trace, cache_result, cache_key, config
-        )
-        profiles, profiles_key = self._profiles(
-            trace, latency_table, latency_key, config
-        )
-        selection, _ = self._clustering(
-            profiles, profiles_key, config, selection_strategy
-        )
-        return ModelInputs(
-            trace=trace,
-            cache_result=cache_result,
-            latency_table=latency_table,
-            profiles=profiles,
-            selection=selection,
-            avg_miss_latency=cache_result.avg_miss_latency(config),
-        )
+        return self._model_inputs(
+            trace, trace_key_, config, selection_strategy, warps_per_core
+        )[0]
 
     def simulate(
         self,
@@ -491,9 +481,9 @@ class Pipeline:
     ):
         """Run the cycle-level timing oracle (cached on the full config)."""
         config = self._effective_config(config)
-        trace = self.trace(kernel_name, config)
+        trace, trace_key_ = self._trace(kernel_name, config)
         interval = self.timeline_interval
-        parts: tuple = (self.trace_key(kernel_name, config), warps_per_core)
+        parts: tuple = (trace_key_, warps_per_core)
         if interval is not None:
             # Timeline-bearing artifacts are keyed apart so a cached
             # no-timeline run never satisfies a sampling request (and
@@ -501,14 +491,14 @@ class Pipeline:
             parts += (("timeline", interval),)
         key = stage_key("oracle", config, *parts)
 
-        def compute():
+        def compute(config):
             stats = compute_oracle(
                 trace, config, warps_per_core, timeline_interval=interval
             )
             self._record_oracle_metrics(stats)
             return stats
 
-        return self._execute("oracle", key, compute, arch=config.arch)
+        return self._execute("oracle", key, config, compute)
 
     def _record_oracle_metrics(self, stats) -> None:
         """Absorb one oracle run's counters (miss only, like any stage)."""
@@ -556,33 +546,20 @@ class Pipeline:
         from repro.core.model import GPUMech, resident_warps_per_core
 
         config = self._effective_config(config, policy)
-        inputs = self.model_inputs(
-            kernel_name,
-            config,
-            selection_strategy=selection_strategy,
-            warps_per_core=warps_per_core,
+        trace, trace_key_ = self._trace(kernel_name, config)
+        inputs, clustering_key = self._model_inputs(
+            trace, trace_key_, config, selection_strategy, warps_per_core
         )
         if n_warps is None:
-            n_warps = resident_warps_per_core(inputs.trace, config, warps_per_core)
+            n_warps = resident_warps_per_core(trace, config, warps_per_core)
         key = stage_key(
-            "predict",
-            config,
-            self.trace_key(kernel_name, config),
-            warps_per_core,
-            n_warps,
-            selection_strategy,
-            self.rr_mode,
-        )
-        model = GPUMech(
-            config,
-            selection_strategy=selection_strategy,
-            rr_mode=self.rr_mode,
-            pipeline=self,
+            "predict", config, clustering_key, n_warps, self.rr_mode
         )
         return self._execute(
-            "predict", key,
-            lambda: model.predict(inputs, n_warps=n_warps),
-            arch=config.arch,
+            "predict", key, config,
+            lambda config: GPUMech(config, rr_mode=self.rr_mode).predict(
+                inputs, n_warps=n_warps
+            ),
         )
 
     def evaluate(

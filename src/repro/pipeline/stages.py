@@ -1,9 +1,12 @@
 """Typed stage definitions: the Fig. 5 dataflow as a declarative DAG.
 
-Each :class:`StageSpec` names its upstream stages and — crucially — the
-exact :class:`~repro.config.GPUConfig` fields it reads.  Cache keys are
-derived from those field subsets, so the pipeline knows *structurally*
-which artifacts a configuration override invalidates:
+Each :class:`StageSpec` names its upstream stages and the
+:class:`~repro.config.GPUConfig` fields it reads beyond what those
+upstream stages already cover.  A stage's cache key folds in the
+fingerprint of its own fields and the keys of all its inputs, so the
+key *covers* its ``config_fields`` plus, transitively, everything its
+inputs' keys cover.  That is how the pipeline knows structurally which
+artifacts a configuration override invalidates:
 
 ====================  =====================================================
 ``lint``              static kernel verification (no config dependence)
@@ -14,9 +17,13 @@ which artifacts a configuration override invalidates:
 ``latency_table``     per-PC AMAT (latency parameters)
 ``interval_profiles`` per-warp Eq. 4 scan (issue bandwidth)
 ``clustering``        representative-warp selection (strategy parameter)
-``predict``           multi-warp analytical model (full config)
+``predict``           multi-warp analytical model (scheduling, contention)
 ``oracle``            cycle-level timing simulation (full config)
 ====================  =====================================================
+
+Coverage is enforced, not just declared: a stage computes on a
+:func:`config_view` that holds exactly the fields its key covers, and
+reading any other field raises :class:`UndeclaredConfigRead`.
 
 The compute functions are pure: everything they need arrives as an
 argument, nothing is read from ambient state — which is what makes them
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.config import ALL_FIELDS, TRACE_FIELDS, GPUConfig
 from repro.core.latency import build_latency_table
@@ -90,31 +97,21 @@ COSTMODEL_FIELDS: FrozenSet[str] = frozenset(
 #: comparisons themselves read only the warp width.
 XCHECK_FIELDS: FrozenSet[str] = frozenset({"warp_size"})
 
-#: Analytical-model config dependencies.  ``predict``'s key folds in
-#: only the *trace* key, while its other inputs (cache result, latency
-#: table, profiles, clustering) arrive as unkeyed objects — so their
-#: field coverage must be declared here directly, alongside the reads
-#: of the multi-warp model itself (scheduler policy, arch dispatch,
-#: residency, and the Sec. IV-B contention parameters).  Everything in
-#: ``ALL_FIELDS`` except ``simt_width`` (pinned to ``warp_size`` by
-#: validation) and the scratchpad geometry (``smem_size`` /
-#: ``smem_banks``, baked into the trace's conflict degrees).
-PREDICT_FIELDS: FrozenSet[str] = (
-    CACHE_SIM_FIELDS
-    | LATENCY_FIELDS
-    | PROFILE_FIELDS
-    | frozenset(
-        {
-            "scheduler",
-            "arch",
-            "n_schedulers",
-            "n_sfu_units",
-            "n_mshrs",
-            "n_dram_channels",
-            "core_clock_ghz",
-            "dram_bandwidth_gbps",
-        }
-    )
+#: Analytical-model config dependencies beyond the clustering key's
+#: coverage (which already brings in cache geometry, residency,
+#: latencies and issue width): the scheduler policy, arch dispatch and
+#: sub-core partitioning, and the Sec. IV-B contention parameters.
+PREDICT_FIELDS: FrozenSet[str] = frozenset(
+    {
+        "scheduler",
+        "arch",
+        "n_schedulers",
+        "n_sfu_units",
+        "n_mshrs",
+        "n_dram_channels",
+        "core_clock_ghz",
+        "dram_bandwidth_gbps",
+    }
 )
 
 #: Timing-oracle config dependencies: the cycle-level simulator reads
@@ -133,20 +130,14 @@ class StageSpec:
     name: str
     #: Upstream stage names this stage consumes artifacts from.
     inputs: Tuple[str, ...]
-    #: GPUConfig fields this stage reads *beyond* what its keyed inputs
-    #: already cover; the key includes only their fingerprint, so
-    #: overrides of other fields leave artifacts valid.
+    #: GPUConfig fields this stage reads *beyond* what its inputs' keys
+    #: already cover; the key includes only their fingerprint (plus the
+    #: input keys), so overrides of other fields leave artifacts valid.
+    #: The stage computes on a view holding these fields plus its
+    #: inputs' coverage; reading any other field raises
+    #: :class:`UndeclaredConfigRead`.
     config_fields: FrozenSet[str]
     description: str = ""
-    #: Upstream stages whose artifact *keys* are folded into this
-    #: stage's key (``None``: all of ``inputs``).  A stage is
-    #: automatically invalidated by any config field covered by these
-    #: keys, transitively — the coverage ``repro.depcheck`` verifies.
-    #: ``predict`` narrows this to ``("trace",)``: its key carries only
-    #: the trace key, so everything its unkeyed inputs (cache result,
-    #: latency table, profiles, clustering) read must be declared in
-    #: ``config_fields`` directly.
-    key_inputs: Optional[Tuple[str, ...]] = None
     #: Version of the artifact's pickled layout, folded into the key
     #: from 2 on.  Bump it whenever the artifact type changes shape: a
     #: disk store written by older code then misses on this stage instead
@@ -155,11 +146,6 @@ class StageSpec:
     #: hashes a bumped upstream key (``clustering`` over
     #: ``interval_profiles``) misses already and needs no bump of its own.
     layout: int = 1
-
-    @property
-    def effective_key_inputs(self) -> Tuple[str, ...]:
-        """The upstream keys actually folded into this stage's key."""
-        return self.inputs if self.key_inputs is None else self.key_inputs
 
 
 #: The pipeline DAG in topological order.
@@ -220,7 +206,6 @@ STAGES = {
             inputs=("clustering",),
             config_fields=PREDICT_FIELDS,
             description="multi-warp analytical model (Eq. 3/17)",
-            key_inputs=("trace",),
             layout=2,  # per-interval results are arrays
         ),
         StageSpec(
@@ -231,6 +216,80 @@ STAGES = {
         ),
     )
 }
+
+
+def key_coverage(stages: Dict[str, StageSpec]) -> Dict[str, FrozenSet[str]]:
+    """Config fields each stage's key covers: its own ``config_fields``
+    plus, transitively, whatever its inputs' keys cover.
+
+    ``stages`` must be in topological order, as :data:`STAGES` is.
+    """
+    covered: Dict[str, FrozenSet[str]] = {}
+    for name, spec in stages.items():
+        fields = spec.config_fields
+        for upstream in spec.inputs:
+            fields = fields | covered[upstream]
+        covered[name] = fields
+    return covered
+
+
+class UndeclaredConfigRead(AttributeError):
+    """A stage read a config field its cache key does not cover.
+
+    Caching the result would serve it, stale, to a config that differs
+    only in that field; the read fails instead, before anything is
+    stored.  Declare the field in the stage's ``config_fields``.
+    """
+
+
+class _Uncovered:
+    """Class-level stand-in for a field outside a stage's key coverage."""
+
+    __slots__ = ("stage", "field")
+
+    def __init__(self, stage: str, field: str):
+        self.stage = stage
+        self.field = field
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        raise UndeclaredConfigRead(
+            "stage %r read config.%s, which its cache key does not "
+            "cover; declare it in the stage's config_fields"
+            % (self.stage, self.field)
+        )
+
+
+def view_class(stage: str, covered: FrozenSet[str]) -> type:
+    """A :class:`GPUConfig` subclass for ``stage`` exposing ``covered``.
+
+    Uncovered fields are class attributes that raise; covered ones are
+    ordinary instance attributes, so a covered read costs what it costs
+    on a plain config.  Properties and methods are inherited and read
+    through the same attributes.
+    """
+    namespace: Dict[str, object] = {
+        name: _Uncovered(stage, name) for name in ALL_FIELDS - covered
+    }
+    namespace["covered"] = tuple(sorted(covered))
+    return type("ConfigView[%s]" % stage, (GPUConfig,), namespace)
+
+
+#: One view class per stage, built once from the stage DAG.
+VIEWS: Dict[str, type] = {
+    name: view_class(name, covered)
+    for name, covered in key_coverage(STAGES).items()
+}
+
+
+def config_view(stage: str, config: GPUConfig) -> GPUConfig:
+    """``config`` as ``stage`` may see it: only the fields its key covers."""
+    cls = VIEWS[stage]
+    view = object.__new__(cls)
+    values = vars(config)
+    vars(view).update({name: values[name] for name in cls.covered})
+    return view
 
 
 def stage_key(stage: str, config: GPUConfig, *parts: object) -> str:

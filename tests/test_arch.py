@@ -169,7 +169,8 @@ class TestDefaultArchBitwiseIdentity:
                 profile, n_warps, CONFIG.scheduler
             )
             contention = model_contention(
-                profile, n_warps, CONFIG, inputs.avg_miss_latency
+                profile, n_warps, CONFIG,
+                inputs.cache_result.avg_miss_latency(CONFIG),
             )
             stack = build_cpi_stack(
                 profile, inputs.latency_table, multithreading, contention,

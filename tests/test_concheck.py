@@ -36,7 +36,7 @@ from repro.concheck import (
     site_access,
     uninstall,
 )
-from repro.depcheck.modindex import ModuleIndex
+from repro.concheck.modindex import ModuleIndex
 from repro.obs.exporter import MetricsExporter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import validate_openmetrics

@@ -19,7 +19,7 @@ from repro.memory.hierarchy import MissEvent
 
 
 def latency_table_with(pc_stats):
-    return LatencyTable(np.ones(16), pc_stats, GPUConfig())
+    return LatencyTable(np.ones(16), pc_stats)
 
 
 def memory_pc_stats(pc, l1=0.0, l2=0.0, dram=1.0, n=10):

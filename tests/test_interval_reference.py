@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import GPUConfig
 from repro.core.interval import build_interval_profile
 from repro.core.latency import LatencyTable
 from repro.trace.trace_types import MAX_DEPS, NO_DEP, OpCode, WarpTrace
@@ -80,7 +79,7 @@ def build_trace_and_table(deps, lats):
         req_offsets=np.zeros(n + 1, dtype=np.int64),
         req_lines=np.empty(0, dtype=np.int64),
     )
-    table = LatencyTable(np.asarray(lats, dtype=np.float64), {}, GPUConfig())
+    table = LatencyTable(np.asarray(lats, dtype=np.float64), {})
     return trace, table
 
 

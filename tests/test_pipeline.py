@@ -235,8 +235,8 @@ class TestArtifactLayout:
         assert pipeline.counters["clustering"] == 1
         assert isinstance(inputs.profiles, IntervalProfiles)
 
-        # predict's key leaves the profiles key out, so only its own
-        # layout version keeps a legacy prediction from being read.
+        # A prediction stored under the legacy (trace-keyed) predict
+        # key is never read: predict now keys on the clustering key.
         n_warps = resident_warps_per_core(inputs.trace, config)
         predict_key = legacy_key("predict", config, pipeline.trace_key(kernel),
                                  None, n_warps, "clustering", pipeline.rr_mode)
