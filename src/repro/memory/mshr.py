@@ -15,6 +15,7 @@ divergent kernels like ``kmeans_invert_mapping``.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, Iterable, Optional, Sequence
 
 
@@ -23,13 +24,23 @@ class MSHRError(RuntimeError):
 
 
 class MSHRFile:
-    """A fixed-capacity set of in-flight line addresses (one per core)."""
+    """A fixed-capacity set of in-flight line addresses (one per core).
+
+    ``version`` counts changes to the *set* of in-flight lines (a new
+    allocation or a release; merges leave it alone), so a caller can
+    memoize anything derived from which lines are in flight and
+    recompute only when the version moves.
+    """
 
     def __init__(self, n_entries: int):
         if n_entries < 1:
             raise ValueError("n_entries must be >= 1")
         self.n_entries = n_entries
         self._inflight: Dict[int, float] = {}  # line -> completion cycle
+        # Earliest in-flight completion (inf when empty): lets
+        # release_completed return at once when nothing is due.
+        self._earliest = math.inf
+        self.version = 0
         self.n_allocations = 0
         self.n_merges = 0
         self.stalled_allocation_attempts = 0
@@ -68,19 +79,27 @@ class MSHRFile:
             self.stalled_allocation_attempts += 1
             raise MSHRError("MSHR file full")
         self._inflight[line] = completion
+        if completion < self._earliest:
+            self._earliest = completion
+        self.version += 1
         self.n_allocations += 1
         return completion
 
     def release_completed(self, now: float) -> int:
         """Free every entry whose data has returned by ``now``."""
-        done = [line for line, t in self._inflight.items() if t <= now]
+        if now < self._earliest:
+            return 0
+        inflight = self._inflight
+        done = [line for line, t in inflight.items() if t <= now]
         for line in done:
-            del self._inflight[line]
+            del inflight[line]
+        self._earliest = min(inflight.values()) if inflight else math.inf
+        self.version += 1
         return len(done)
 
     def next_completion(self) -> Optional[float]:
         """Earliest in-flight completion (for event-driven cycle skipping)."""
-        return min(self._inflight.values()) if self._inflight else None
+        return self._earliest if self._inflight else None
 
     def kth_completion(self, k: int) -> Optional[float]:
         """Time at which ``k`` in-flight entries will have completed.

@@ -213,6 +213,7 @@ STAGES = {
             inputs=("trace",),
             config_fields=ORACLE_FIELDS,
             description="cycle-level timing simulation",
+            layout=2,  # stall counters charge skipped cycles
         ),
     )
 }

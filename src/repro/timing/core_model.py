@@ -36,16 +36,15 @@ from repro.timing.stats import CoreStats
 from repro.trace.trace_types import NO_DEP, OpCode, WarpTrace
 
 
-class IssueStatus(enum.Enum):
-    """Outcome of asking a warp whether it can issue this cycle."""
+class StallKind(enum.Enum):
+    """Why a core could not issue: the counter its stalled cycles go to.
 
-    OK = "ok"
-    DEP_STALL = "dep"  # producers not complete yet
-    MSHR_STALL = "mshr"  # ready but the MSHR file is full
-    SFU_STALL = "sfu"  # ready but the SFU pipeline is occupied
-    SMEM_STALL = "smem"  # ready but the scratchpad LSU is occupied
-    BARRIER_STALL = "bar"  # waiting for block-mates at a barrier
-    FINISHED = "finished"
+    Barrier waits are counted apart, per warp and scanned cycle.
+    """
+
+    DEP = "dep"  # neither below: producers not complete, or barriers
+    MSHR = "mshr"  # a ready load waits for free MSHR entries
+    SFU = "sfu"  # a ready warp waits for the SFU or scratchpad pipe
 
 
 _LOAD = int(OpCode.LOAD)
@@ -69,7 +68,7 @@ class _WarpRun:
         "age",
         "next_idx",
         "done",
-        "_ready_at",
+        "ready_at",
         "n_insts",
         "ops",
         "pcs",
@@ -79,6 +78,10 @@ class _WarpRun:
         "conflict",
         "bar_count",
         "block_runs",
+        "need",
+        "need_idx",
+        "need_fills",
+        "need_version",
     )
 
     def __init__(self, trace: WarpTrace, age: int):
@@ -94,29 +97,33 @@ class _WarpRun:
         self.conflict = trace.conflict.tolist()
         self.bar_count = 0
         self.block_runs: List["_WarpRun"] = []
+        # MSHR entries the next load needs, valid while its key (the
+        # instruction index, the core's L1 fill count and the MSHR file
+        # version) is unchanged: the need depends only on which request
+        # lines are L1-resident or in flight.
+        self.need = 0
+        self.need_idx = -1
+        self.need_fills = -1
+        self.need_version = -1
         # Completion cycle of each issued dynamic instruction.
         self.done = [0.0] * self.n_insts
-        self._ready_at: float = 0.0
-        self._refresh_ready()
+        # Earliest cycle the next instruction may issue (inf: finished).
+        self.ready_at = 0.0
+        self.refresh_ready()
 
     @property
     def finished(self) -> bool:
         """Whether every traced instruction has issued."""
         return self.next_idx >= self.n_insts
 
-    @property
-    def ready_at(self) -> float:
-        """Earliest cycle the next instruction may issue."""
-        return self._ready_at
-
     def requests(self, index: int):
         """Request line addresses of one dynamic instruction (list slice)."""
         return self.req_lines[self.req_offsets[index]: self.req_offsets[index + 1]]
 
-    def _refresh_ready(self) -> None:
+    def refresh_ready(self) -> None:
         """Recompute the earliest issue cycle of the next instruction."""
         if self.next_idx >= self.n_insts:
-            self._ready_at = float("inf")
+            self.ready_at = float("inf")
             return
         ready = 0.0
         done = self.done
@@ -125,13 +132,7 @@ class _WarpRun:
                 t = done[dep]
                 if t > ready:
                     ready = t
-        self._ready_at = ready
-
-    def complete_at(self, completion: float) -> None:
-        """Record the just-issued instruction's completion and advance."""
-        self.done[self.next_idx] = completion
-        self.next_idx += 1
-        self._refresh_ready()
+        self.ready_at = ready
 
 
 class _SchedulerPartition:
@@ -148,39 +149,6 @@ class _SchedulerPartition:
         self.resident: List[_WarpRun] = []
         self.rr_next = 0
         self.gto_current: Optional[_WarpRun] = None
-
-    def candidates_rr(self) -> List[_WarpRun]:
-        resident = self.resident
-        n = len(resident)
-        start = self.rr_next % n if n else 0
-        if not start:
-            # Returning the live list is safe: the scan in step() stops
-            # at the first issue, and _issue only mutates residency on
-            # the path that immediately moves to the next partition.
-            return resident
-        rotated = resident[start:]
-        rotated += resident[:start]
-        return rotated
-
-    def candidates_gto(self) -> List[_WarpRun]:
-        current = self.gto_current
-        if current is None or current.finished:
-            return self.resident
-        order = [current]
-        for run in self.resident:
-            if run is not current:
-                order.append(run)
-        return order
-
-    def note_issue(self, run: "_WarpRun", rr: bool) -> None:
-        """Update scheduler priority after ``run`` issued."""
-        if rr:
-            if run in self.resident:
-                self.rr_next = (self.resident.index(run) + 1) % max(
-                    len(self.resident), 1
-                )
-        else:
-            self.gto_current = run if not run.finished else None
 
     def on_retired(self) -> None:
         """Re-clamp priorities after warps left ``resident``."""
@@ -237,15 +205,20 @@ class CoreModel:
         ]
         # A core's issue eligibility only changes with its own events
         # (dependency completions, MSHR releases), so after a failed scan
-        # it can sleep until the earliest such event instead of rescanning
-        # every cycle.
-        self._sleep_until = 0.0
-        self._sleep_kind = IssueStatus.DEP_STALL
-        # Entries the cheapest MSHR-stalled load is waiting for; lets
-        # next_event_after sleep until the k-th MSHR release rather than
-        # waking on every single one.
-        self._mshr_need = 1
-        self._last_mshr_need = 1
+        # it sleeps until the earliest such event instead of rescanning
+        # every cycle; each cycle before sleep_until is a stalled cycle
+        # of kind _sleep_kind.
+        self.sleep_until = 0.0
+        self._sleep_kind = StallKind.DEP
+        # Entries the cheapest MSHR-stalled load of the last scan waits
+        # for (0: none); lets next_event_after sleep until the k-th MSHR
+        # release rather than waking on every single one.  The scan also
+        # notes SFU/scratchpad stalls in _scan_sfu_stall.
+        self._mshr_need = 0
+        self._scan_sfu_stall = False
+        # Loads that missed the L1 (each installs a line, the only way L1
+        # residency changes): part of every warp's MSHR-need memo key.
+        self._l1_fills = 0
         # SFU pipeline occupancy (extension beyond Table I: with fewer
         # SFU lanes than the SIMT width, an SFU warp-instruction blocks
         # the unit for warp_size / n_sfu_units cycles).
@@ -313,42 +286,55 @@ class CoreModel:
 
     # Issue -----------------------------------------------------------------
 
-    def _issue_check(self, run: _WarpRun, now: float) -> IssueStatus:
-        if run.next_idx >= run.n_insts:
-            return IssueStatus.FINISHED
-        if run.ready_at > now:
-            return IssueStatus.DEP_STALL
+    def _issue_check(self, run: _WarpRun, now: float) -> bool:
+        """Whether ``run``, dependency-ready at ``now``, may issue.
+
+        A structural stall is recorded on the core's scan state (or, for
+        a barrier, in the stall counters) before returning False.
+        """
         index = run.next_idx
-        if (
-            self._sfu_limited
-            and run.ops[index] == _SFU
-            and self._sfu_free_at > now
-        ):
-            return IssueStatus.SFU_STALL
-        if (
-            run.ops[index] in (_SMEM_LOAD, _SMEM_STORE)
-            and self._smem_free_at > now
-        ):
-            return IssueStatus.SMEM_STALL
-        if run.ops[index] == _BARRIER and not self._barrier_open(run):
-            return IssueStatus.BARRIER_STALL
-        if run.ops[index] == _LOAD:
-            needed = 0
-            mshr_lookup = self.mshr.lookup
-            l1_probe = self.l1.probe
-            for line in run.requests(index):
-                if not l1_probe(line) and mshr_lookup(line) is None:
-                    needed += 1
-            if needed > self.mshr.n_entries:
-                raise MSHRError(
-                    "load at pc %d needs %d MSHR entries but the file only "
-                    "has %d; configure n_mshrs >= warp_size"
-                    % (run.pcs[index], needed, self.mshr.n_entries)
-                )
-            if needed > self.mshr.free_entries:
-                self._last_mshr_need = needed
-                return IssueStatus.MSHR_STALL
-        return IssueStatus.OK
+        op = run.ops[index]
+        if op == _LOAD:
+            mshr = self.mshr
+            if (
+                run.need_idx == index
+                and run.need_fills == self._l1_fills
+                and run.need_version == mshr.version
+            ):
+                needed = run.need
+            else:
+                needed = 0
+                mshr_lookup = mshr.lookup
+                l1_probe = self.l1.probe
+                for line in run.requests(index):
+                    if not l1_probe(line) and mshr_lookup(line) is None:
+                        needed += 1
+                if needed > mshr.n_entries:
+                    raise MSHRError(
+                        "load at pc %d needs %d MSHR entries but the file "
+                        "only has %d; configure n_mshrs >= warp_size"
+                        % (run.pcs[index], needed, mshr.n_entries)
+                    )
+                run.need = needed
+                run.need_idx = index
+                run.need_fills = self._l1_fills
+                run.need_version = mshr.version
+            if needed > mshr.free_entries:
+                if not self._mshr_need or needed < self._mshr_need:
+                    self._mshr_need = needed
+                return False
+        elif op == _SFU:
+            if self._sfu_limited and self._sfu_free_at > now:
+                self._scan_sfu_stall = True
+                return False
+        elif op == _SMEM_LOAD or op == _SMEM_STORE:
+            if self._smem_free_at > now:
+                self._scan_sfu_stall = True
+                return False
+        elif op == _BARRIER and not self._barrier_open(run):
+            self.stats.barrier_stall_cycles += 1
+            return False
+        return True
 
     def _barrier_open(self, run: _WarpRun) -> bool:
         """Whether every block-mate has arrived at this warp's barrier.
@@ -391,7 +377,9 @@ class CoreModel:
             completion = now + self._latency[op]
             if op == _SFU and self._sfu_limited:
                 self._sfu_free_at = now + self._sfu_service_cycles
-        run.complete_at(completion)
+        run.done[index] = completion
+        run.next_idx = index + 1
+        run.refresh_ready()
         self.stats.insts_issued += 1
         if run.finished:
             self._retire_blocks()
@@ -399,35 +387,41 @@ class CoreModel:
     def _issue_load(self, run: _WarpRun, index: int, now: float) -> float:
         """Walk every coalesced request through L1/MSHR/L2/DRAM."""
         completion = 0.0
+        l1_access = self.l1.access
+        l2_access = self.l2.access
+        mshr = self.mshr
+        mshr_lookup = mshr.lookup
+        l1_hit_at = now + self._l1_latency
+        l2_hit_at = now + self._l2_latency
         for line in run.requests(index):
-            if self.l1.access(line):
+            if l1_access(line):
                 # Tag hit; if the line's fill is still in flight this is a
                 # pending hit and completes when the original miss returns.
-                t = now + self._l1_latency
-                pending = self.mshr.lookup(line)
+                t = l1_hit_at
+                pending = mshr_lookup(line)
                 if pending is not None and pending > t:
                     t = pending
             else:
-                merged = self.mshr.lookup(line)
+                self._l1_fills += 1
+                merged = mshr_lookup(line)
                 if merged is not None:
                     t = merged
                 else:
-                    if self.l2.access(line):
-                        completion = now + self._l2_latency
+                    if l2_access(line):
+                        completion = l2_hit_at
                     else:
-                        arrival = now + self._l2_latency
                         completion = (
-                            self.dram.enqueue(arrival, line)
+                            self.dram.enqueue(l2_hit_at, line)
                             + self._dram_latency
                         )
                     try:
-                        t = self.mshr.allocate(line, completion)
+                        t = mshr.allocate(line, completion)
                     except MSHRError:
                         # The issue check counted this line as an L1 hit,
                         # but an earlier request of this same instruction
                         # evicted it.  Model a replay: the miss starts
                         # once the earliest in-flight entry releases.
-                        free_at = self.mshr.next_completion() or now
+                        free_at = mshr.next_completion() or now
                         t = completion + max(free_at - now, 0.0)
             if t > completion:
                 completion = t
@@ -435,10 +429,14 @@ class CoreModel:
 
     def _issue_store(self, run: _WarpRun, index: int, now: float) -> None:
         """Write-through store: probes caches, always consumes DRAM bus."""
+        l1_access = self.l1.access
+        l2_access = self.l2.access
+        enqueue = self.dram.enqueue
+        arrival = now + self._l2_latency
         for line in run.requests(index):
-            self.l1.access(line, is_write=True)
-            self.l2.access(line, is_write=True)
-            self.dram.enqueue(now + self._l2_latency, line)
+            l1_access(line, is_write=True)
+            l2_access(line, is_write=True)
+            enqueue(arrival, line)
 
     # Scheduling --------------------------------------------------------------
 
@@ -452,69 +450,98 @@ class CoreModel:
         """
         if self.finished:
             return False
-        if now < self._sleep_until:
+        if now < self.sleep_until:
             # Known-stalled: no event of this core can have fired yet.
-            if self._sleep_kind is IssueStatus.MSHR_STALL:
-                self.stats.mshr_stall_cycles += 1
-            elif self._sleep_kind is IssueStatus.SFU_STALL:
-                self.stats.sfu_stall_cycles += 1
-            else:
-                self.stats.dep_stall_cycles += 1
-            self.stats.active_cycles += 1
+            self.charge_sleep(1)
             return False
         self.mshr.release_completed(now)
-        self.stats.active_cycles += 1
-        rr = self._rr
+        self._mshr_need = 0
+        self._scan_sfu_stall = False
+        issue_from = self._issue_rr if self._rr else self._issue_gto
         issued_any = False
-        saw_mshr_stall = False
-        saw_sfu_stall = False
-        min_mshr_need = None
         for partition in self._partitions:
-            candidates = (
-                partition.candidates_rr() if rr
-                else partition.candidates_gto()
-            )
-            for run in candidates:
-                status = self._issue_check(run, now)
-                if status is IssueStatus.OK:
-                    self._issue(run, now)
-                    self.stats.finish_cycle = now
-                    partition.note_issue(run, rr)
-                    issued_any = True
-                    break
-                if status is IssueStatus.MSHR_STALL:
-                    saw_mshr_stall = True
-                    if (
-                        min_mshr_need is None
-                        or self._last_mshr_need < min_mshr_need
-                    ):
-                        min_mshr_need = self._last_mshr_need
-                elif status in (IssueStatus.SFU_STALL, IssueStatus.SMEM_STALL):
-                    saw_sfu_stall = True
-                elif status is IssueStatus.BARRIER_STALL:
-                    self.stats.barrier_stall_cycles += 1
+            if issue_from(partition, now):
+                issued_any = True
         if issued_any:
+            self.stats.active_cycles += 1
             self.stats.issue_cycles += 1
+            self.stats.finish_cycle = now
             return True
-        if saw_mshr_stall:
-            self.stats.mshr_stall_cycles += 1
-            self._sleep_kind = IssueStatus.MSHR_STALL
-        elif saw_sfu_stall:
-            self.stats.sfu_stall_cycles += 1
-            self._sleep_kind = IssueStatus.SFU_STALL
+        if self._mshr_need:
+            self._sleep_kind = StallKind.MSHR
+        elif self._scan_sfu_stall:
+            self._sleep_kind = StallKind.SFU
         else:
-            self.stats.dep_stall_cycles += 1
-            self._sleep_kind = IssueStatus.DEP_STALL
-        self._mshr_need = min_mshr_need or 1
-        self._sleep_until = self.next_event_after(now)
+            self._sleep_kind = StallKind.DEP
+        self.charge_sleep(1)
+        self.sleep_until = self.next_event_after(now)
         return False
+
+    def _issue_rr(self, partition: _SchedulerPartition, now: float) -> bool:
+        """Issue the first ready warp in rotation order, if any."""
+        resident = partition.resident
+        n = len(resident)
+        start = partition.rr_next % n if n else 0
+        issue_check = self._issue_check
+        for pos in range(start, start + n):
+            if pos >= n:
+                pos -= n
+            run = resident[pos]
+            if run.ready_at <= now and issue_check(run, now):
+                self._issue(run, now)
+                if not run.finished:
+                    partition.rr_next = (pos + 1) % n
+                elif run in resident:
+                    # The warp finished, which may have retired blocks
+                    # and so reshuffled resident.
+                    partition.rr_next = (resident.index(run) + 1) % len(
+                        resident
+                    )
+                return True
+        return False
+
+    def _issue_gto(self, partition: _SchedulerPartition, now: float) -> bool:
+        """Issue the current warp if ready, else the oldest ready one."""
+        current = partition.gto_current
+        issue_check = self._issue_check
+        if not (
+            current is not None
+            and current.ready_at <= now
+            and issue_check(current, now)
+        ):
+            for run in partition.resident:
+                if (
+                    run is not current
+                    and run.ready_at <= now
+                    and issue_check(run, now)
+                ):
+                    current = run
+                    break
+            else:
+                return False
+        self._issue(current, now)
+        partition.gto_current = None if current.finished else current
+        return True
+
+    def charge_sleep(self, cycles: int) -> None:
+        """Charge ``cycles`` active cycles in which the core cannot issue
+        to the stall counter of its ``_sleep_kind``."""
+        stats = self.stats
+        stats.active_cycles += cycles
+        kind = self._sleep_kind
+        if kind is StallKind.MSHR:
+            stats.mshr_stall_cycles += cycles
+        elif kind is StallKind.SFU:
+            stats.sfu_stall_cycles += cycles
+        else:
+            stats.dep_stall_cycles += cycles
 
     def next_event_after(self, now: float) -> float:
         """Earliest future cycle at which this core could possibly issue.
 
-        Used for cycle skipping when no core can issue: the core wakes at
-        the earliest dependency-ready time or MSHR release, whichever
-        comes first.
+        After a failed scan the core sleeps until then (``sleep_until``),
+        which is also what the simulator's cycle skipping jumps to: the
+        earliest dependency-ready time, MSHR release or pipe release.
         """
         if self.finished:
             return float("inf")
@@ -524,7 +551,7 @@ class CoreModel:
             if now < ready < best:
                 best = ready
         k = 1
-        if self._sleep_kind is IssueStatus.MSHR_STALL:
+        if self._sleep_kind is StallKind.MSHR:
             k = max(1, self._mshr_need - self.mshr.free_entries)
         mshr_next = self.mshr.kth_completion(k)
         if mshr_next is not None and now < mshr_next < best:

@@ -3,9 +3,13 @@
 All cores share the L2 and the DRAM bandwidth queue and advance in
 lockstep on a global cycle counter.  When *no* core can issue (all warps
 dependency- or MSHR-stalled), the clock jumps directly to the earliest
-cycle at which any core could wake — an optimisation that changes nothing
-observable because stalled cores have no per-cycle side effects (verified
-by ``tests/test_timing.py`` against the naive single-step loop).
+cycle at which any core could wake.  A stalled core has no per-cycle
+side effect except its stall counters, and it sleeps through every
+skipped cycle (its next event is its ``sleep_until``), so the jump
+charges each unfinished core the skipped cycles by its stall kind.  The
+result is the naive single-step loop's ``SimStats``, every counter
+included (verified by ``tests/test_timing.py``); only the optional
+timeline samples at the cycles the loop visits.
 """
 
 from __future__ import annotations
@@ -123,14 +127,22 @@ class TimingSimulator:
             if issued_any or not self.cycle_skipping:
                 now += 1.0
             else:
-                wake = min(core.next_event_after(now) for core in cores
-                           if not core.finished)
+                # Every unfinished core failed to issue at ``now``, so each
+                # holds its next event in sleep_until.
+                unfinished = [core for core in cores if not core.finished]
+                wake = min(core.sleep_until for core in unfinished)
                 if wake == float("inf"):
                     raise SimulationError("deadlock: no core has a future event")
                 # Completion events can be fractional (the DRAM service time
                 # is not an integer number of cycles) but issue happens on
                 # integer cycle boundaries only.
-                now = max(now + 1.0, math.ceil(wake))
+                wake = max(now + 1.0, math.ceil(wake))
+                # Every core sleeps through the cycles skipped until then.
+                skipped = int(wake - now) - 1
+                if skipped:
+                    for core in unfinished:
+                        core.charge_sleep(skipped)
+                now = wake
             if now > self.max_cycles:
                 raise SimulationError(
                     "exceeded max_cycles=%g (runaway simulation)" % self.max_cycles

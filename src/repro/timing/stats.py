@@ -24,7 +24,7 @@ class CoreStats:
 
     @property
     def ipc(self) -> float:
-        """Issued instructions per (stepped) active cycle."""
+        """Issued instructions per active cycle."""
         return self.insts_issued / self.active_cycles if self.active_cycles else 0.0
 
 

@@ -62,6 +62,65 @@ class TestMSHR:
         assert mshr.kth_completion(4) is None
         assert mshr.kth_completion(0) == 10.0
 
+    def test_version_counts_membership_changes(self):
+        mshr = MSHRFile(4)
+        assert mshr.version == 0
+        mshr.allocate(1, 10.0)
+        mshr.allocate(2, 20.0)
+        assert mshr.version == 2
+        mshr.allocate(1, 99.0)  # a merge keeps the set of lines
+        assert mshr.version == 2
+        assert mshr.release_completed(9.0) == 0  # nothing due
+        assert mshr.version == 2
+        assert mshr.release_completed(20.0) == 2
+        assert mshr.version == 3
+
+    def test_release_exactly_at_earliest_completion(self):
+        mshr = MSHRFile(4)
+        mshr.allocate(1, 30.0)
+        mshr.allocate(2, 10.0)
+        mshr.allocate(3, 20.0)
+        assert mshr.release_completed(9.5) == 0
+        assert mshr.release_completed(10.0) == 1
+        assert mshr.lookup(2) is None
+        assert mshr.next_completion() == 20.0
+        assert mshr.release_completed(20.0) == 1
+        assert mshr.next_completion() == 30.0
+
+    def test_release_on_empty_file(self):
+        mshr = MSHRFile(2)
+        assert mshr.release_completed(1e9) == 0
+        assert mshr.version == 0
+        mshr.allocate(1, 5.0)
+        assert mshr.release_completed(5.0) == 1
+        assert mshr.next_completion() is None
+        assert mshr.release_completed(1e9) == 0
+        assert mshr.version == 2
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 60)),
+                    max_size=60))
+    def test_release_matches_full_scan(self, ops):
+        """The early-out release frees exactly what a scan would."""
+        mshr = MSHRFile(4)
+        reference = {}
+        now = 0.0
+        for line, delta in ops:
+            if delta % 3 == 0:
+                now += delta / 3.0
+                due = [k for k, t in reference.items() if t <= now]
+                for k in due:
+                    del reference[k]
+                assert mshr.release_completed(now) == len(due)
+            elif mshr.lookup(line) is not None or mshr.free_entries:
+                completion = now + delta
+                reference.setdefault(line, completion)
+                mshr.allocate(line, completion)
+            inflight = {k: mshr.lookup(k) for k in mshr.inflight_lines()}
+            assert inflight == reference
+            assert mshr.next_completion() == (
+                min(reference.values()) if reference else None
+            )
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             MSHRFile(0)

@@ -244,6 +244,18 @@ class TestArtifactLayout:
         assert pipeline.predict(kernel).cpi > 0
         assert pipeline.counters["predict"] == 1
 
+    def test_legacy_oracle_stats_on_disk_are_recomputed(self, config,
+                                                         tmp_path):
+        """Oracle stats stored before cycle skipping charged the skipped
+        cycles hold undercounted stall counters; they must miss."""
+        kernel = "vectoradd"
+        pipeline = Pipeline(config, scale=Scale.tiny(), cache_dir=str(tmp_path))
+        oracle_key = legacy_key("oracle", config, pipeline.trace_key(kernel),
+                                None)
+        DiskStore(str(tmp_path)).put(oracle_key, SimpleNamespace(cpi=-1.0))
+        assert pipeline.simulate(kernel).cpi > 0
+        assert pipeline.counters["oracle"] == 1
+
 
 class TestGPUMechThroughPipeline:
     def test_prepare_is_cached_per_model(self, config):

@@ -4,8 +4,12 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.isa import KernelBuilder
+from repro.memory.mshr import MSHRError
+from repro.pipeline import Pipeline
 from repro.timing import TimingSimulator, simulate_kernel
 from repro.trace import emulate
+from repro.workloads import Scale
+from repro.workloads.suite import SUITE
 
 from tests.conftest import build_divergent_load, build_fp_chain, build_saxpy
 
@@ -157,6 +161,16 @@ class TestMemorySystem:
         assert stats.mshr_allocations == 0
         assert stats.total_cycles == 29.0
 
+    def test_load_wider_than_mshr_file_raises(self):
+        """One load needing more entries than the whole file can never
+        issue: the oracle fails loudly instead of deadlocking."""
+        kernel = build_divergent_load(n_threads=256, block_size=256)
+        with pytest.raises(
+            MSHRError,
+            match="needs 32 MSHR entries but the file only has 8",
+        ):
+            run(kernel, one_core(warps=8).with_(n_mshrs=8))
+
     def test_dram_utilization_reported(self):
         kernel = build_divergent_load(n_threads=256, block_size=256)
         stats = run(kernel, one_core(warps=8))
@@ -191,7 +205,28 @@ class TestMultiCore:
         assert more.total_cycles < fewer.total_cycles
 
 
+#: Machines of the suite-wide equivalence check, all at the ledger's
+#: configuration (2 cores, evaluated at 4 warps per core).
+SKIP_CONFIGS = {
+    "rr": {},
+    "gto": {"scheduler": "gto"},
+    "subcore": {"arch": "subcore"},
+    "sfu4": {"n_sfu_units": 4},
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_pipeline():
+    return Pipeline(
+        GPUConfig.small(n_cores=2, warps_per_core=8), scale=Scale.tiny()
+    )
+
+
 class TestCycleSkippingEquivalence:
+    """Cycle skipping must reproduce the naive one-cycle-at-a-time loop's
+    whole ``SimStats``: every ``CoreStats`` counter, including the stall
+    cycles the skipped stretches charge."""
+
     @pytest.mark.parametrize("scheduler", ["rr", "gto"])
     @pytest.mark.parametrize(
         "builder",
@@ -208,8 +243,22 @@ class TestCycleSkippingEquivalence:
         trace = emulate(builder(), config)
         fast = TimingSimulator(config, cycle_skipping=True).run(trace)
         slow = TimingSimulator(config, cycle_skipping=False).run(trace)
-        assert fast.total_cycles == slow.total_cycles
-        assert fast.total_insts == slow.total_insts
+        assert fast == slow
+
+    @pytest.mark.parametrize("kernel", sorted(SUITE))
+    @pytest.mark.parametrize("machine", sorted(SKIP_CONFIGS))
+    def test_suite_skipping_matches_naive_loop(
+        self, tiny_pipeline, machine, kernel
+    ):
+        config = tiny_pipeline.config.with_(**SKIP_CONFIGS[machine])
+        trace = tiny_pipeline.trace(kernel, config)
+        fast = TimingSimulator(
+            config, warps_per_core=4, cycle_skipping=True
+        ).run(trace)
+        slow = TimingSimulator(
+            config, warps_per_core=4, cycle_skipping=False
+        ).run(trace)
+        assert fast == slow
 
 
 class TestStats:
