@@ -9,7 +9,7 @@ the same reason: no timing, no data).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
+from typing import List, Optional
 
 
 class Cache:
@@ -52,14 +52,20 @@ class Cache:
         self.n_accesses = 0
         self.n_misses = 0
 
-    def _locate(self, line_addr: int):
-        block = line_addr >> self._offset_bits
-        return self._sets[block % self.n_sets], block
+    def access(
+        self,
+        line_addr: int,
+        is_write: bool = False,
+        evicted: Optional[List[int]] = None,
+    ) -> bool:
+        """Access a line (by any byte address within it); True on hit.
 
-    def access(self, line_addr: int, is_write: bool = False) -> bool:
-        """Access a line (by any byte address within it); True on hit."""
+        With ``evicted``, the line address of the victim evicted to make
+        room, if any, is appended to it.
+        """
         self.n_accesses += 1
-        lines, tag = self._locate(line_addr)
+        tag = line_addr >> self._offset_bits
+        lines = self._sets[tag % self.n_sets]
         if tag in lines:
             lines.move_to_end(tag)
             return True
@@ -67,14 +73,16 @@ class Cache:
         if is_write and not self.allocate_on_write:
             return False
         if len(lines) >= self.assoc:
-            lines.popitem(last=False)
+            victim = lines.popitem(last=False)[0]
+            if evicted is not None:
+                evicted.append(victim << self._offset_bits)
         lines[tag] = None
         return False
 
     def probe(self, line_addr: int) -> bool:
         """Check residency without touching LRU state or counters."""
-        lines, tag = self._locate(line_addr)
-        return tag in lines
+        tag = line_addr >> self._offset_bits
+        return tag in self._sets[tag % self.n_sets]
 
     def flush(self) -> None:
         """Invalidate all lines (counters are preserved)."""

@@ -30,9 +30,12 @@ class DRAMQueue:
         service).  The DRAM array access latency is *not* included — the
         caller adds the configured ``dram_latency`` on top.
         """
-        start = max(float(arrival), self._free_at)
+        arrival = float(arrival)
+        free_at = self._free_at
+        # max(arrival, free_at) without the call: the same value.
+        start = free_at if free_at > arrival else arrival
         completion = start + self.service_cycles
-        self.total_queue_delay += start - float(arrival)
+        self.total_queue_delay += start - arrival
         self.busy_cycles += self.service_cycles
         self._free_at = completion
         self.n_requests += 1
@@ -85,7 +88,9 @@ class DRAMSystem:
 
     def enqueue(self, arrival: float, line_addr: int = 0) -> float:
         """Enqueue a transfer on the line's channel; returns completion."""
-        return self.channels[self.channel_of(line_addr)].enqueue(arrival)
+        # channel_of, inline: the timing oracle calls this per transfer.
+        channel = (line_addr >> self._shift) % self.n_channels
+        return self.channels[channel].enqueue(arrival)
 
     # Aggregate statistics ----------------------------------------------------
 

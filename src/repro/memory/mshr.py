@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 
 class MSHRError(RuntimeError):
@@ -24,42 +24,26 @@ class MSHRError(RuntimeError):
 
 
 class MSHRFile:
-    """A fixed-capacity set of in-flight line addresses (one per core).
-
-    ``version`` counts changes to the *set* of in-flight lines (a new
-    allocation or a release; merges leave it alone), so a caller can
-    memoize anything derived from which lines are in flight and
-    recompute only when the version moves.
-    """
+    """A fixed-capacity set of in-flight line addresses (one per core)."""
 
     def __init__(self, n_entries: int):
         if n_entries < 1:
             raise ValueError("n_entries must be >= 1")
         self.n_entries = n_entries
+        #: Unoccupied entries: ``n_entries`` less the in-flight lines,
+        #: re-derived on every allocation and release.
+        self.free_entries = n_entries
         self._inflight: Dict[int, float] = {}  # line -> completion cycle
-        # Earliest in-flight completion (inf when empty): lets
-        # release_completed return at once when nothing is due.
-        self._earliest = math.inf
-        self.version = 0
+        #: Earliest in-flight completion (inf when empty): nothing can be
+        #: released before it, so callers and release_completed skip the
+        #: scan of in-flight entries until then.
+        self.earliest = math.inf
         self.n_allocations = 0
         self.n_merges = 0
         self.stalled_allocation_attempts = 0
 
     def __len__(self) -> int:
         return len(self._inflight)
-
-    @property
-    def free_entries(self) -> int:
-        """Unoccupied MSHR entries."""
-        return self.n_entries - len(self._inflight)
-
-    def entries_needed(self, lines: Sequence[int]) -> int:
-        """How many *new* entries the given request lines would allocate."""
-        return sum(1 for line in set(lines) if line not in self._inflight)
-
-    def can_allocate(self, lines: Sequence[int]) -> bool:
-        """Whether all the given lines fit (merges are free)."""
-        return self.entries_needed(lines) <= self.free_entries
 
     def lookup(self, line: int) -> Optional[float]:
         """Completion cycle of an in-flight line, or None."""
@@ -79,27 +63,28 @@ class MSHRFile:
             self.stalled_allocation_attempts += 1
             raise MSHRError("MSHR file full")
         self._inflight[line] = completion
-        if completion < self._earliest:
-            self._earliest = completion
-        self.version += 1
+        if completion < self.earliest:
+            self.earliest = completion
+        self.free_entries = self.n_entries - len(self._inflight)
         self.n_allocations += 1
         return completion
 
-    def release_completed(self, now: float) -> int:
-        """Free every entry whose data has returned by ``now``."""
-        if now < self._earliest:
-            return 0
+    def release_completed(self, now: float) -> List[int]:
+        """Free every entry whose data has returned by ``now``; returns the
+        freed lines."""
+        if now < self.earliest:
+            return []
         inflight = self._inflight
         done = [line for line, t in inflight.items() if t <= now]
         for line in done:
             del inflight[line]
-        self._earliest = min(inflight.values()) if inflight else math.inf
-        self.version += 1
-        return len(done)
+        self.earliest = min(inflight.values()) if inflight else math.inf
+        self.free_entries = self.n_entries - len(inflight)
+        return done
 
     def next_completion(self) -> Optional[float]:
         """Earliest in-flight completion (for event-driven cycle skipping)."""
-        return self._earliest if self._inflight else None
+        return self.earliest if self._inflight else None
 
     def kth_completion(self, k: int) -> Optional[float]:
         """Time at which ``k`` in-flight entries will have completed.

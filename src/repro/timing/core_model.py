@@ -26,14 +26,15 @@ the paper's DRAM-bandwidth model.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence
+from collections import defaultdict
+from typing import DefaultDict, List, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAMSystem
 from repro.memory.mshr import MSHRError, MSHRFile
 from repro.timing.stats import CoreStats
-from repro.trace.trace_types import NO_DEP, OpCode, WarpTrace
+from repro.trace.trace_types import MAX_DEPS, NO_DEP, OpCode, WarpTrace
 
 
 class StallKind(enum.Enum):
@@ -53,6 +54,7 @@ _SFU = int(OpCode.SFU)
 _SMEM_LOAD = int(OpCode.SMEM_LOAD)
 _SMEM_STORE = int(OpCode.SMEM_STORE)
 _BARRIER = int(OpCode.BARRIER)
+_INF = float("inf")
 
 
 class _WarpRun:
@@ -80,8 +82,6 @@ class _WarpRun:
         "block_runs",
         "need",
         "need_idx",
-        "need_fills",
-        "need_version",
     )
 
     def __init__(self, trace: WarpTrace, age: int):
@@ -91,25 +91,25 @@ class _WarpRun:
         self.n_insts = len(trace)
         self.ops = trace.ops.tolist()
         self.pcs = trace.pcs.tolist()
-        self.deps = trace.deps.tolist()
+        # Producer indices, MAX_DEPS per instruction (flat: one list
+        # instead of one per instruction).
+        self.deps = trace.deps.ravel().tolist()
         self.req_lines = trace.req_lines.tolist()
         self.req_offsets = trace.req_offsets.tolist()
         self.conflict = trace.conflict.tolist()
         self.bar_count = 0
         self.block_runs: List["_WarpRun"] = []
-        # MSHR entries the next load needs, valid while its key (the
-        # instruction index, the core's L1 fill count and the MSHR file
-        # version) is unchanged: the need depends only on which request
-        # lines are L1-resident or in flight.
+        # MSHR entries the load at instruction need_idx needs (-1: no
+        # memo).  The core drops the memo when one of the load's request
+        # lines is installed in or evicted from the L1 or released by the
+        # MSHR file, the only events that change the need.
         self.need = 0
         self.need_idx = -1
-        self.need_fills = -1
-        self.need_version = -1
         # Completion cycle of each issued dynamic instruction.
         self.done = [0.0] * self.n_insts
         # Earliest cycle the next instruction may issue (inf: finished).
-        self.ready_at = 0.0
-        self.refresh_ready()
+        # The first instruction has no producers.
+        self.ready_at = 0.0 if self.n_insts else _INF
 
     @property
     def finished(self) -> bool:
@@ -119,20 +119,6 @@ class _WarpRun:
     def requests(self, index: int):
         """Request line addresses of one dynamic instruction (list slice)."""
         return self.req_lines[self.req_offsets[index]: self.req_offsets[index + 1]]
-
-    def refresh_ready(self) -> None:
-        """Recompute the earliest issue cycle of the next instruction."""
-        if self.next_idx >= self.n_insts:
-            self.ready_at = float("inf")
-            return
-        ready = 0.0
-        done = self.done
-        for dep in self.deps[self.next_idx]:
-            if dep != NO_DEP:
-                t = done[dep]
-                if t > ready:
-                    ready = t
-        self.ready_at = ready
 
 
 class _SchedulerPartition:
@@ -181,14 +167,15 @@ class CoreModel:
             else config.max_warps_per_core
         )
         self.stats = CoreStats(core_id)
-        self._latency: Dict[int, float] = {
-            int(op): float(config.op_latencies[op.latency_class])
-            for op in (OpCode.IALU, OpCode.FALU, OpCode.SFU)
-        }
+        # Fixed latency of each pipeline op, indexed by opcode (None for
+        # the memory, scratchpad and barrier ops _issue handles apart).
+        self._latency: List[Optional[float]] = [None] * len(OpCode)
+        for op in (OpCode.IALU, OpCode.FALU, OpCode.SFU):
+            self._latency[op] = float(config.op_latencies[op.latency_class])
         # Branches and exits occupy the issue slot for one cycle and have
         # no consumers.
-        self._latency[int(OpCode.BRANCH)] = 1.0
-        self._latency[int(OpCode.EXIT)] = 1.0
+        self._latency[OpCode.BRANCH] = 1.0
+        self._latency[OpCode.EXIT] = 1.0
 
         self._block_queue: List[List[WarpTrace]] = [list(b) for b in blocks]
         self._resident_blocks: List[List[_WarpRun]] = []
@@ -216,9 +203,16 @@ class CoreModel:
         # notes SFU/scratchpad stalls in _scan_sfu_stall.
         self._mshr_need = 0
         self._scan_sfu_stall = False
-        # Loads that missed the L1 (each installs a line, the only way L1
-        # residency changes): part of every warp's MSHR-need memo key.
-        self._l1_fills = 0
+        # Line -> (warp, instruction index) of every MSHR-need memo taken
+        # over that request line.  An L1 install or eviction of a line,
+        # or an MSHR release of it, drops the memos registered under it
+        # and only those: no other event changes whether the line is
+        # L1-resident or in flight.  Entries of superseded memos stay
+        # until their line next changes state, and keep their warp
+        # alive until then (at the latest, until the kernel ends).
+        self._waiters: DefaultDict[int, List[Tuple[_WarpRun, int]]] = (
+            defaultdict(list)
+        )
         # SFU pipeline occupancy (extension beyond Table I: with fewer
         # SFU lanes than the SIMT width, an SFU warp-instruction blocks
         # the unit for warp_size / n_sfu_units cycles).
@@ -230,11 +224,17 @@ class CoreModel:
         self._smem_latency = float(config.smem_latency)
         # Hoisted per-cycle/per-request config reads (step and the issue
         # helpers run once per cycle / memory instruction).
-        self._rr = config.scheduler == "rr"
         self._l1_latency = float(config.l1_latency)
         self._l2_latency = float(config.l2_latency)
         self._dram_latency = float(config.dram_latency)
         self._sfu_service_cycles = float(config.sfu_service_cycles)
+        self._rr = config.scheduler == "rr"
+        # Ops _issue_check may refuse; every other op issues once its
+        # producers completed.
+        self._checked_ops = frozenset(
+            {_LOAD, _SMEM_LOAD, _SMEM_STORE, _BARRIER}
+            | ({_SFU} if self._sfu_limited else set())
+        )
         self._activate_blocks()
 
     # Residency -------------------------------------------------------------
@@ -258,6 +258,8 @@ class CoreModel:
             n_partitions = len(self._partitions)
             for run in runs:
                 self._partitions[run.age % n_partitions].resident.append(run)
+        #: Whether all assigned blocks have completed.
+        self.finished = not self._resident and not self._block_queue
 
     def _retire_blocks(self) -> None:
         """Release blocks whose warps all finished; admit new ones."""
@@ -270,14 +272,13 @@ class CoreModel:
             for run in block:
                 self._resident.remove(run)
                 self._partitions[run.age % n_partitions].resident.remove(run)
+                # Break the warp <-> block reference cycle, so reference
+                # counting frees a retired warp's lists rather than a
+                # later cyclic garbage collection.
+                run.block_runs = []
         for partition in self._partitions:
             partition.on_retired()
         self._activate_blocks()
-
-    @property
-    def finished(self) -> bool:
-        """Whether all assigned blocks have completed."""
-        return not self._resident and not self._block_queue
 
     @property
     def n_resident(self) -> int:
@@ -289,42 +290,25 @@ class CoreModel:
     def _issue_check(self, run: _WarpRun, now: float) -> bool:
         """Whether ``run``, dependency-ready at ``now``, may issue.
 
-        A structural stall is recorded on the core's scan state (or, for
-        a barrier, in the stall counters) before returning False.
+        Only ops in ``_checked_ops`` can be refused.  A structural stall
+        is recorded on the core's scan state (or, for a barrier, in the
+        stall counters) before returning False.
         """
         index = run.next_idx
         op = run.ops[index]
         if op == _LOAD:
             mshr = self.mshr
-            if (
-                run.need_idx == index
-                and run.need_fills == self._l1_fills
-                and run.need_version == mshr.version
-            ):
-                needed = run.need
-            else:
-                needed = 0
-                mshr_lookup = mshr.lookup
-                l1_probe = self.l1.probe
-                for line in run.requests(index):
-                    if not l1_probe(line) and mshr_lookup(line) is None:
-                        needed += 1
-                if needed > mshr.n_entries:
-                    raise MSHRError(
-                        "load at pc %d needs %d MSHR entries but the file "
-                        "only has %d; configure n_mshrs >= warp_size"
-                        % (run.pcs[index], needed, mshr.n_entries)
-                    )
-                run.need = needed
-                run.need_idx = index
-                run.need_fills = self._l1_fills
-                run.need_version = mshr.version
+            offsets = run.req_offsets
+            # Cheap bound: the need never exceeds the request count.
+            if offsets[index + 1] - offsets[index] <= mshr.free_entries:
+                return True
+            needed = self._compute_need(run, index)
             if needed > mshr.free_entries:
                 if not self._mshr_need or needed < self._mshr_need:
                     self._mshr_need = needed
                 return False
         elif op == _SFU:
-            if self._sfu_limited and self._sfu_free_at > now:
+            if self._sfu_free_at > now:
                 self._scan_sfu_stall = True
                 return False
         elif op == _SMEM_LOAD or op == _SMEM_STORE:
@@ -335,6 +319,43 @@ class CoreModel:
             self.stats.barrier_stall_cycles += 1
             return False
         return True
+
+    def _compute_need(self, run: _WarpRun, index: int) -> int:
+        """MSHR entries the load at ``index`` of ``run`` would allocate now.
+
+        Memoizes the result on the warp and registers the memo under each
+        request line (see ``_waiters``).
+        """
+        lines = run.requests(index)
+        probe = self.l1.probe
+        mshr = self.mshr
+        lookup = mshr.lookup
+        needed = sum(
+            1 for line in lines if not probe(line) and lookup(line) is None
+        )
+        if needed > mshr.n_entries:
+            raise MSHRError(
+                "load at pc %d needs %d MSHR entries but the file "
+                "only has %d; configure n_mshrs >= warp_size"
+                % (run.pcs[index], needed, mshr.n_entries)
+            )
+        run.need = needed
+        run.need_idx = index
+        memo = (run, index)
+        waiters = self._waiters
+        for line in lines:
+            waiters[line].append(memo)
+        return needed
+
+    def _invalidate(self, lines: Sequence[int]) -> None:
+        """Drop the MSHR-need memos registered under ``lines``."""
+        pop = self._waiters.pop
+        for line in lines:
+            memos = pop(line, None)
+            if memos is not None:
+                for run, index in memos:
+                    if run.need_idx == index:
+                        run.need_idx = -1
 
     def _barrier_open(self, run: _WarpRun) -> bool:
         """Whether every block-mate has arrived at this warp's barrier.
@@ -357,7 +378,12 @@ class CoreModel:
     def _issue(self, run: _WarpRun, now: float) -> None:
         index = run.next_idx
         op = run.ops[index]
-        if op == _LOAD:
+        latency = self._latency[op]
+        if latency is not None:
+            completion = now + latency
+            if op == _SFU and self._sfu_limited:
+                self._sfu_free_at = now + self._sfu_service_cycles
+        elif op == _LOAD:
             completion = self._issue_load(run, index, now)
         elif op == _STORE:
             self._issue_store(run, index, now)
@@ -370,18 +396,26 @@ class CoreModel:
             degree = max(run.conflict[index], 1)
             completion = now + 1.0
             self._smem_free_at = now + degree
-        elif op == _BARRIER:
+        else:  # _BARRIER
             completion = now + 1.0
             run.bar_count += 1
-        else:
-            completion = now + self._latency[op]
-            if op == _SFU and self._sfu_limited:
-                self._sfu_free_at = now + self._sfu_service_cycles
-        run.done[index] = completion
-        run.next_idx = index + 1
-        run.refresh_ready()
+        done = run.done
+        done[index] = completion
+        index += 1
+        run.next_idx = index
         self.stats.insts_issued += 1
-        if run.finished:
+        if index < run.n_insts:
+            # The next instruction may issue once its producers completed.
+            ready = 0.0
+            base = index * MAX_DEPS
+            for dep in run.deps[base:base + MAX_DEPS]:
+                if dep != NO_DEP:
+                    t = done[dep]
+                    if t > ready:
+                        ready = t
+            run.ready_at = ready
+        else:
+            run.ready_at = _INF
             self._retire_blocks()
 
     def _issue_load(self, run: _WarpRun, index: int, now: float) -> float:
@@ -393,8 +427,11 @@ class CoreModel:
         mshr_lookup = mshr.lookup
         l1_hit_at = now + self._l1_latency
         l2_hit_at = now + self._l2_latency
+        # Lines whose L1 residency this load changes: each line it
+        # installs and each victim evicted to make room.
+        changed: List[int] = []
         for line in run.requests(index):
-            if l1_access(line):
+            if l1_access(line, evicted=changed):
                 # Tag hit; if the line's fill is still in flight this is a
                 # pending hit and completes when the original miss returns.
                 t = l1_hit_at
@@ -402,11 +439,17 @@ class CoreModel:
                 if pending is not None and pending > t:
                     t = pending
             else:
-                self._l1_fills += 1
+                changed.append(line)
                 merged = mshr_lookup(line)
                 if merged is not None:
                     t = merged
                 else:
+                    # Known bug, kept bit for bit until a fix re-records
+                    # the oracle pins and the ledger (see ROADMAP.md):
+                    # each fresh miss's fill *overwrites* the running
+                    # maximum, so the load completes when its last fresh
+                    # miss returns rather than when its slowest request
+                    # does.
                     if l2_access(line):
                         completion = l2_hit_at
                     else:
@@ -425,17 +468,23 @@ class CoreModel:
                         t = completion + max(free_at - now, 0.0)
             if t > completion:
                 completion = t
+        if self._waiters:
+            self._invalidate(changed)
         return completion
 
     def _issue_store(self, run: _WarpRun, index: int, now: float) -> None:
-        """Write-through store: probes caches, always consumes DRAM bus."""
+        """Write-through store: probes caches, always consumes DRAM bus.
+
+        The L1 does not allocate on writes, so a store never changes L1
+        residency (or any MSHR-need memo).
+        """
         l1_access = self.l1.access
         l2_access = self.l2.access
         enqueue = self.dram.enqueue
         arrival = now + self._l2_latency
         for line in run.requests(index):
-            l1_access(line, is_write=True)
-            l2_access(line, is_write=True)
+            l1_access(line, True)
+            l2_access(line, True)
             enqueue(arrival, line)
 
     # Scheduling --------------------------------------------------------------
@@ -454,7 +503,11 @@ class CoreModel:
             # Known-stalled: no event of this core can have fired yet.
             self.charge_sleep(1)
             return False
-        self.mshr.release_completed(now)
+        mshr = self.mshr
+        if now >= mshr.earliest:
+            released = mshr.release_completed(now)
+            if self._waiters:
+                self._invalidate(released)
         self._mshr_need = 0
         self._scan_sfu_stall = False
         issue_from = self._issue_rr if self._rr else self._issue_gto
@@ -463,9 +516,10 @@ class CoreModel:
             if issue_from(partition, now):
                 issued_any = True
         if issued_any:
-            self.stats.active_cycles += 1
-            self.stats.issue_cycles += 1
-            self.stats.finish_cycle = now
+            stats = self.stats
+            stats.active_cycles += 1
+            stats.issue_cycles += 1
+            stats.finish_cycle = now
             return True
         if self._mshr_need:
             self._sleep_kind = StallKind.MSHR
@@ -477,51 +531,75 @@ class CoreModel:
         self.sleep_until = self.next_event_after(now)
         return False
 
+    # The RR and GTO scans below share one candidate test, kept inline in
+    # both because it runs for every ready warp of every scan: a load
+    # whose memoized MSHR need exceeds the free entries is skipped (its
+    # need noted for next_event_after) without calling _issue_check, a
+    # memo within the free entries issues, and only the ops in
+    # _checked_ops go to _issue_check at all.
+
     def _issue_rr(self, partition: _SchedulerPartition, now: float) -> bool:
         """Issue the first ready warp in rotation order, if any."""
         resident = partition.resident
         n = len(resident)
         start = partition.rr_next % n if n else 0
-        issue_check = self._issue_check
+        checked = self._checked_ops
         for pos in range(start, start + n):
             if pos >= n:
                 pos -= n
             run = resident[pos]
-            if run.ready_at <= now and issue_check(run, now):
-                self._issue(run, now)
-                if not run.finished:
-                    partition.rr_next = (pos + 1) % n
-                elif run in resident:
-                    # The warp finished, which may have retired blocks
-                    # and so reshuffled resident.
-                    partition.rr_next = (resident.index(run) + 1) % len(
-                        resident
-                    )
-                return True
+            if run.ready_at > now:
+                continue
+            index = run.next_idx
+            if run.need_idx == index:
+                need = run.need
+                if need > self.mshr.free_entries:
+                    if not self._mshr_need or need < self._mshr_need:
+                        self._mshr_need = need
+                    continue
+            elif run.ops[index] in checked and not self._issue_check(run, now):
+                continue
+            self._issue(run, now)
+            if run.next_idx < run.n_insts:
+                partition.rr_next = (pos + 1) % n
+            elif run in resident:
+                # The warp finished, which may have retired blocks and
+                # so reshuffled resident.
+                partition.rr_next = (resident.index(run) + 1) % len(resident)
+            return True
         return False
 
     def _issue_gto(self, partition: _SchedulerPartition, now: float) -> bool:
         """Issue the current warp if ready, else the oldest ready one."""
         current = partition.gto_current
-        issue_check = self._issue_check
-        if not (
-            current is not None
-            and current.ready_at <= now
-            and issue_check(current, now)
-        ):
-            for run in partition.resident:
-                if (
-                    run is not current
-                    and run.ready_at <= now
-                    and issue_check(run, now)
-                ):
-                    current = run
-                    break
-            else:
-                return False
-        self._issue(current, now)
-        partition.gto_current = None if current.finished else current
-        return True
+        candidates = partition.resident
+        if current is not None:
+            candidates = [current, *candidates]
+        tried_current = False
+        checked = self._checked_ops
+        for run in candidates:
+            if run is current:
+                # Tried first; skip its place in age order.
+                if tried_current:
+                    continue
+                tried_current = True
+            if run.ready_at > now:
+                continue
+            index = run.next_idx
+            if run.need_idx == index:
+                need = run.need
+                if need > self.mshr.free_entries:
+                    if not self._mshr_need or need < self._mshr_need:
+                        self._mshr_need = need
+                    continue
+            elif run.ops[index] in checked and not self._issue_check(run, now):
+                continue
+            self._issue(run, now)
+            partition.gto_current = (
+                run if run.next_idx < run.n_insts else None
+            )
+            return True
+        return False
 
     def charge_sleep(self, cycles: int) -> None:
         """Charge ``cycles`` active cycles in which the core cannot issue

@@ -108,6 +108,8 @@ class TimingSimulator:
             timeline = Timeline(self.timeline_interval)
             next_sample = self.timeline_interval
 
+        cycle_skipping = self.cycle_skipping
+        max_cycles = self.max_cycles
         now = 0.0
         while True:
             if now >= next_sample:
@@ -124,7 +126,7 @@ class TimingSimulator:
                     issued_any = True
             if all_finished:
                 break
-            if issued_any or not self.cycle_skipping:
+            if issued_any or not cycle_skipping:
                 now += 1.0
             else:
                 # Every unfinished core failed to issue at ``now``, so each
@@ -143,9 +145,9 @@ class TimingSimulator:
                     for core in unfinished:
                         core.charge_sleep(skipped)
                 now = wake
-            if now > self.max_cycles:
+            if now > max_cycles:
                 raise SimulationError(
-                    "exceeded max_cycles=%g (runaway simulation)" % self.max_cycles
+                    "exceeded max_cycles=%g (runaway simulation)" % max_cycles
                 )
 
         total_cycles = max(core.stats.finish_cycle for core in cores) + 1.0

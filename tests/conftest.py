@@ -27,6 +27,14 @@ def tiny_scale():
     return Scale.tiny()
 
 
+@pytest.fixture(scope="session")
+def paper_pipeline():
+    """The paper regime: 2 cores at 32 warps/core, ``Scale.small``."""
+    from repro.pipeline import Pipeline
+
+    return Pipeline(GPUConfig(n_cores=2), scale=Scale.small())
+
+
 def build_saxpy(n_threads=128, block_size=64):
     """saxpy: two coalesced loads, an FMA, a coalesced store."""
     b = KernelBuilder("saxpy")

@@ -142,3 +142,26 @@ class TestCacheProperties:
             cache.access(addr)
         assert cache.n_accesses == len(addrs)
         assert 0 <= cache.n_misses <= cache.n_accesses
+
+
+class TestEvictionReport:
+    @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()),
+                    max_size=60),
+           st.booleans())
+    def test_access_reports_evicted_victims(self, accesses, write_allocate):
+        """``evicted`` receives exactly the lines an access makes
+        non-resident, and passing it changes nothing else."""
+        reporting = Cache(4 * 2 * 128, 2, 128,
+                          allocate_on_write=write_allocate)
+        plain = Cache(4 * 2 * 128, 2, 128, allocate_on_write=write_allocate)
+        for block, is_write in accesses:
+            line = block * 128
+            before = {b * 128 for b in range(41) if plain.probe(b * 128)}
+            evicted = []
+            assert reporting.access(line, is_write, evicted=evicted) == (
+                plain.access(line, is_write))
+            after = {b * 128 for b in range(41) if plain.probe(b * 128)}
+            assert evicted == sorted(before - after)
+            assert reporting._sets == plain._sets
+            assert (reporting.n_accesses, reporting.n_misses) == (
+                plain.n_accesses, plain.n_misses)

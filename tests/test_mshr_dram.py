@@ -14,9 +14,10 @@ class TestMSHR:
         mshr.allocate(0x100, completion=50.0)
         assert len(mshr) == 1
         assert mshr.lookup(0x100) == 50.0
-        assert mshr.release_completed(49.0) == 0
-        assert mshr.release_completed(50.0) == 1
+        assert mshr.release_completed(49.0) == []
+        assert mshr.release_completed(50.0) == [0x100]
         assert len(mshr) == 0
+        assert mshr.free_entries == 2
 
     def test_merge_returns_original_completion(self):
         mshr = MSHRFile(2)
@@ -32,17 +33,6 @@ class TestMSHR:
         with pytest.raises(MSHRError):
             mshr.allocate(0x200, 10.0)
         assert mshr.stalled_allocation_attempts == 1
-
-    def test_entries_needed_counts_new_lines_once(self):
-        mshr = MSHRFile(4)
-        mshr.allocate(0x100, 10.0)
-        assert mshr.entries_needed([0x100, 0x200, 0x200, 0x300]) == 2
-
-    def test_can_allocate(self):
-        mshr = MSHRFile(2)
-        mshr.allocate(0x100, 10.0)
-        assert mshr.can_allocate([0x100, 0x200])
-        assert not mshr.can_allocate([0x200, 0x300])
 
     def test_next_completion(self):
         mshr = MSHRFile(4)
@@ -62,40 +52,26 @@ class TestMSHR:
         assert mshr.kth_completion(4) is None
         assert mshr.kth_completion(0) == 10.0
 
-    def test_version_counts_membership_changes(self):
-        mshr = MSHRFile(4)
-        assert mshr.version == 0
-        mshr.allocate(1, 10.0)
-        mshr.allocate(2, 20.0)
-        assert mshr.version == 2
-        mshr.allocate(1, 99.0)  # a merge keeps the set of lines
-        assert mshr.version == 2
-        assert mshr.release_completed(9.0) == 0  # nothing due
-        assert mshr.version == 2
-        assert mshr.release_completed(20.0) == 2
-        assert mshr.version == 3
-
     def test_release_exactly_at_earliest_completion(self):
         mshr = MSHRFile(4)
         mshr.allocate(1, 30.0)
         mshr.allocate(2, 10.0)
         mshr.allocate(3, 20.0)
-        assert mshr.release_completed(9.5) == 0
-        assert mshr.release_completed(10.0) == 1
+        assert mshr.release_completed(9.5) == []
+        assert mshr.release_completed(10.0) == [2]
         assert mshr.lookup(2) is None
         assert mshr.next_completion() == 20.0
-        assert mshr.release_completed(20.0) == 1
+        assert mshr.release_completed(20.0) == [3]
         assert mshr.next_completion() == 30.0
 
     def test_release_on_empty_file(self):
         mshr = MSHRFile(2)
-        assert mshr.release_completed(1e9) == 0
-        assert mshr.version == 0
+        assert mshr.release_completed(1e9) == []
         mshr.allocate(1, 5.0)
-        assert mshr.release_completed(5.0) == 1
+        assert mshr.release_completed(5.0) == [1]
         assert mshr.next_completion() is None
-        assert mshr.release_completed(1e9) == 0
-        assert mshr.version == 2
+        assert mshr.release_completed(1e9) == []
+        assert mshr.free_entries == 2
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 60)),
                     max_size=60))
@@ -110,13 +86,14 @@ class TestMSHR:
                 due = [k for k, t in reference.items() if t <= now]
                 for k in due:
                     del reference[k]
-                assert mshr.release_completed(now) == len(due)
+                assert sorted(mshr.release_completed(now)) == sorted(due)
             elif mshr.lookup(line) is not None or mshr.free_entries:
                 completion = now + delta
                 reference.setdefault(line, completion)
                 mshr.allocate(line, completion)
             inflight = {k: mshr.lookup(k) for k in mshr.inflight_lines()}
             assert inflight == reference
+            assert mshr.free_entries == 4 - len(reference)
             assert mshr.next_completion() == (
                 min(reference.values()) if reference else None
             )

@@ -9,8 +9,16 @@ GTO scheduler and the ``subcore`` architecture must equal the values
 pinned below.  The oracle is deterministic, so any difference is a
 behaviour change of the cycle-level simulator: the accuracy watchdog's
 tolerance would let it through, this test does not.
+
+At tiny scale with 4 warps per core, MSHR contention barely engages, so
+a second set of pins holds five stall-heavy kernels in the paper's
+regime: ``GPUConfig(n_cores=2)`` (32 warps per core), ``Scale.small``,
+round-robin.  There the whole ``SimStats`` counter set is pinned: DRAM
+traffic and queueing, MSHR allocations and merges, and every
+``CoreStats`` counter of both cores.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -104,3 +112,63 @@ def test_gto_and_subcore_cycles_pinned(pipeline, kernel):
     assert pipeline.simulate(
         kernel, base.with_(arch="subcore"), warps_per_core=WARPS_PER_CORE
     ).total_cycles == subcore
+
+
+#: Per-kernel oracle counters in the paper regime: ``(total_cycles,
+#: dram_requests, dram_mean_queue_delay, mshr_allocations, mshr_merges,
+#: cores)``, each core ``(insts_issued, active_cycles, issue_cycles,
+#: mshr_stall_cycles, sfu_stall_cycles, barrier_stall_cycles,
+#: dep_stall_cycles, finish_cycle)``.
+PAPER_REGIME_PINS = {
+    "bfs_kernel1": (
+        202757, 46234, 6.557886692322474, 34240, 0,
+        (
+            (13632, 202757, 13632, 185754, 0, 0, 3371, 202756),
+            (13104, 197783, 13104, 182945, 0, 0, 1734, 197782),
+        ),
+    ),
+    "kmeans_point": (
+        727684, 71246, 9.727315685471762, 75825, 0,
+        (
+            (9600, 725265, 9600, 714812, 0, 0, 853, 725264),
+            (9600, 727684, 9600, 717225, 0, 0, 859, 727683),
+        ),
+    ),
+    "mri_gridding": (
+        80215, 77056, 35.35111261069973, 27316, 0,
+        (
+            (10752, 80215, 10752, 67983, 0, 0, 1480, 80214),
+            (10752, 78804, 10752, 67062, 0, 0, 990, 78803),
+        ),
+    ),
+    "streamcluster_dist": (
+        42342, 3392, 1.0867727987421036, 13893, 0,
+        (
+            (9600, 42060, 9600, 31013, 0, 0, 1447, 42059),
+            (9600, 42342, 9600, 31825, 0, 0, 917, 42341),
+        ),
+    ),
+    "strided_deg16": (
+        124707, 27648, 7.2997685185497465, 18432, 0,
+        (
+            (4416, 124672, 4416, 119814, 0, 0, 442, 124671),
+            (4416, 124707, 4416, 119847, 0, 0, 444, 124706),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(PAPER_REGIME_PINS))
+def test_paper_regime_counters_pinned(paper_pipeline, kernel):
+    stats = paper_pipeline.simulate(kernel)
+    cores = tuple(
+        dataclasses.astuple(core)[1:] for core in stats.cores
+    )
+    assert (
+        stats.total_cycles,
+        stats.dram_requests,
+        stats.dram_mean_queue_delay,
+        stats.mshr_allocations,
+        stats.mshr_merges,
+        cores,
+    ) == PAPER_REGIME_PINS[kernel]

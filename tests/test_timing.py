@@ -7,6 +7,7 @@ from repro.isa import KernelBuilder
 from repro.memory.mshr import MSHRError
 from repro.pipeline import Pipeline
 from repro.timing import TimingSimulator, simulate_kernel
+from repro.timing.core_model import CoreModel
 from repro.trace import emulate
 from repro.workloads import Scale
 from repro.workloads.suite import SUITE
@@ -259,6 +260,82 @@ class TestCycleSkippingEquivalence:
             config, warps_per_core=4, cycle_skipping=False
         ).run(trace)
         assert fast == slow
+
+
+#: Machines of the memo check: small L1s and MSHR files, so installs,
+#: evictions and releases all invalidate MSHR-need memos often.
+MEMO_CONFIGS = {
+    "l1_4k_2way": GPUConfig(n_cores=2, l1_size=4096, l1_assoc=2),
+    "l1_8k_4way_48mshr": GPUConfig(
+        n_cores=2, l1_size=8192, l1_assoc=4, n_mshrs=48
+    ),
+    "l1_4k_direct_gto_1core": GPUConfig(
+        n_cores=1, l1_size=4096, l1_assoc=1, scheduler="gto"
+    ),
+}
+MEMO_KERNELS = (
+    "strided_deg16", "kmeans_point", "histo_main", "spmv_jds",
+    "bfs_kernel1", "mri_gridding", "streamcluster_dist", "cfd_compute_flux",
+)
+
+#: Upper bounds on the oracle's work at ``Scale.small`` on
+#: ``GPUConfig(n_cores=2)``, RR: ``(MSHR-need computations,
+#: _issue_check calls)``.  The counts are deterministic, so any increase
+#: is a change to the issue loop's work, guarded with zero tolerance.
+WORK_BOUNDS = {
+    "strided_deg16": (1148, 1152),
+    "kmeans_point": (3478, 4669),
+}
+
+
+@pytest.fixture(scope="module")
+def memo_pipeline():
+    return Pipeline(GPUConfig(n_cores=2), scale=Scale.tiny())
+
+
+class TestMSHRNeedMemo:
+    """The per-warp MSHR-need memo, invalidated by line, must never
+    change a result: a run that drops every memo before each core step
+    matches the shipped run's whole ``SimStats``."""
+
+    @pytest.mark.parametrize("warps", [8, 32])
+    @pytest.mark.parametrize("machine", sorted(MEMO_CONFIGS))
+    @pytest.mark.parametrize("kernel", MEMO_KERNELS)
+    def test_memo_matches_no_memo(
+        self, memo_pipeline, monkeypatch, kernel, machine, warps
+    ):
+        config = MEMO_CONFIGS[machine]
+        trace = memo_pipeline.trace(kernel, config)
+        shipped = TimingSimulator(config, warps_per_core=warps).run(trace)
+
+        step = CoreModel.step
+
+        def step_without_memo(core, now):
+            for run in core._resident:
+                run.need_idx = -1
+            return step(core, now)
+
+        monkeypatch.setattr(CoreModel, "step", step_without_memo)
+        bare = TimingSimulator(config, warps_per_core=warps).run(trace)
+        assert shipped == bare
+
+    @pytest.mark.parametrize("kernel", sorted(WORK_BOUNDS))
+    def test_issue_work_bounded(self, paper_pipeline, monkeypatch, kernel):
+        counts = {"_compute_need": 0, "_issue_check": 0}
+        for name in counts:
+            method = getattr(CoreModel, name)
+
+            def counted(core, *args, _name=name, _method=method):
+                counts[_name] += 1
+                return _method(core, *args)
+
+            monkeypatch.setattr(CoreModel, name, counted)
+        TimingSimulator(paper_pipeline.config).run(
+            paper_pipeline.trace(kernel)
+        )
+        needs, checks = WORK_BOUNDS[kernel]
+        assert counts["_compute_need"] <= needs
+        assert counts["_issue_check"] <= checks
 
 
 class TestStats:
