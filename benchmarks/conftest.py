@@ -14,7 +14,7 @@ attached to each benchmark's ``extra_info``.
 import pytest
 
 from repro.config import GPUConfig
-from repro.harness.runner import Runner
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 #: Kernel subset used by the sweep benchmarks: one per behaviour class.
@@ -30,9 +30,9 @@ BENCH_KERNELS = (
 
 @pytest.fixture(scope="session")
 def bench_runner():
-    """One shared runner so traces are emulated once per session."""
+    """One shared pipeline so traces are emulated once per session."""
     config = GPUConfig.small(n_cores=2, warps_per_core=16)
-    return Runner(config, Scale.tiny())
+    return Pipeline(config, Scale.tiny())
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -9,7 +9,7 @@ model's channel-aware M/D/1 must track the oracle's direction.
 from benchmarks.conftest import run_once
 from repro.config import GPUConfig
 from repro.harness.reporting import render_table
-from repro.harness.runner import Runner
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 CHANNELS = (1, 2, 4)
@@ -22,8 +22,8 @@ def sweep():
     for name in KERNELS:
         for channels in CHANNELS:
             config = GPUConfig(n_cores=2).with_(n_dram_channels=channels)
-            runner = Runner(config, Scale.tiny())
-            result = runner.evaluate(name)
+            pipeline = Pipeline(config, Scale.tiny())
+            result = pipeline.evaluate(name)
             rows.append(
                 (
                     name,

@@ -3,7 +3,7 @@
 Records the wall-time of the same (kernel × warps/core) sweep grid
 executed serially and with ``jobs=N`` worker processes, so future PRs
 track the parallel path.  Each measurement uses a cold artifact store
-(fresh ``Runner``) — we are benchmarking compute fan-out, not caching.
+(fresh ``Pipeline``) — we are benchmarking compute fan-out, not caching.
 """
 
 import os
@@ -11,7 +11,7 @@ import os
 from benchmarks.conftest import BENCH_KERNELS, run_once
 from repro.config import GPUConfig
 from repro.harness.experiments import run_figure13
-from repro.harness.runner import Runner
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 #: Worker count for the parallel measurement (bounded: CI boxes are small).
@@ -21,12 +21,12 @@ WARP_COUNTS = (2, 4, 8, 16)
 
 
 def _sweep(jobs):
-    runner = Runner(
+    pipeline = Pipeline(
         GPUConfig.small(n_cores=2, warps_per_core=16),
         Scale.tiny(),
         jobs=jobs,
     )
-    return run_figure13(runner, kernels=BENCH_KERNELS, warp_counts=WARP_COUNTS)
+    return run_figure13(pipeline, kernels=BENCH_KERNELS, warp_counts=WARP_COUNTS)
 
 
 def test_bench_pipeline_sweep_serial(benchmark):
@@ -46,17 +46,17 @@ def test_bench_pipeline_sweep_parallel(benchmark):
 
 def test_bench_pipeline_warm_rerun(benchmark):
     """The Sec. VI-D story end-to-end: a repeated sweep is (nearly) free."""
-    runner = Runner(
+    pipeline = Pipeline(
         GPUConfig.small(n_cores=2, warps_per_core=16), Scale.tiny()
     )
-    run_figure13(runner, kernels=BENCH_KERNELS, warp_counts=WARP_COUNTS)
-    executions = dict(runner.pipeline.counters)
+    run_figure13(pipeline, kernels=BENCH_KERNELS, warp_counts=WARP_COUNTS)
+    executions = dict(pipeline.counters)
 
     result = run_once(
-        benchmark, run_figure13, runner,
+        benchmark, run_figure13, pipeline,
         kernels=BENCH_KERNELS, warp_counts=WARP_COUNTS,
     )
     assert result.data["series"]
     # Zero stage executions on the warm rerun — everything content-addressed.
-    assert dict(runner.pipeline.counters) == executions
+    assert dict(pipeline.counters) == executions
     benchmark.extra_info["stage_executions_first_run"] = executions

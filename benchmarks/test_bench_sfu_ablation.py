@@ -11,7 +11,7 @@ shrink, and (b) the extension model tracks it while the unextended model
 from benchmarks.conftest import run_once
 from repro.config import GPUConfig
 from repro.harness.reporting import render_table
-from repro.harness.runner import Runner
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 SFU_KERNELS = ("leukocyte_find", "blackscholes")
@@ -26,8 +26,8 @@ def sweep():
             # Full occupancy (32 resident warps): SFU contention only
             # exists when enough warps keep the narrow pipe saturated.
             config = GPUConfig(n_cores=2).with_(n_sfu_units=lanes)
-            runner = Runner(config, Scale.small())
-            result = runner.evaluate(name)
+            pipeline = Pipeline(config, Scale.small())
+            result = pipeline.evaluate(name)
             prediction = result.prediction
             without_sfu = prediction.cpi - prediction.cpi_sfu
             rows.append(

@@ -15,8 +15,8 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.config import GPUConfig
-from repro.harness.runner import Runner
 from repro.harness.speedup import run_speedup
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 #: Long-running, memory-contended kernels where detailed simulation hurts.
@@ -30,7 +30,7 @@ SPEEDUP_KERNELS = (
 
 @pytest.fixture(scope="module")
 def speedup_runner():
-    return Runner(GPUConfig(n_cores=2), Scale.small())
+    return Pipeline(GPUConfig(n_cores=2), Scale.small())
 
 
 def test_bench_speedup(benchmark, speedup_runner):

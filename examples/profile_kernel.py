@@ -16,8 +16,8 @@ import sys
 
 from repro.config import GPUConfig
 from repro.harness.reporting import render_stage_table
-from repro.harness.runner import Runner
 from repro.obs import Tracer, set_tracer
+from repro.pipeline import Pipeline
 from repro.workloads import Scale, kernel_names
 
 
@@ -31,17 +31,17 @@ def main() -> None:
         )
 
     # One tracer per run; installing it process-wide lets library code
-    # outside the Runner record into it too.
+    # outside the pipeline record into it too.
     tracer = Tracer()
     set_tracer(tracer)
     try:
-        runner = Runner(
+        pipeline = Pipeline(
             GPUConfig(n_cores=2),
             Scale.tiny(),
             tracer=tracer,
             timeline_interval=500.0,  # oracle sampling period (cycles)
         )
-        result = runner.evaluate(name, warps_per_core=8)
+        result = pipeline.evaluate(name, warps_per_core=8)
     finally:
         set_tracer(None)
 
@@ -52,7 +52,7 @@ def main() -> None:
         100 * result.error("mt_mshr_band"),
     ))
     print()
-    print(render_stage_table(runner.metrics))
+    print(render_stage_table(pipeline.metrics))
 
     # The oracle timeline becomes per-core counter tracks next to the
     # pipeline-stage spans.
@@ -60,7 +60,7 @@ def main() -> None:
     extra = timeline.counter_events() if timeline is not None else []
     tracer.export_chrome(trace_out, extra_events=extra,
                          metadata={"kernel": name})
-    runner.metrics.export("repro-metrics.json")
+    pipeline.metrics.export("repro-metrics.json")
     print()
     print("wrote %d spans to %s (open in https://ui.perfetto.dev)"
           % (tracer.n_spans, trace_out))

@@ -25,8 +25,8 @@ import time
 
 from repro.config import GPUConfig
 from repro.harness import experiments as ex
-from repro.harness.runner import Runner
 from repro.harness.speedup import run_speedup
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 
@@ -45,7 +45,7 @@ def main() -> None:
 
     scale = Scale.tiny() if args.quick else Scale.small()
     config = GPUConfig(n_cores=2)
-    runner = Runner(config, scale, jobs=args.jobs, cache_dir=args.cache_dir)
+    pipeline = Pipeline(config, scale, jobs=args.jobs, cache_dir=args.cache_dir)
     os.makedirs(args.out, exist_ok=True)
 
     comparison_kernels = (
@@ -54,16 +54,16 @@ def main() -> None:
     sweep_warps = (4, 8, 16) if args.quick else ex.WARP_SWEEP
 
     jobs = [
-        ("figure04", lambda: ex.run_figure4(runner)),
-        ("figure07", lambda: ex.run_figure7(runner)),
-        ("figure11", lambda: ex.run_figure11(runner, comparison_kernels)),
-        ("figure12", lambda: ex.run_figure12(runner, comparison_kernels)),
-        ("figure13", lambda: ex.run_figure13(runner, warp_counts=sweep_warps)),
-        ("figure14", lambda: ex.run_figure14(runner)),
-        ("figure15", lambda: ex.run_figure15(runner)),
-        ("figure16", lambda: ex.run_figure16(runner, warp_counts=sweep_warps)),
+        ("figure04", lambda: ex.run_figure4(pipeline)),
+        ("figure07", lambda: ex.run_figure7(pipeline)),
+        ("figure11", lambda: ex.run_figure11(pipeline, comparison_kernels)),
+        ("figure12", lambda: ex.run_figure12(pipeline, comparison_kernels)),
+        ("figure13", lambda: ex.run_figure13(pipeline, warp_counts=sweep_warps)),
+        ("figure14", lambda: ex.run_figure14(pipeline)),
+        ("figure15", lambda: ex.run_figure15(pipeline)),
+        ("figure16", lambda: ex.run_figure16(pipeline, warp_counts=sweep_warps)),
         ("speedup", lambda: run_speedup(
-            runner, kernels=list(ex.SWEEP_KERNELS))),
+            pipeline, kernels=list(ex.SWEEP_KERNELS))),
     ]
     from repro.harness.export import save_comparison_csv, save_series_csv
 
@@ -88,8 +88,8 @@ def main() -> None:
         print(result.text)
         print("[%s done in %.1fs -> %s]\n" % (name, elapsed, path))
 
-    print("pipeline stage executions:", dict(runner.pipeline.counters))
-    print("pipeline stage cache hits:", dict(runner.pipeline.hits))
+    print("pipeline stage executions:", dict(pipeline.counters))
+    print("pipeline stage cache hits:", dict(pipeline.hits))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import sys
 
 from repro import GPUConfig
 from repro.harness.reporting import render_table
-from repro.harness.runner import Runner
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 DEFAULT_KERNELS = (
@@ -33,14 +33,14 @@ DEFAULT_KERNELS = (
 
 def main() -> None:
     kernels = sys.argv[1:] or list(DEFAULT_KERNELS)
-    runner = Runner(GPUConfig(n_cores=2), Scale.small())
+    pipeline = Pipeline(GPUConfig(n_cores=2), Scale.small())
 
     rows = []
     errors = {"rr": [], "gto": []}
     for name in kernels:
         cells = [name]
         for policy in ("rr", "gto"):
-            result = runner.evaluate(name, policy=policy)
+            result = pipeline.evaluate(name, policy=policy)
             error = result.error("mt_mshr_band")
             errors[policy].append(error)
             cells.extend(

@@ -22,19 +22,11 @@ Subcommands
     Static cost analysis (trip counts, coalescing classes, occupancy,
     CPI bounds) plus the xcheck sanitizer comparing the dynamic trace
     against the static facts; nonzero exit on any xcheck mismatch.
-``concheck``
-    Concurrency- and fork-safety analysis of the codebase itself
-    (thread-escape, lock discipline, pool-boundary pickling, mutable
-    globals); ``--runtime`` adds the lock-sanitizer sweep.  Nonzero
-    exit unless every finding is fixed or allowlisted.
 ``profile``
     Evaluate kernels with tracing, metrics and oracle timeline sampling
     on; writes a Chrome-trace/Perfetto file and prints stage timings.
     ``--sample`` adds the stdlib sampling profiler (collapsed-stack
     flamegraph output, samples attributed to pipeline-stage spans).
-``serve-metrics``
-    Run a sweep with a live OpenMetrics HTTP exporter (``/metrics``,
-    ``/healthz``, ``/spans``) so external scrapers observe it mid-run.
 ``watchdog``
     Accuracy-regression gate: diff per-kernel prediction error between
     a baseline ledger and a current one; nonzero exit on regression.
@@ -61,6 +53,7 @@ import sys
 from typing import List, Optional
 
 from repro.config import KNOWN_ARCHES, GPUConfig
+from repro.core.model import GPUMech
 from repro.harness import experiments as ex
 from repro.harness.reporting import (
     configure_logging,
@@ -68,11 +61,12 @@ from repro.harness.reporting import (
     render_stage_table,
     render_table,
 )
-from repro.harness.runner import MODEL_LABELS, MODELS, Runner, nanmean
+from repro.harness.runner import MODEL_LABELS, MODELS
 from repro.harness.speedup import run_speedup
 from repro.obs import MetricsRegistry, Tracer, set_tracer
 from repro.obs.ledger import DEFAULT_MODEL as LEDGER_DEFAULT_MODEL
 from repro.obs.sampler import DEFAULT_INTERVAL as SAMPLE_INTERVAL
+from repro.pipeline import Pipeline
 from repro.trace.emulator import emulate
 from repro.workloads.generators import Scale
 from repro.workloads.suite import SUITE, get_kernel, kernel_names
@@ -86,15 +80,15 @@ _SCALES = {
 }
 
 _EXPERIMENTS = {
-    "figure4": lambda runner: ex.run_figure4(runner),
-    "figure7": lambda runner: ex.run_figure7(runner),
-    "figure11": lambda runner: ex.run_figure11(runner),
-    "figure12": lambda runner: ex.run_figure12(runner),
-    "figure13": lambda runner: ex.run_figure13(runner),
-    "figure14": lambda runner: ex.run_figure14(runner),
-    "figure15": lambda runner: ex.run_figure15(runner),
-    "figure16": lambda runner: ex.run_figure16(runner),
-    "speedup": lambda runner: run_speedup(runner),
+    "figure4": ex.run_figure4,
+    "figure7": ex.run_figure7,
+    "figure11": ex.run_figure11,
+    "figure12": ex.run_figure12,
+    "figure13": ex.run_figure13,
+    "figure14": ex.run_figure14,
+    "figure15": ex.run_figure15,
+    "figure16": ex.run_figure16,
+    "speedup": run_speedup,
 }
 
 #: Default oracle sampling period (cycles) for ``repro profile``.
@@ -168,10 +162,10 @@ def _machine(args) -> GPUConfig:
     )
 
 
-def _runner(args) -> Runner:
-    """A pipeline-backed runner honouring ``--jobs``/``--cache-dir``
-    plus the session tracer/metrics installed by :func:`main`."""
-    return Runner(
+def _pipeline(args) -> Pipeline:
+    """A pipeline honouring ``--jobs``/``--cache-dir`` plus the session
+    tracer/metrics installed by :func:`main`."""
+    return Pipeline(
         _machine(args),
         _SCALES[args.scale](),
         jobs=args.jobs,
@@ -198,12 +192,14 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    runner = _runner(args)
+    pipeline = _pipeline(args)
     kernel, _ = get_kernel(args.kernel, _SCALES[args.scale]())
     emit(kernel.describe())
-    model, inputs = runner.prepare(
+    inputs = pipeline.model_inputs(
         args.kernel, selection_strategy=args.strategy
     )
+    model = GPUMech(pipeline.config, selection_strategy=args.strategy,
+                    pipeline=pipeline)
     prediction = model.predict(inputs, warps_per_core=args.warps)
     emit(prediction.summary())
     emit(prediction.cpi_stack.render())
@@ -211,15 +207,15 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    runner = _runner(args)
-    stats = runner.simulate(args.kernel, warps_per_core=args.warps)
+    pipeline = _pipeline(args)
+    stats = pipeline.simulate(args.kernel, warps_per_core=args.warps)
     emit(stats.summary())
     return 0
 
 
 def _cmd_validate(args) -> int:
-    runner = _runner(args)
-    result = runner.evaluate(args.kernel, warps_per_core=args.warps)
+    pipeline = _pipeline(args)
+    result = pipeline.evaluate(args.kernel, warps_per_core=args.warps)
     rows = [
         (MODEL_LABELS[m], "%.3f" % result.model_cpis[m],
          "%.1f%%" % (100 * result.error(m)))
@@ -233,7 +229,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    result = _EXPERIMENTS[args.name](_runner(args))
+    result = _EXPERIMENTS[args.name](_pipeline(args))
     emit(result.text)
     return 0
 
@@ -335,51 +331,6 @@ def _cmd_analyze(args) -> int:
     return 1 if n_errors else 0
 
 
-def _cmd_concheck(args) -> int:
-    from repro.concheck import (
-        Allowlist,
-        ConDiagnostic,
-        analyze_concurrency,
-        runtime_sweep,
-    )
-    from repro.staticcheck.report import Severity
-
-    report = analyze_concurrency()
-    if args.runtime:
-        scale = _SCALES[args.scale]()
-        summary, findings, _kernels = runtime_sweep(
-            scale=scale, jobs=args.jobs
-        )
-        report.runtime = summary
-        for finding in findings:
-            report.diagnostics.append(ConDiagnostic(
-                check_id=finding["check_id"],
-                severity=Severity.ERROR,
-                subject=finding["subject"],
-                message=finding["message"],
-                where="runtime sweep",
-            ))
-
-    allowlist = None
-    if args.allowlist and os.path.exists(args.allowlist):
-        allowlist = Allowlist.load(args.allowlist)
-        report.apply_allowlist(allowlist)
-
-    if args.format == "json":
-        # Machine-readable output bypasses the logging layer (see lint).
-        print(report.to_json())
-    else:
-        emit(report.render_text(verbose=args.show_facts))
-        if allowlist is not None:
-            for entry in allowlist.unused():
-                emit(
-                    "note: stale allowlist entry %s:%d (%s %s) waived "
-                    "nothing" % (allowlist.path, entry.lineno,
-                                 entry.check_id, entry.pattern)
-                )
-    return 0 if report.clean else 1
-
-
 def _cmd_characterize(args) -> int:
     from repro.analysis import (
         characterize,
@@ -398,9 +349,9 @@ def _cmd_characterize(args) -> int:
         emit(render_arch_comparison(results))
         return 0
     if args.kernel == "all":
-        runner = _runner(args)
-        emit(suite_report(scale=scale, config=runner.config,
-                          pipeline=runner.pipeline))
+        pipeline = _pipeline(args)
+        emit(suite_report(scale=scale, config=pipeline.config,
+                          pipeline=pipeline))
         return 0
     kernel, memory = get_kernel(args.kernel, scale)
     trace = emulate(kernel, _machine(args), memory=memory)
@@ -420,7 +371,7 @@ def _cmd_profile(args) -> int:
     if unknown:
         _LOG.error("unknown kernel(s): %s", ", ".join(unknown))
         return 2
-    runner = _runner(args)
+    pipeline = _pipeline(args)
     requests = [{"kernel": name, "warps_per_core": args.warps}
                 for name in names]
     profiler = None
@@ -433,7 +384,7 @@ def _cmd_profile(args) -> int:
         )
         profiler.start()
     try:
-        results = runner.evaluate_many(requests)
+        results = pipeline.evaluate_many(requests)
     finally:
         if profiler is not None:
             profiler.stop()
@@ -449,9 +400,9 @@ def _cmd_profile(args) -> int:
     emit(render_table(
         ("kernel", "policy", "warps", "oracle CPI", "GPUMech CPI", "error"),
         rows,
-        title="profile (%d kernels, jobs=%d)" % (len(results), runner.jobs),
+        title="profile (%d kernels, jobs=%d)" % (len(results), pipeline.jobs),
     ))
-    stage_table = render_stage_table(runner.metrics)
+    stage_table = render_stage_table(pipeline.metrics)
     if stage_table:
         emit("")
         emit(stage_table)
@@ -493,54 +444,6 @@ def _cmd_profile(args) -> int:
                 pid=os.getpid(),
                 track_prefix="%s " % result.kernel if prefix_names else "",
             ))
-    return 0
-
-
-def _cmd_serve_metrics(args) -> int:
-    """Run a sweep with the OpenMetrics exporter live.
-
-    The exporter serves the session registry over HTTP for the whole
-    invocation, so an external scraper (Prometheus, ``curl``, the CI
-    smoke job) observes stage counters *while* the sweep runs.  With
-    ``--repeat`` the sweep re-runs; each repetition rotates the ledger
-    run id so it lands as its own point on the dashboard trend line.
-    """
-    import time as _time
-
-    from repro.obs.exporter import MetricsExporter
-
-    names = args.kernels or list(kernel_names())
-    unknown = [n for n in names if n not in SUITE]
-    if unknown:
-        _LOG.error("unknown kernel(s): %s", ", ".join(unknown))
-        return 2
-    runner = _runner(args)
-    requests = [{"kernel": name, "warps_per_core": args.warps}
-                for name in names]
-    ledger = getattr(args, "obs_ledger", None)
-    with MetricsExporter(args.obs_metrics, tracer=args.obs_tracer,
-                         host=args.host, port=args.port) as exporter:
-        emit("serving metrics at %s/metrics (healthz, spans)"
-             % exporter.url)
-        for repetition in range(args.repeat):
-            if repetition and ledger is not None:
-                ledger.rotate_run()
-            results = runner.evaluate_many(requests)
-            mean_err = nanmean(
-                r.error("mt_mshr_band") for r in results
-            )
-            emit("sweep %d/%d: %d kernel(s), mean error %.1f%%"
-                 % (repetition + 1, args.repeat, len(results),
-                    100.0 * mean_err))
-        if args.linger > 0:
-            emit("lingering %.1fs for scrapers (ctrl-C to stop)"
-                 % args.linger)
-            try:
-                _time.sleep(args.linger)
-            except KeyboardInterrupt:
-                pass
-        health = exporter.health()
-    emit("served %d scrape(s); exporter stopped" % health["n_scrapes"])
     return 0
 
 
@@ -664,32 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "store; reruns skip every already-computed stage")
     _add_obs_args(analyze)
 
-    concheck = sub.add_parser(
-        "concheck",
-        help="verify concurrency and fork safety (thread-escape, lock "
-        "discipline, pool-boundary pickling, global-mutable census; "
-        "optionally the runtime lock sanitizer)",
-    )
-    concheck.add_argument("--runtime", action="store_true",
-                          help="also sweep the suite under the "
-                          "REPRO_CONCHECK lock sanitizer with live "
-                          "exporter/sampler threads")
-    concheck.add_argument("--format", choices=("text", "json"),
-                          default="text", help="report output format")
-    concheck.add_argument("--allowlist", default="concheck-allow.txt",
-                          help="justified-exception file (default "
-                          "%(default)s; missing file = empty list)")
-    concheck.add_argument("--scale", choices=sorted(_SCALES),
-                          default="tiny",
-                          help="workload scale for the runtime sweep")
-    concheck.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for the runtime sweep "
-                          "(>1 exercises the pool boundary)")
-    concheck.add_argument("--show-facts", action="store_true",
-                          help="list thread roots, lock→field maps, "
-                          "order edges and the global census")
-    _add_obs_args(concheck)
-
     profile = sub.add_parser(
         "profile",
         help="evaluate kernels with span tracing, metrics and a "
@@ -703,37 +580,16 @@ def build_parser() -> argparse.ArgumentParser:
                          default=DEFAULT_TIMELINE_INTERVAL, metavar="CYCLES",
                          help="oracle sampling period in cycles")
     profile.add_argument("--sample", action="store_true",
-                         help="run the stdlib sampling profiler alongside "
-                         "the sweep (span-attributed wall-clock samples)")
+                         help="run the stdlib sampling profiler during "
+                         "the sweep (span-attributed CPU-time samples)")
     profile.add_argument("--sample-out", default="repro-samples.txt",
                          metavar="FILE",
                          help="collapsed-stack output file "
                          "(flamegraph.pl / speedscope input)")
     profile.add_argument("--sample-interval", type=float,
                          default=SAMPLE_INTERVAL, metavar="SECONDS",
-                         help="sampling period in seconds")
+                         help="sampling period in seconds of CPU time")
     _add_machine_args(profile)
-
-    serve = sub.add_parser(
-        "serve-metrics",
-        help="run a sweep with a live OpenMetrics HTTP exporter "
-        "(/metrics, /healthz, /spans)",
-    )
-    serve.add_argument("--suite-kernel", action="append", dest="kernels",
-                       metavar="KERNEL", default=None,
-                       help="kernel to evaluate (repeatable; default: "
-                       "the whole suite)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="exporter bind address")
-    serve.add_argument("--port", type=int, default=0,
-                       help="exporter port (0: ephemeral, printed)")
-    serve.add_argument("--repeat", type=int, default=1, metavar="N",
-                       help="run the sweep N times (each repetition is "
-                       "its own ledger run)")
-    serve.add_argument("--linger", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="keep serving after the sweep finishes")
-    _add_machine_args(serve)
 
     watchdog = sub.add_parser(
         "watchdog",
@@ -790,7 +646,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.trace_out = "repro-trace.json"
 
     # One tracer + registry per invocation, installed process-wide so
-    # library code reached outside the Runner still records into them.
+    # library code reached outside the pipeline still records into them.
     tracer = Tracer(enabled=bool(args.trace_out))
     metrics = MetricsRegistry()
     args.obs_tracer = tracer
@@ -812,9 +668,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "characterize": _cmd_characterize,
         "lint": _cmd_lint,
         "analyze": _cmd_analyze,
-        "concheck": _cmd_concheck,
         "profile": _cmd_profile,
-        "serve-metrics": _cmd_serve_metrics,
         "watchdog": _cmd_watchdog,
         "dash": _cmd_dash,
     }

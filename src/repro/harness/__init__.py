@@ -1,7 +1,8 @@
 """Experiment harness: model-vs-oracle validation and figure drivers.
 
-``runner`` evaluates all Table II models against the timing oracle on one
-kernel; ``experiments`` contains one driver per evaluation figure/table of
+``runner`` holds the per-kernel model-vs-oracle result of the Table II
+models (produced by :meth:`repro.pipeline.Pipeline.evaluate`);
+``experiments`` contains one driver per evaluation figure/table of
 the paper; ``reporting`` renders the same rows/series the paper plots;
 ``speedup`` measures the model's wall-clock advantage (Sec. VI-D).
 """
@@ -9,7 +10,6 @@ the paper; ``reporting`` renders the same rows/series the paper plots;
 from repro.harness.runner import (
     MODELS,
     KernelResult,
-    Runner,
     nanmean,
 )
 from repro.harness.reporting import render_series, render_table
@@ -25,7 +25,6 @@ __all__ = [
     "KernelResult",
     "MODELS",
     "ModelValidation",
-    "Runner",
     "Sweep",
     "SweepResult",
     "nanmean",

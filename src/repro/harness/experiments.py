@@ -1,6 +1,6 @@
 """One driver per evaluation figure/table of the paper (Sec. VI-VII).
 
-Every ``run_figure*`` function takes a :class:`~repro.harness.runner.Runner`
+Every ``run_figure*`` function takes a :class:`~repro.pipeline.Pipeline`
 (which fixes the machine configuration and workload scale), produces the
 same rows/series the paper plots, renders them as text, and returns a
 structured result for programmatic use.  Absolute numbers differ from the
@@ -21,10 +21,9 @@ from repro.harness.runner import (
     MODEL_LABELS,
     MODELS,
     KernelResult,
-    Runner,
     nanmean,
 )
-from repro.pipeline import EvalRequest
+from repro.pipeline import EvalRequest, Pipeline
 from repro.workloads.suite import kernel_names, kernels_with_tag
 
 #: Kernels used by the hardware-configuration sweeps (Fig. 13-15): a
@@ -97,10 +96,10 @@ def _fraction_under(
 
 
 def run_figure4(
-    runner: Runner, kernel: str = "srad_kernel1"
+    pipeline: Pipeline, kernel: str = "srad_kernel1"
 ) -> ExperimentResult:
     """Error ladder Naive -> MT -> +MSHR -> +Bandwidth for one kernel."""
-    result = runner.evaluate(kernel)
+    result = pipeline.evaluate(kernel)
     ladder = ["naive", "mt", "mt_mshr", "mt_mshr_band"]
     rows = [
         (MODEL_LABELS[m], result.model_cpis[m], "%.1f%%" % (100 * result.error(m)))
@@ -130,7 +129,7 @@ def run_figure4(
 
 
 def run_figure7(
-    runner: Runner, kernels: Optional[Sequence[str]] = None
+    pipeline: Pipeline, kernels: Optional[Sequence[str]] = None
 ) -> ExperimentResult:
     """MAX vs MIN vs Clustering selection on control-divergent kernels."""
     kernels = (
@@ -144,7 +143,7 @@ def run_figure7(
         for name in kernels
         for strategy in strategies
     ]
-    results = iter(runner.evaluate_many(requests))
+    results = iter(pipeline.evaluate_many(requests))
     per_kernel: Dict[str, Dict[str, float]] = {
         name: {s: next(results).error("mt_mshr_band") for s in strategies}
         for name in kernels
@@ -179,13 +178,13 @@ def run_figure7(
 
 
 def run_model_comparison(
-    runner: Runner,
+    pipeline: Pipeline,
     policy: str,
     kernels: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """Per-kernel errors of all Table II models under one policy."""
     kernels = list(kernels) if kernels is not None else kernel_names()
-    results = runner.evaluate_many(
+    results = pipeline.evaluate_many(
         [EvalRequest(kernel=name, policy=policy) for name in kernels]
     )
     rows = []
@@ -227,14 +226,14 @@ def run_model_comparison(
     )
 
 
-def run_figure11(runner: Runner, kernels=None) -> ExperimentResult:
+def run_figure11(pipeline: Pipeline, kernels=None) -> ExperimentResult:
     """Model comparison under the round-robin policy."""
-    return run_model_comparison(runner, "rr", kernels)
+    return run_model_comparison(pipeline, "rr", kernels)
 
 
-def run_figure12(runner: Runner, kernels=None) -> ExperimentResult:
+def run_figure12(pipeline: Pipeline, kernels=None) -> ExperimentResult:
     """Model comparison under the greedy-then-oldest policy."""
-    return run_model_comparison(runner, "gto", kernels)
+    return run_model_comparison(pipeline, "gto", kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,7 @@ def run_figure12(runner: Runner, kernels=None) -> ExperimentResult:
 
 
 def _sweep(
-    runner: Runner,
+    pipeline: Pipeline,
     figure: str,
     x_label: str,
     x_values: Sequence,
@@ -253,12 +252,12 @@ def _sweep(
     """Fan every (kernel × sweep point) out through the pipeline at once.
 
     ``request_for(name, x)`` builds the :class:`EvalRequest` of one
-    point; with ``runner.jobs > 1`` the whole grid runs in parallel.
+    point; with ``pipeline.jobs > 1`` the whole grid runs in parallel.
     """
     requests = [
         request_for(name, x) for x in x_values for name in kernels
     ]
-    flat = iter(runner.evaluate_many(requests))
+    flat = iter(pipeline.evaluate_many(requests))
     series: Dict[str, List[float]] = {MODEL_LABELS[m]: [] for m in MODELS}
     all_results: Dict = {}
     for x in x_values:
@@ -281,13 +280,13 @@ def _sweep(
 
 
 def run_figure13(
-    runner: Runner,
+    pipeline: Pipeline,
     kernels: Sequence[str] = SWEEP_KERNELS,
     warp_counts: Sequence[int] = WARP_SWEEP,
 ) -> ExperimentResult:
     """Mean error vs. warps per core (round-robin policy)."""
     return _sweep(
-        runner,
+        pipeline,
         "figure13",
         "warps/core",
         warp_counts,
@@ -297,36 +296,36 @@ def run_figure13(
 
 
 def run_figure14(
-    runner: Runner,
+    pipeline: Pipeline,
     kernels: Sequence[str] = SWEEP_KERNELS,
     mshr_counts: Sequence[int] = MSHR_SWEEP,
 ) -> ExperimentResult:
     """Mean error vs. number of MSHR entries."""
     return _sweep(
-        runner,
+        pipeline,
         "figure14",
         "MSHRs",
         mshr_counts,
         lambda name, mshrs: EvalRequest(
-            kernel=name, config=runner.config.with_(n_mshrs=mshrs)
+            kernel=name, config=pipeline.config.with_(n_mshrs=mshrs)
         ),
         kernels,
     )
 
 
 def run_figure15(
-    runner: Runner,
+    pipeline: Pipeline,
     kernels: Sequence[str] = SWEEP_KERNELS,
     bandwidths: Sequence[float] = BANDWIDTH_SWEEP,
 ) -> ExperimentResult:
     """Mean error vs. DRAM bandwidth (GB/s)."""
     return _sweep(
-        runner,
+        pipeline,
         "figure15",
         "GB/s",
         bandwidths,
         lambda name, gbps: EvalRequest(
-            kernel=name, config=runner.config.with_(dram_bandwidth_gbps=gbps)
+            kernel=name, config=pipeline.config.with_(dram_bandwidth_gbps=gbps)
         ),
         kernels,
     )
@@ -338,7 +337,7 @@ def run_figure15(
 
 
 def run_figure16(
-    runner: Runner,
+    pipeline: Pipeline,
     kernels: Sequence[str] = CASE_STUDY_KERNELS,
     warp_counts: Sequence[int] = WARP_SWEEP,
 ) -> ExperimentResult:
@@ -351,7 +350,7 @@ def run_figure16(
     data: Dict[str, Dict] = {}
     categories = [t for t in StallType]
     flat = iter(
-        runner.evaluate_many(
+        pipeline.evaluate_many(
             [
                 EvalRequest(kernel=name, warps_per_core=warps)
                 for name in kernels
@@ -401,15 +400,15 @@ def run_figure16(
 # ---------------------------------------------------------------------------
 
 
-def run_all(runner: Runner) -> List[ExperimentResult]:
+def run_all(pipeline: Pipeline) -> List[ExperimentResult]:
     """Run every figure driver; returns results in paper order."""
     return [
-        run_figure4(runner),
-        run_figure7(runner),
-        run_figure11(runner),
-        run_figure12(runner),
-        run_figure13(runner),
-        run_figure14(runner),
-        run_figure15(runner),
-        run_figure16(runner),
+        run_figure4(pipeline),
+        run_figure7(pipeline),
+        run_figure11(pipeline),
+        run_figure12(pipeline),
+        run_figure13(pipeline),
+        run_figure14(pipeline),
+        run_figure15(pipeline),
+        run_figure16(pipeline),
     ]

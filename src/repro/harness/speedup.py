@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.harness.reporting import render_table
-from repro.harness.runner import Runner
 from repro.pipeline import MemoryStore, Pipeline
 from repro.timing.simulator import TimingSimulator
 
@@ -67,7 +66,7 @@ class SpeedupResult:
 
 
 def measure_speedup(
-    runner: Runner,
+    pipeline: Pipeline,
     kernels: Sequence[str],
     include_naive: bool = False,
 ) -> List[SpeedupResult]:
@@ -78,9 +77,9 @@ def measure_speedup(
     detailed simulator.  It is very slow; use small workloads.
     """
     results: List[SpeedupResult] = []
-    config = runner.config
+    config = pipeline.config
     for name in kernels:
-        trace = runner.trace(name)  # warm the cache; not timed
+        trace = pipeline.trace(name)  # warm the cache; not timed
 
         # Bypass all memoisation: this is a timing measurement, not a
         # result lookup.
@@ -95,11 +94,11 @@ def measure_speedup(
             naive_seconds = time.perf_counter() - start
 
         # A fresh cold pipeline per kernel: every stage executes exactly
-        # once and its wall-clock lands in ``pipeline.timings``.
-        pipeline = Pipeline(config, scale=runner.scale, store=MemoryStore())
-        pipeline.store.put(pipeline.trace_key(name), trace)
-        pipeline.predict(name)
-        timings = pipeline.timings
+        # once and its wall-clock lands in ``cold.timings``.
+        cold = Pipeline(config, scale=pipeline.scale, store=MemoryStore())
+        cold.store.put(cold.trace_key(name), trace)
+        cold.predict(name)
+        timings = cold.timings
         cache_sim_seconds = timings["cache_sim"] + timings["latency_table"]
         profiling_seconds = (
             timings["interval_profiles"] + timings["clustering"]
@@ -121,7 +120,7 @@ def measure_speedup(
 
 
 def run_speedup(
-    runner: Runner,
+    pipeline: Pipeline,
     kernels: Optional[Sequence[str]] = None,
     include_naive: bool = False,
 ) -> "Dict":
@@ -134,7 +133,7 @@ def run_speedup(
     from repro.harness.experiments import SWEEP_KERNELS, ExperimentResult
 
     kernels = list(kernels) if kernels is not None else list(SWEEP_KERNELS)
-    results = measure_speedup(runner, kernels, include_naive=include_naive)
+    results = measure_speedup(pipeline, kernels, include_naive=include_naive)
     headers = ["kernel", "oracle (s)", "model (s)", "speedup", "reconfig (s)"]
     if include_naive:
         headers += ["cycle-loop (s)", "vs cycle-loop"]

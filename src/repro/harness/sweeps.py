@@ -4,7 +4,7 @@ The paper's motivating use case is early design-space exploration; this
 module provides the generic harness the figure drivers specialise:
 
 >>> sweep = Sweep("n_mshrs", [16, 32, 64, 128])         # doctest: +SKIP
->>> result = sweep.run(runner, ["srad_kernel1"])        # doctest: +SKIP
+>>> result = sweep.run(pipeline, ["srad_kernel1"])        # doctest: +SKIP
 >>> print(result.render())                              # doctest: +SKIP
 
 Sweepable parameters are any :class:`~repro.config.GPUConfig` field
@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import GPUConfig
 from repro.harness.reporting import render_table
-from repro.harness.runner import KernelResult, Runner, nanmean
-from repro.pipeline import EvalRequest
+from repro.harness.runner import KernelResult, nanmean
+from repro.pipeline import EvalRequest, Pipeline
 
 
 class SweepError(ValueError):
@@ -127,29 +127,30 @@ class Sweep:
         self.parameter = parameter
         self.values = list(values)
 
-    def request(self, runner: Runner, kernel: str, value: object) -> EvalRequest:
+    def request(self, pipeline: Pipeline, kernel: str,
+                value: object) -> EvalRequest:
         """The pipeline request of one (kernel × value) sweep point."""
         if self.parameter == "warps_per_core":
             return EvalRequest(kernel=kernel, warps_per_core=int(value))
         return EvalRequest(
             kernel=kernel,
-            config=runner.config.with_(**{self.parameter: value}),
+            config=pipeline.config.with_(**{self.parameter: value}),
         )
 
-    def run(self, runner: Runner, kernels: Sequence[str]) -> SweepResult:
+    def run(self, pipeline: Pipeline, kernels: Sequence[str]) -> SweepResult:
         """Evaluate oracle + all models at every sweep point.
 
         The whole (value × kernel) grid goes through
-        :meth:`Runner.evaluate_many` in one batch, so a runner with
+        :meth:`Pipeline.evaluate_many` in one batch, so a pipeline with
         ``jobs > 1`` evaluates points in parallel and a warm artifact
         store skips everything already computed.
         """
         requests = [
-            self.request(runner, kernel, value)
+            self.request(pipeline, kernel, value)
             for value in self.values
             for kernel in kernels
         ]
-        flat = iter(runner.evaluate_many(requests))
+        flat = iter(pipeline.evaluate_many(requests))
         result = SweepResult(parameter=self.parameter)
         for value in self.values:
             point_results: Dict[str, KernelResult] = {

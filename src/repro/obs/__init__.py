@@ -1,8 +1,9 @@
 """Observability layer: span tracing, metrics, timeline sampling.
 
 ``tracer``
-    Hierarchical span tracer (context-manager API, thread/process-safe,
-    no-op when disabled) with JSONL and Chrome-trace/Perfetto export.
+    Hierarchical span tracer (context-manager API, merges across worker
+    processes, no-op when disabled) with JSONL and Chrome-trace/Perfetto
+    export.
 ``metrics``
     Registry of counters/gauges/fixed-bucket histograms that snapshots,
     diffs and merges — how pool workers ship their stage counters back
@@ -13,13 +14,10 @@
 ``schema``
     Checked-in JSON schemas for every exported format plus a
     dependency-free validator (also a CLI: ``python -m repro.obs.schema``).
-``openmetrics`` / ``exporter``
-    OpenMetrics text exposition of any metrics snapshot and the
-    stdlib HTTP exporter serving it live (``/metrics``, ``/healthz``,
-    ``/spans``; CLI face ``repro serve-metrics``).
 ``sampler``
-    Stdlib sampling profiler (collapsed-stack flamegraph export,
-    span-attributed; CLI face ``repro profile --sample``).
+    Stdlib ``SIGPROF`` sampling profiler on the main thread
+    (collapsed-stack flamegraph export, span-attributed; CLI face
+    ``repro profile --sample``).
 ``ledger`` / ``dashboard``
     Append-only JSONL prediction ledger, the accuracy-regression
     watchdog over it (``repro watchdog``), and the self-contained
@@ -27,7 +25,6 @@
 """
 
 from repro.obs.dashboard import collect_bench, render_dashboard, write_dashboard
-from repro.obs.exporter import OPENMETRICS_CONTENT_TYPE, MetricsExporter
 from repro.obs.ledger import (
     DEFAULT_MODEL,
     PredictionLedger,
@@ -46,14 +43,6 @@ from repro.obs.metrics import (
     HistogramMetric,
     MetricsRegistry,
     diff_snapshots,
-    escape_label_value,
-    render_key,
-    unescape_label_value,
-)
-from repro.obs.openmetrics import (
-    render_openmetrics,
-    validate_openmetrics,
-    validate_openmetrics_file,
 )
 from repro.obs.sampler import SamplingProfiler
 from repro.obs.timeline import Timeline, TimelineSample
@@ -72,10 +61,8 @@ __all__ = [
     "DEFAULT_MS_BUCKETS",
     "GaugeMetric",
     "HistogramMetric",
-    "MetricsExporter",
     "MetricsRegistry",
     "NULL_TRACER",
-    "OPENMETRICS_CONTENT_TYPE",
     "PredictionLedger",
     "RATIO_BUCKETS",
     "SamplingProfiler",
@@ -88,17 +75,11 @@ __all__ = [
     "collect_bench",
     "compare_ledgers",
     "diff_snapshots",
-    "escape_label_value",
     "get_tracer",
     "read_ledger",
     "read_ledgers",
     "render_dashboard",
-    "render_key",
-    "render_openmetrics",
     "set_tracer",
-    "unescape_label_value",
-    "validate_openmetrics",
-    "validate_openmetrics_file",
     "write_chrome_trace",
     "write_dashboard",
     "write_jsonl",

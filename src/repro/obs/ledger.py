@@ -56,9 +56,7 @@ class PredictionLedger:
 
     One ledger instance = one *run*: every record it appends shares a
     ``run_id``, which is how the dashboard groups a sweep's records
-    into a point on the trend line.  :meth:`rotate_run` starts a new
-    run on the same file (``repro serve-metrics --repeat N`` rotates
-    between sweeps so each repetition is its own dashboard point).
+    into a point on the trend line.
 
     Instances hold only the path and run id — no open handle — so they
     pickle into pool workers, and every worker appends to the same
@@ -68,11 +66,6 @@ class PredictionLedger:
     def __init__(self, path: str, run_id: Optional[str] = None):
         self.path = path
         self.run_id = run_id if run_id else uuid.uuid4().hex[:12]
-
-    def rotate_run(self, run_id: Optional[str] = None) -> str:
-        """Start a new run id; subsequent records belong to it."""
-        self.run_id = run_id if run_id else uuid.uuid4().hex[:12]
-        return self.run_id
 
     def append(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Stamp ``ts``/``run_id`` onto a record and append it."""

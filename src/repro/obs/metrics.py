@@ -23,8 +23,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from collections import Counter as _Counter
 
-from repro.concheck.runtime import make_lock, site_access
-
 LabelItems = Tuple[Tuple[str, str], ...]
 
 #: Default latency buckets in milliseconds (exponential-ish ladder).
@@ -43,114 +41,30 @@ def _label_items(labels: Dict[str, Any]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-#: Characters in a label value that force the quoted-and-escaped form.
-_UNSAFE_LABEL_CHARS = frozenset(',={}"\\\n')
-
-
-def escape_label_value(value: str) -> str:
-    """Escape a label value for quoted exposition (OpenMetrics rules).
-
-    Exactly three escapes exist in the text format: backslash, double
-    quote and line feed.  Everything else passes through verbatim, so
-    ``unescape_label_value`` is an exact inverse.
-    """
-    return (value.replace("\\", "\\\\")
-                 .replace('"', '\\"')
-                 .replace("\n", "\\n"))
-
-
-def unescape_label_value(value: str) -> str:
-    """Exact inverse of :func:`escape_label_value`."""
-    out: List[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def render_key(name: str, labels: LabelItems) -> str:
-    """Human-readable ``name{k=v,...}`` form used in tables and logs.
-
-    Values are rendered bare while they contain no structural character;
-    a value holding any of ``, = { } " \\`` or a newline is emitted in
-    the quoted-and-escaped OpenMetrics form instead, so rendered keys
-    survive a round-trip through text formats and JSON without two
-    different label sets ever colliding on one rendered string.
-    """
-    if not labels:
-        return name
-    parts = []
-    for key, value in labels:
-        if _UNSAFE_LABEL_CHARS.isdisjoint(value):
-            parts.append("%s=%s" % (key, value))
-        else:
-            parts.append('%s="%s"' % (key, escape_label_value(value)))
-    return "%s{%s}" % (name, ",".join(parts))
-
-
 class CounterMetric:
-    """Monotonically increasing value (int or float).
+    """Monotonically increasing value (int or float)."""
 
-    Mutations serialize on a per-metric lock so concurrent ``inc``
-    calls from the exporter's handler threads, the sampler and the
-    pipeline never lose an update.  Reading ``value`` without the lock
-    stays safe (one attribute load of an immutable number) and is the
-    documented snapshot idiom.
-    """
-
-    __slots__ = ("value", "_lock")
+    __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value: float = 0
-        self._lock = make_lock("CounterMetric._lock")
 
     def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError("counters only increase; got %r" % (amount,))
-        with self._lock:
-            site_access("CounterMetric.value")
-            self.value += amount
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.value = state["value"]
-        self._lock = make_lock("CounterMetric._lock")
+        self.value += amount
 
 
 class GaugeMetric:
     """Last-write-wins value."""
 
-    __slots__ = ("value", "_lock")
+    __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value: float = 0.0
-        self._lock = make_lock("GaugeMetric._lock")
 
     def set(self, value: float) -> None:
-        with self._lock:
-            site_access("GaugeMetric.value")
-            self.value = float(value)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.value = state["value"]
-        self._lock = make_lock("GaugeMetric._lock")
+        self.value = float(value)
 
 
 class HistogramMetric:
@@ -161,7 +75,7 @@ class HistogramMetric:
     exact; percentiles are resolved to the matching bucket edge.
     """
 
-    __slots__ = ("bounds", "counts", "sum", "count", "max", "_lock")
+    __slots__ = ("bounds", "counts", "sum", "count", "max")
 
     def __init__(self, bounds: Iterable[float]):
         self.bounds: Tuple[float, ...] = tuple(sorted(float(b) for b in bounds))
@@ -171,54 +85,46 @@ class HistogramMetric:
         self.sum: float = 0.0
         self.count: int = 0
         self.max: float = 0.0
-        self._lock = make_lock("HistogramMetric._lock")
 
     def observe(self, value: float) -> None:
         value = float(value)
-        with self._lock:
-            site_access("HistogramMetric.counts")
-            self.sum += value
-            self.count += 1
-            if value > self.max:
-                self.max = value
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self.counts[i] += 1
-                    return
-            self.counts[-1] += 1
+        self.sum += value
+        self.count += 1
+        if value > self.max:
+            self.max = value
+        for i, bound in enumerate(self.bounds):
+            if value <= bound:
+                self.counts[i] += 1
+                return
+        self.counts[-1] += 1
 
     def merge_entry(self, entry: Dict[str, Any]) -> None:
-        """Fold one snapshot entry in, atomically w.r.t. ``observe``."""
+        """Fold one snapshot entry (see :meth:`entry`) in."""
         if list(self.bounds) != list(entry["bounds"]):
             raise ValueError(
                 "histogram %r bucket bounds differ; cannot merge"
                 % entry["name"]
             )
-        with self._lock:
-            site_access("HistogramMetric.counts")
-            for i, n in enumerate(entry["counts"]):
-                self.counts[i] += n
-            self.sum += entry["sum"]
-            self.count += entry["count"]
-            if entry["max"] > self.max:
-                self.max = entry["max"]
+        for i, n in enumerate(entry["counts"]):
+            self.counts[i] += n
+        self.sum += entry["sum"]
+        self.count += entry["count"]
+        if entry["max"] > self.max:
+            self.max = entry["max"]
 
     def entry(self) -> Dict[str, Any]:
-        """Consistent multi-field dump (the tear-free read path)."""
-        with self._lock:
-            site_access("HistogramMetric.counts", write=False)
-            return {
-                "bounds": list(self.bounds),
-                "counts": list(self.counts),
-                "sum": self.sum,
-                "count": self.count,
-                "max": self.max,
-            }
+        """The histogram's fields as one JSON-able snapshot entry."""
+        return {
+            "bounds": list(self.bounds),
+            "counts": list(self.counts),
+            "sum": self.sum,
+            "count": self.count,
+            "max": self.max,
+        }
 
     @property
     def mean(self) -> float:
-        with self._lock:
-            return self.sum / self.count if self.count else 0.0
+        return self.sum / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
         """Upper bucket edge at or above the p-th percentile (0..100).
@@ -228,70 +134,40 @@ class HistogramMetric:
         (explicitly — callers render it or skip it, they never mistake
         it for a real zero-latency observation).
         """
-        with self._lock:
-            if not self.count:
-                return float("nan")
-            target = self.count * min(max(p, 0.0), 100.0) / 100.0
-            cumulative = 0
-            for i, n in enumerate(self.counts):
-                cumulative += n
-                if cumulative >= target and n:
-                    return (self.bounds[i] if i < len(self.bounds)
-                            else self.max)
-            return self.max
-
-    def __getstate__(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "bounds": self.bounds,
-                "counts": list(self.counts),
-                "sum": self.sum,
-                "count": self.count,
-                "max": self.max,
-            }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.bounds = state["bounds"]
-        self.counts = list(state["counts"])
-        self.sum = state["sum"]
-        self.count = state["count"]
-        self.max = state["max"]
-        self._lock = make_lock("HistogramMetric._lock")
+        if not self.count:
+            return float("nan")
+        target = self.count * min(max(p, 0.0), 100.0) / 100.0
+        cumulative = 0
+        for i, n in enumerate(self.counts):
+            cumulative += n
+            if cumulative >= target and n:
+                return (self.bounds[i] if i < len(self.bounds)
+                        else self.max)
+        return self.max
 
 
 class MetricsRegistry:
     """Named, labeled metrics with snapshot/merge/diff support."""
 
     def __init__(self) -> None:
-        self._lock = make_lock("MetricsRegistry._lock")
         self._counters: Dict[Tuple[str, LabelItems], CounterMetric] = {}
         self._gauges: Dict[Tuple[str, LabelItems], GaugeMetric] = {}
         self._histograms: Dict[Tuple[str, LabelItems], HistogramMetric] = {}
 
     # -- accessors (get-or-create) ------------------------------------------
-    #
-    # The unlocked ``.get`` fast path is deliberate: a plain dict read
-    # is atomic under the GIL and the hit case (every call but the
-    # first per key) pays no lock.  Insertions always go through
-    # ``setdefault`` under the lock, so two racing first calls still
-    # agree on one metric object.
 
     def counter(self, name: str, **labels: Any) -> CounterMetric:
         key = (name, _label_items(labels))
         metric = self._counters.get(key)
         if metric is None:
-            with self._lock:
-                site_access("MetricsRegistry._counters")
-                metric = self._counters.setdefault(key, CounterMetric())
+            metric = self._counters[key] = CounterMetric()
         return metric
 
     def gauge(self, name: str, **labels: Any) -> GaugeMetric:
         key = (name, _label_items(labels))
         metric = self._gauges.get(key)
         if metric is None:
-            with self._lock:
-                site_access("MetricsRegistry._gauges")
-                metric = self._gauges.setdefault(key, GaugeMetric())
+            metric = self._gauges[key] = GaugeMetric()
         return metric
 
     def histogram(self, name: str,
@@ -300,11 +176,7 @@ class MetricsRegistry:
         key = (name, _label_items(labels))
         metric = self._histograms.get(key)
         if metric is None:
-            with self._lock:
-                site_access("MetricsRegistry._histograms")
-                metric = self._histograms.setdefault(
-                    key, HistogramMetric(buckets)
-                )
+            metric = self._histograms[key] = HistogramMetric(buckets)
         return metric
 
     # -- views --------------------------------------------------------------
@@ -321,9 +193,7 @@ class MetricsRegistry:
         :class:`collections.Counter` keyed by stage name.
         """
         out: _Counter = _Counter()
-        with self._lock:
-            items = list(self._counters.items())
-        for (metric_name, labels), metric in items:
+        for (metric_name, labels), metric in self._counters.items():
             if metric_name != name:
                 continue
             for key, value in labels:
@@ -335,19 +205,18 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able structured dump of every metric."""
-        with self._lock:
-            counters = [
-                {"name": name, "labels": dict(labels), "value": m.value}
-                for (name, labels), m in sorted(self._counters.items())
-            ]
-            gauges = [
-                {"name": name, "labels": dict(labels), "value": m.value}
-                for (name, labels), m in sorted(self._gauges.items())
-            ]
-            histograms = [
-                {"name": name, "labels": dict(labels), **m.entry()}
-                for (name, labels), m in sorted(self._histograms.items())
-            ]
+        counters = [
+            {"name": name, "labels": dict(labels), "value": m.value}
+            for (name, labels), m in sorted(self._counters.items())
+        ]
+        gauges = [
+            {"name": name, "labels": dict(labels), "value": m.value}
+            for (name, labels), m in sorted(self._gauges.items())
+        ]
+        histograms = [
+            {"name": name, "labels": dict(labels), **m.entry()}
+            for (name, labels), m in sorted(self._histograms.items())
+        ]
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
 
@@ -369,17 +238,6 @@ class MetricsRegistry:
     def export(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
-
-    # -- pickling -----------------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = make_lock("MetricsRegistry._lock")
 
 
 def _index(entries: Iterable[Dict[str, Any]]):

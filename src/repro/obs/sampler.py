@@ -1,42 +1,47 @@
 """Stdlib sampling profiler with collapsed-stack flamegraph export.
 
-:class:`SamplingProfiler` interrupts nothing: a daemon thread wakes at
-a fixed period, grabs every live thread's current Python frame via
-``sys._current_frames()``, and folds each walk from innermost frame to
-root into a counter of *collapsed stacks* — the ``root;caller;callee N``
-text format every flamegraph renderer understands (flamegraph.pl,
-speedscope, Firefox Profiler's importer).  Because sampling reads
-frames instead of instrumenting calls, the profiled code runs
-unmodified and the overhead is bounded by the sampling period, not by
-call volume — which is what makes it safe to leave on for a whole
-sweep (``repro profile --sample``).
+:class:`SamplingProfiler` arms a ``SIGPROF`` interval timer
+(``signal.setitimer(ITIMER_PROF, ...)``).  Each tick runs a handler on
+the main thread that walks the interrupted frame from innermost frame
+to root and folds the walk into a counter of *collapsed stacks* — the
+``root;caller;callee N`` text format every flamegraph renderer
+understands (flamegraph.pl, speedscope, Firefox Profiler's importer).
+Because sampling reads frames instead of instrumenting calls, the
+profiled code runs unmodified and the overhead is bounded by the
+sampling period, not by call volume — which is what makes it safe to
+leave on for a whole sweep (``repro profile --sample``).
+
+``ITIMER_PROF`` counts the process's CPU time (user + system), so the
+period is CPU time and samples measure where CPU went, not wall-clock
+time: a process blocked waiting (for pool workers, for I/O) is not
+sampled.  The timer needs ``signal.setitimer``, i.e. a Unix host;
+:meth:`SamplingProfiler.start` raises on platforms without it.
 
 Span attribution: when a :class:`~repro.obs.tracer.Tracer` is supplied,
-every sample taken on a thread that currently has open spans is
-prefixed with those span names (``stage:trace;...``), so hot frames
-map directly to the pipeline stage that was executing them — the
-flamegraph and the stage-timing table tell one story.
+every sample taken inside open spans is prefixed with those span names
+(``stage:trace;...``), so hot frames map directly to the pipeline stage
+that was executing them — the flamegraph and the stage-timing table
+tell one story.  The handler takes no lock: the tracer's span stack is
+a plain list that only the interrupted main thread ever changes.
 
-Worker processes are out of scope by design: the sampler sees the
-process it runs in (the pool fans work out to *other* processes), so
-profile serially (``--jobs 1``, the default) when a whole-run
-flamegraph is wanted.
+Worker processes are out of scope by design: forked workers inherit
+the handler but not the interval timer, and spawned ones start without
+either, so the profile covers the process that started it.  Profile
+serially (``--jobs 1``, the default) when a whole-run flamegraph is
+wanted.
 """
 
 from __future__ import annotations
 
-import os
+import signal
 import sys
-import threading
-import time
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.concheck.runtime import make_lock, site_access
 from repro.obs.tracer import Tracer
 
-#: Default sampling period in seconds (~97 Hz; a prime-ish rate avoids
-#: resonating with timer-driven work the way a round 100 Hz can).
+#: Default sampling period in seconds of CPU time (~97 Hz; a prime-ish
+#: rate avoids resonating with timer-driven work the way 100 Hz can).
 DEFAULT_INTERVAL = 0.0103
 
 
@@ -48,7 +53,7 @@ def _frame_label(frame) -> str:
 
 
 class SamplingProfiler:
-    """Periodic whole-process stack sampler (start/stop or ``with``)."""
+    """Periodic main-thread stack sampler (start/stop or ``with``)."""
 
     def __init__(
         self,
@@ -66,49 +71,34 @@ class SamplingProfiler:
         self.n_samples = 0
         #: collapsed stack tuple → number of samples observed there.
         self._stacks: Counter = Counter()
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        #: pid that called start(); a mismatch means we inherited a
-        #: started profiler across fork and its thread is not ours.
-        self._pid: Optional[int] = None
-        self._lock = make_lock("SamplingProfiler._lock")
+        self.running = False
+        #: The SIGPROF handler start() replaced; stop() restores it.
+        self._saved_handler = None
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _forked(self) -> bool:
-        """True in a forked child holding the parent's sampler state.
-
-        concheck: caller-holds SamplingProfiler._lock
-        """
-        return self._pid is not None and self._pid != os.getpid()
-
     def start(self) -> "SamplingProfiler":
-        with self._lock:
-            if self._forked():
-                # The inherited handle's OS thread exists only in the
-                # parent; drop it so we start a fresh one here.
-                self._thread = None
-                self._pid = None
-            if self._thread is not None:
-                return self
-            self._stop.clear()
-            thread = threading.Thread(
-                target=self._run, name="repro-sampler", daemon=True
+        """Install the handler and arm the timer (no-op if running)."""
+        if self.running:
+            return self
+        if not hasattr(signal, "setitimer"):
+            raise RuntimeError(
+                "SamplingProfiler needs signal.setitimer (SIGPROF), "
+                "which is not available on %s" % sys.platform
             )
-            self._thread = thread
-            self._pid = os.getpid()
-        thread.start()
+        self._saved_handler = signal.signal(signal.SIGPROF, self._sample)
+        signal.setitimer(signal.ITIMER_PROF, self.interval, self.interval)
+        self.running = True
         return self
 
     def stop(self) -> None:
-        with self._lock:
-            thread = self._thread
-            self._thread = None
-            forked = self._forked()
-            self._pid = None
-        if thread is not None and not forked:
-            self._stop.set()
-            thread.join(timeout=5.0)
+        """Disarm the timer and restore the saved handler (idempotent)."""
+        if not self.running:
+            return
+        signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+        signal.signal(signal.SIGPROF, self._saved_handler)
+        self._saved_handler = None
+        self.running = False
 
     def __enter__(self) -> "SamplingProfiler":
         return self.start()
@@ -116,55 +106,27 @@ class SamplingProfiler:
     def __exit__(self, *exc: object) -> None:
         self.stop()
 
-    @property
-    def running(self) -> bool:
-        """True while this process's own sampler thread is running
-        (False in a forked child that merely inherited the handle)."""
-        with self._lock:
-            return self._thread is not None and not self._forked()
-
     # -- sampling -----------------------------------------------------------
 
-    def _run(self) -> None:
-        own_ident = threading.get_ident()
-        while not self._stop.wait(self.interval):
-            self.sample_once(skip={own_ident})
-
-    def sample_once(self, skip: Optional[set] = None) -> None:
-        """Take one sample of every live thread (the timer tick)."""
-        skip = skip or set()
-        frames = sys._current_frames()
-        try:
-            for tid, frame in frames.items():
-                if tid in skip:
-                    continue
-                stack: List[str] = []
-                while frame is not None:
-                    stack.append(_frame_label(frame))
-                    frame = frame.f_back
-                stack.reverse()  # root first, collapsed-stack order
-                if self.tracer is not None:
-                    spans = self.tracer.open_span_names(tid)
-                    if spans:
-                        stack = [
-                            self.span_prefix + name for name in spans
-                        ] + stack
-                # Taken after the tracer lock is released: the sampler
-                # lock stays a leaf in the lock-order graph.
-                with self._lock:
-                    site_access("SamplingProfiler._stacks")
-                    self._stacks[tuple(stack)] += 1
-                    self.n_samples += 1
-        finally:
-            del frames  # frame objects pin locals; drop them promptly
+    def _sample(self, signum: int, frame) -> None:
+        """The SIGPROF handler: record the interrupted stack."""
+        stack: List[str] = []
+        while frame is not None:
+            stack.append(_frame_label(frame))
+            frame = frame.f_back
+        stack.reverse()  # root first, collapsed-stack order
+        if self.tracer is not None:
+            spans = self.tracer.open_span_names()
+            if spans:
+                stack = [self.span_prefix + name for name in spans] + stack
+        self._stacks[tuple(stack)] += 1
+        self.n_samples += 1
 
     # -- output -------------------------------------------------------------
 
     def stacks(self) -> Dict[Tuple[str, ...], int]:
         """Snapshot of the collapsed-stack counter."""
-        with self._lock:
-            site_access("SamplingProfiler._stacks", write=False)
-            return dict(self._stacks)
+        return dict(self._stacks)
 
     def collapsed(self) -> List[str]:
         """Collapsed-stack lines (``frame;frame;... count``), sorted by
@@ -204,24 +166,3 @@ class SamplingProfiler:
                     break
             spans[innermost or "(no span)"] += count
         return dict(spans)
-
-
-def profile_call(fn, *args, interval: float = DEFAULT_INTERVAL,
-                 tracer: Optional[Tracer] = None, **kwargs):
-    """Run ``fn(*args, **kwargs)`` under a sampler; returns
-    ``(result, profiler)`` — the one-shot convenience wrapper."""
-    profiler = SamplingProfiler(interval=interval, tracer=tracer)
-    with profiler:
-        result = fn(*args, **kwargs)
-    return result, profiler
-
-
-def wait_for_samples(profiler: SamplingProfiler, n: int,
-                     timeout: float = 5.0) -> bool:
-    """Block until the profiler has at least ``n`` samples (tests)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if profiler.n_samples >= n:
-            return True
-        time.sleep(profiler.interval)
-    return profiler.n_samples >= n

@@ -8,19 +8,12 @@ implements the JSON-Schema subset those schemas use (``type``,
 ``maximum``, ``additionalProperties``) so validation needs no
 third-party dependency.
 
-The ``openmetrics`` kind is text, not JSON: it dispatches to the
-dependency-free exposition checker in :mod:`repro.obs.openmetrics`
-(line syntax, counter/histogram suffix rules, cumulative buckets,
-terminating ``# EOF``), so one validator entry point covers every
-artifact the system emits.
-
 Command line::
 
     python -m repro.obs.schema trace trace.json [more.json ...]
     python -m repro.obs.schema metrics metrics.json
     python -m repro.obs.schema spans spans.jsonl
     python -m repro.obs.schema ledger ledger.jsonl
-    python -m repro.obs.schema openmetrics metrics.txt
 """
 
 from __future__ import annotations
@@ -40,10 +33,6 @@ FORMATS = {
     "metrics": ("metrics.schema.json", False),
     "ledger": ("ledger.schema.json", True),
 }
-
-#: Text (non-JSON) formats → their file validator.  Kept separate from
-#: ``FORMATS`` so ``load_schema`` stays JSON-only.
-TEXT_FORMATS = ("openmetrics",)
 
 _TYPES = {
     "object": dict,
@@ -113,10 +102,6 @@ def validate(instance: Any, schema: Dict[str, Any],
 
 def validate_file(kind: str, path: str) -> List[str]:
     """Validate one emitted file against the named format's schema."""
-    if kind in TEXT_FORMATS:
-        from repro.obs.openmetrics import validate_openmetrics_file
-
-        return validate_openmetrics_file(path)
     schema = load_schema(kind)
     _, jsonl = FORMATS[kind]
     errors: List[str] = []
@@ -151,8 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="validate emitted trace/metrics files against the "
         "checked-in schemas",
     )
-    parser.add_argument("kind",
-                        choices=sorted(FORMATS) + sorted(TEXT_FORMATS))
+    parser.add_argument("kind", choices=sorted(FORMATS))
     parser.add_argument("files", nargs="+", metavar="FILE")
     args = parser.parse_args(argv)
     failed = 0

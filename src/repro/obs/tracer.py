@@ -2,18 +2,21 @@
 
 A :class:`Tracer` hands out context managers that time a named region of
 work and record it as a *span*: start/duration (microseconds), the
-process and thread that ran it, and the enclosing span's id (so nesting
-is explicit, not just implied by timestamps).  Design constraints, in
+process that ran it, and the enclosing span's id (so nesting is
+explicit, not just implied by timestamps).  Design constraints, in
 order:
 
 1. **Near-zero overhead when disabled.**  ``tracer.span(...)`` on a
    disabled tracer returns one shared no-op context manager — no span
    object, no dict, no clock read is ever allocated on that path, which
    is what lets the pipeline keep a tracer unconditionally.
-2. **Thread- and process-safe.**  Finished spans append under a lock;
-   the per-thread open-span stack lives in ``threading.local``.  Worker
-   processes record into their own (forked or unpickled) tracer and ship
-   finished spans back with :meth:`drain`; the parent folds them in with
+2. **One thread per process.**  Every ``repro`` process runs on its
+   main thread alone, so the open-span stack and the finished-span list
+   are plain lists and nothing takes a lock — which is also what lets
+   the sampling profiler's signal handler read the stack safely.  A
+   span's ``tid`` is therefore the process id.  Worker processes record
+   into their own (forked or unpickled) tracer and ship finished spans
+   back with :meth:`drain`; the parent folds them in with
    :meth:`merge`.  ``time.perf_counter`` is CLOCK_MONOTONIC on Linux —
    machine-wide, so timestamps from different processes share one axis
    (the epoch is captured once and travels through fork/pickle).
@@ -28,11 +31,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence
-
-from repro.concheck.runtime import make_lock, site_access
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Per-process span id source; combined with ``pid`` ids are globally
 #: unique, and 0 is reserved for "no parent".
@@ -68,30 +68,20 @@ class _SpanHandle:
         self.args = args
 
     def __enter__(self) -> "_SpanHandle":
-        tracer = self.tracer
-        stack = tracer._stack()
-        self.parent_id = stack[-1] if stack else 0
+        stack = self.tracer._open
+        self.parent_id = stack[-1][0] if stack else 0
         self.span_id = next(_IDS)
-        stack.append(self.span_id)
-        # Cross-thread view of open span names (keyed by thread ident)
-        # so the sampling profiler can attribute a sampled stack to the
-        # pipeline stage the sampled thread is currently inside.  The
-        # sampler reads this map from its own thread, so every mutation
-        # happens under the tracer lock.
-        with tracer._lock:
-            site_access("Tracer._open_names")
-            names = tracer._open_names
-            names.setdefault(threading.get_ident(), []).append(self.name)
+        stack.append((self.span_id, self.name))
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end = time.perf_counter()
         tracer = self.tracer
-        stack = tracer._stack()
-        if stack and stack[-1] == self.span_id:
+        stack = tracer._open
+        if stack and stack[-1][0] == self.span_id:
             stack.pop()
-        tid = threading.get_ident()
+        pid = os.getpid()
         record: Dict[str, Any] = {
             "id": self.span_id,
             "parent": self.parent_id,
@@ -99,22 +89,14 @@ class _SpanHandle:
             "cat": self.category,
             "ts": (self._start - tracer.epoch) * 1e6,
             "dur": (end - self._start) * 1e6,
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
+            "pid": pid,
+            "tid": pid,
         }
         if self.args:
             record["args"] = dict(self.args)
         if exc_type is not None:
             record["error"] = exc_type.__name__
-        with tracer._lock:
-            site_access("Tracer._open_names")
-            open_names = tracer._open_names.get(tid)
-            if open_names:
-                open_names.pop()
-                if not open_names:
-                    tracer._open_names.pop(tid, None)
-            site_access("Tracer._spans")
-            tracer._spans.append(record)
+        tracer._spans.append(record)
         return False
 
 
@@ -125,12 +107,9 @@ class Tracer:
         self.enabled = enabled
         #: perf_counter value mapped to ts=0; shared across processes.
         self.epoch = time.perf_counter()
-        self._lock = make_lock("Tracer._lock")
-        self._local = threading.local()
+        #: ``(id, name)`` of every open span, outermost first.
+        self._open: List[Tuple[int, str]] = []
         self._spans: List[Dict[str, Any]] = []
-        #: thread ident → names of that thread's currently-open spans
-        #: (outermost first); read by the sampling profiler.
-        self._open_names: Dict[int, List[str]] = {}
 
     # -- recording ----------------------------------------------------------
 
@@ -146,70 +125,47 @@ class Tracer:
         """Record a zero-duration marker event."""
         if not self.enabled:
             return
+        pid = os.getpid()
         record: Dict[str, Any] = {
             "id": next(_IDS),
-            "parent": (self._stack() or [0])[-1],
+            "parent": self._open[-1][0] if self._open else 0,
             "name": name,
             "cat": category,
             "ts": (time.perf_counter() - self.epoch) * 1e6,
             "dur": 0.0,
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
+            "pid": pid,
+            "tid": pid,
         }
         if args:
             record["args"] = dict(args)
-        with self._lock:
-            site_access("Tracer._spans")
-            self._spans.append(record)
+        self._spans.append(record)
 
-    def _stack(self) -> List[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+    def open_span_names(self) -> Tuple[str, ...]:
+        """Names of the spans currently open (outermost first).
 
-    def open_span_names(self, tid: Optional[int] = None) -> tuple:
-        """Names of the spans currently open on a thread (outermost
-        first); the calling thread's by default.
-
-        Safe to call from *another* thread — this is how the sampling
-        profiler maps a sampled stack to the pipeline stage that thread
-        is executing.  The copy is taken under the tracer lock, so the
-        view is a consistent snapshot (it may still trail the sampled
-        thread by an in-flight span push/pop).
+        The sampling profiler calls this from its signal handler to
+        attribute a sample to the pipeline stage it interrupted.
         """
-        if tid is None:
-            tid = threading.get_ident()
-        with self._lock:
-            site_access("Tracer._open_names", write=False)
-            return tuple(self._open_names.get(tid, ()))
+        return tuple(name for _, name in self._open)
 
     # -- collection ---------------------------------------------------------
 
     @property
     def n_spans(self) -> int:
-        with self._lock:
-            site_access("Tracer._spans", write=False)
-            return len(self._spans)
+        return len(self._spans)
 
     def spans(self) -> List[Dict[str, Any]]:
         """Snapshot of all finished spans (oldest first)."""
-        with self._lock:
-            site_access("Tracer._spans", write=False)
-            return list(self._spans)
+        return list(self._spans)
 
     def drain(self) -> List[Dict[str, Any]]:
         """Remove and return all finished spans (worker → parent hop)."""
-        with self._lock:
-            site_access("Tracer._spans")
-            spans, self._spans = self._spans, []
+        spans, self._spans = self._spans, []
         return spans
 
     def merge(self, spans: Iterable[Dict[str, Any]]) -> None:
         """Fold spans drained from another tracer (e.g. a pool worker)."""
-        with self._lock:
-            site_access("Tracer._spans")
-            self._spans.extend(spans)
+        self._spans.extend(spans)
 
     # -- export -------------------------------------------------------------
 
@@ -225,17 +181,14 @@ class Tracer:
     # -- pickling (fork start method never pickles; spawn does) -------------
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Workers must not replay the parent's already-recorded spans,
-        # and locks/thread-locals do not pickle.
+        # Workers must not replay the parent's already-recorded spans.
         return {"enabled": self.enabled, "epoch": self.epoch}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.enabled = state["enabled"]
         self.epoch = state["epoch"]
-        self._lock = make_lock("Tracer._lock")
-        self._local = threading.local()
+        self._open = []
         self._spans = []
-        self._open_names = {}
 
 
 #: Process-wide disabled tracer: the default collaborator everywhere.

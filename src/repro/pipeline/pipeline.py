@@ -178,18 +178,14 @@ class Pipeline:
     # -- plumbing -----------------------------------------------------------
 
     # ``counters``/``hits``/``timings`` are read-only *snapshots*: each
-    # access builds a fresh Counter from the metrics registry (the item
-    # list is copied under the registry lock, counter values are single
-    # atomic attribute reads).  Mutating the returned object affects
-    # nothing, and concurrent scrapes/increments can never tear it —
-    # see docs/concurrency.md.
+    # access builds a fresh Counter from the metrics registry, so
+    # mutating the returned object affects nothing.  Worker activity
+    # appears once ``evaluate_many`` has merged the workers' deltas.
 
     @property
     def counters(self) -> Counter:
-        """Real stage executions (store misses), keyed by stage name.
-
-        A point-in-time snapshot; safe to read while workers run.
-        """
+        """Real stage executions (store misses), keyed by stage name
+        (point-in-time snapshot)."""
         return self.metrics.labeled_values("pipeline.stage_executions",
                                            "stage")
 

@@ -9,7 +9,7 @@ Three implementations:
 
 ``MemoryStore``
     Plain in-process dict — the default.  Hits return the *same object*,
-    so e.g. repeated ``Runner.trace()`` calls are identity-cached.
+    so e.g. repeated ``Pipeline.trace()`` calls are identity-cached.
 ``DiskStore``
     One pickle file per artifact under ``<root>/<stage>/<hash>.pkl``,
     written atomically — safe for concurrent writers (parallel sweep

@@ -320,6 +320,27 @@ class TestProfile:
 
         assert stage_runs(parallel_metrics) == stage_runs(serial_metrics)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_profile_sample_writes_collapsed_stacks(self, capsys, tmp_path,
+                                                    jobs):
+        samples = tmp_path / "samples.txt"
+        argv, _, _ = self._profile(
+            tmp_path, "--suite-kernel", "strided_deg8", "--jobs", jobs,
+            "--sample", "--sample-out", str(samples),
+            "--sample-interval", "0.001")
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        lines = samples.read_text().splitlines()
+        assert lines
+        total = 0
+        for line in lines:
+            stack, count = line.rsplit(" ", 1)
+            # Every sample lands inside the CLI's own command span.
+            assert stack.startswith("stage:profile;")
+            total += int(count)
+        assert ("sampling profile by pipeline stage (%d samples)" % total
+                in out)
+
     def test_profile_rejects_unknown_kernel(self, capsys, tmp_path):
         argv, _, _ = self._profile(tmp_path, "--suite-kernel", "nope")
         assert main(argv) == 2

@@ -10,19 +10,19 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.harness import experiments as ex
-from repro.harness.runner import Runner
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 
 @pytest.fixture(scope="module")
-def runner():
+def pipeline():
     # 16 warps/core gives enough contention for the model ladder to show.
-    return Runner(GPUConfig.small(n_cores=2, warps_per_core=16), Scale.tiny())
+    return Pipeline(GPUConfig.small(n_cores=2, warps_per_core=16), Scale.tiny())
 
 
 class TestFigure4:
-    def test_component_ladder_reduces_error(self, runner):
-        result = ex.run_figure4(runner, kernel="strided_deg32")
+    def test_component_ladder_reduces_error(self, pipeline):
+        result = ex.run_figure4(pipeline, kernel="strided_deg32")
         errors = result.data["errors"]
         # Adding contention modeling must improve on MT for a heavily
         # divergent kernel, and the full model must be decent.
@@ -33,9 +33,9 @@ class TestFigure4:
 
 
 class TestFigure7:
-    def test_clustering_beats_worst_extreme(self, runner):
+    def test_clustering_beats_worst_extreme(self, pipeline):
         result = ex.run_figure7(
-            runner, kernels=["mandelbrot", "spmv_jds", "bfs_kernel1"]
+            pipeline, kernels=["mandelbrot", "spmv_jds", "bfs_kernel1"]
         )
         means = result.data["means"]
         # Clustering should never be meaningfully worse than the better
@@ -47,12 +47,12 @@ class TestFigure7:
 
 class TestFigures11and12:
     @pytest.mark.parametrize("policy", ["rr", "gto"])
-    def test_gpumech_beats_baselines_on_average(self, runner, policy):
+    def test_gpumech_beats_baselines_on_average(self, pipeline, policy):
         kernels = [
             "vectoradd", "strided_deg32", "sad_calc_8",
             "kmeans_invert_mapping", "mandelbrot", "srad_kernel1",
         ]
-        result = ex.run_model_comparison(runner, policy, kernels)
+        result = ex.run_model_comparison(pipeline, policy, kernels)
         means = result.data["means"]
         assert means["mt_mshr_band"] < means["naive"]
         assert means["mt_mshr_band"] < means["markov"]
@@ -63,18 +63,18 @@ class TestFigures11and12:
             >= result.data["markov_under_20"]
         )
 
-    def test_figure11_and_12_wrappers(self, runner):
+    def test_figure11_and_12_wrappers(self, pipeline):
         kernels = ["vectoradd", "strided_deg32"]
-        fig11 = ex.run_figure11(runner, kernels)
-        fig12 = ex.run_figure12(runner, kernels)
+        fig11 = ex.run_figure11(pipeline, kernels)
+        fig12 = ex.run_figure12(pipeline, kernels)
         assert fig11.data["policy"] == "rr"
         assert fig12.data["policy"] == "gto"
 
 
 class TestFigure13:
-    def test_contention_models_win_at_high_warp_counts(self, runner):
+    def test_contention_models_win_at_high_warp_counts(self, pipeline):
         kernels = ["strided_deg32", "sad_calc_8"]
-        result = ex.run_figure13(runner, kernels=kernels,
+        result = ex.run_figure13(pipeline, kernels=kernels,
                                  warp_counts=(2, 8, 16))
         series = result.data["series"]
         # At the highest warp count the contention-free models degrade;
@@ -86,9 +86,9 @@ class TestFigure13:
 
 
 class TestFigure14:
-    def test_mshr_sweep(self, runner):
+    def test_mshr_sweep(self, pipeline):
         result = ex.run_figure14(
-            runner, kernels=["strided_deg32"], mshr_counts=(32, 64, 256)
+            pipeline, kernels=["strided_deg32"], mshr_counts=(32, 64, 256)
         )
         series = result.data["series"]
         # With very many MSHRs the MSHR model stops mattering: MT and
@@ -101,9 +101,9 @@ class TestFigure14:
 
 
 class TestFigure15:
-    def test_bandwidth_sweep(self, runner):
+    def test_bandwidth_sweep(self, pipeline):
         result = ex.run_figure15(
-            runner, kernels=["sad_calc_8"], bandwidths=(48.0, 192.0, 768.0)
+            pipeline, kernels=["sad_calc_8"], bandwidths=(48.0, 192.0, 768.0)
         )
         series = result.data["series"]
         # Bandwidth modeling matters most at low bandwidth (Fig. 15).
@@ -114,9 +114,9 @@ class TestFigure15:
 
 
 class TestFigure16:
-    def test_cpi_stacks_across_warps(self, runner):
+    def test_cpi_stacks_across_warps(self, pipeline):
         result = ex.run_figure16(
-            runner, kernels=("cfd_step_factor", "kmeans_invert_mapping"),
+            pipeline, kernels=("cfd_step_factor", "kmeans_invert_mapping"),
             warp_counts=(2, 8),
         )
         data = result.data
@@ -133,13 +133,13 @@ class TestFigure16:
 
 
 class TestRunAll:
-    def test_run_all_returns_everything(self, runner):
+    def test_run_all_returns_everything(self, pipeline):
         # Smoke test on the cheapest possible slice: monkeypatch the heavy
         # drivers' kernel lists via direct calls instead.
         results = [
-            ex.run_figure4(runner, kernel="strided_deg32"),
-            ex.run_figure7(runner, kernels=["mandelbrot"]),
-            ex.run_figure11(runner, ["vectoradd"]),
+            ex.run_figure4(pipeline, kernel="strided_deg32"),
+            ex.run_figure7(pipeline, kernels=["mandelbrot"]),
+            ex.run_figure11(pipeline, ["vectoradd"]),
         ]
         assert [r.experiment for r in results] == [
             "figure4", "figure7", "figure11",

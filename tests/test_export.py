@@ -16,13 +16,13 @@ from repro.harness.export import (
     save_series_csv,
     to_jsonable,
 )
-from repro.harness.runner import Runner
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return Runner(GPUConfig.small(n_cores=2, warps_per_core=8), Scale.tiny())
+def pipeline():
+    return Pipeline(GPUConfig.small(n_cores=2, warps_per_core=8), Scale.tiny())
 
 
 class TestToJsonable:
@@ -51,8 +51,8 @@ class TestToJsonable:
 
 
 class TestExperimentExport:
-    def test_json_export(self, runner, tmp_path):
-        result = run_model_comparison(runner, "rr", ["vectoradd"])
+    def test_json_export(self, pipeline, tmp_path):
+        result = run_model_comparison(pipeline, "rr", ["vectoradd"])
         path = os.path.join(tmp_path, "fig11.json")
         save_experiment_json(result, path)
         with open(path) as handle:
@@ -60,9 +60,9 @@ class TestExperimentExport:
         assert payload["experiment"] == "figure11"
         assert "means" in payload["data"]
 
-    def test_comparison_csv(self, runner, tmp_path):
+    def test_comparison_csv(self, pipeline, tmp_path):
         result = run_model_comparison(
-            runner, "rr", ["vectoradd", "strided_deg8"]
+            pipeline, "rr", ["vectoradd", "strided_deg8"]
         )
         path = os.path.join(tmp_path, "fig11.csv")
         save_comparison_csv(result, path)
@@ -73,9 +73,9 @@ class TestExperimentExport:
         assert float(rows[0]["oracle_cpi"]) > 0
         assert "mt_mshr_band_error" in rows[0]
 
-    def test_series_csv(self, runner, tmp_path):
+    def test_series_csv(self, pipeline, tmp_path):
         result = run_figure13(
-            runner, kernels=["strided_deg8"], warp_counts=(2, 4)
+            pipeline, kernels=["strided_deg8"], warp_counts=(2, 4)
         )
         path = os.path.join(tmp_path, "fig13.csv")
         save_series_csv(result, path)
@@ -84,7 +84,7 @@ class TestExperimentExport:
         assert rows[0][0] == "x"
         assert len(rows) == 3  # header + 2 sweep points
 
-    def test_csv_requires_right_shape(self, runner, tmp_path):
+    def test_csv_requires_right_shape(self, pipeline, tmp_path):
         from repro.harness.experiments import ExperimentResult
 
         empty = ExperimentResult("x", "text", data={})
@@ -93,7 +93,7 @@ class TestExperimentExport:
         with pytest.raises(ValueError):
             save_series_csv(empty, os.path.join(tmp_path, "b.csv"))
 
-    def test_experiment_to_dict_includes_text(self, runner):
-        result = run_model_comparison(runner, "rr", ["vectoradd"])
+    def test_experiment_to_dict_includes_text(self, pipeline):
+        result = run_model_comparison(pipeline, "rr", ["vectoradd"])
         payload = experiment_to_dict(result)
         assert "Naive_Interval" in payload["text"]

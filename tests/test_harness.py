@@ -1,16 +1,17 @@
-"""Tests for the experiment harness: runner, reporting, speedup."""
+"""Tests for the experiment harness: pipeline, reporting, speedup."""
 
 import pytest
 
 from repro.config import GPUConfig
 from repro.harness.reporting import render_series, render_table
-from repro.harness.runner import MODEL_LABELS, MODELS, Runner
+from repro.harness.runner import MODEL_LABELS, MODELS
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return Runner(GPUConfig.small(n_cores=2, warps_per_core=8), Scale.tiny())
+def pipeline():
+    return Pipeline(GPUConfig.small(n_cores=2, warps_per_core=8), Scale.tiny())
 
 
 class TestReporting:
@@ -36,19 +37,19 @@ class TestReporting:
 
 
 class TestRunner:
-    def test_trace_cached(self, runner):
-        a = runner.trace("vectoradd")
-        b = runner.trace("vectoradd")
+    def test_trace_cached(self, pipeline):
+        a = pipeline.trace("vectoradd")
+        b = pipeline.trace("vectoradd")
         assert a is b
 
-    def test_evaluate_produces_all_models(self, runner):
-        result = runner.evaluate("vectoradd")
+    def test_evaluate_produces_all_models(self, pipeline):
+        result = pipeline.evaluate("vectoradd")
         assert set(result.model_cpis) == set(MODELS)
         assert result.oracle_cpi > 0
         assert all(cpi > 0 for cpi in result.model_cpis.values())
 
-    def test_errors_are_relative(self, runner):
-        result = runner.evaluate("vectoradd")
+    def test_errors_are_relative(self, pipeline):
+        result = pipeline.evaluate("vectoradd")
         for model in MODELS:
             expected = abs(
                 result.model_cpis[model] - result.oracle_cpi
@@ -56,22 +57,22 @@ class TestRunner:
             assert result.error(model) == pytest.approx(expected)
         assert set(result.errors()) == set(MODELS)
 
-    def test_policy_override(self, runner):
-        result = runner.evaluate("vectoradd", policy="gto")
+    def test_policy_override(self, pipeline):
+        result = pipeline.evaluate("vectoradd", policy="gto")
         assert result.policy == "gto"
 
-    def test_warps_override_changes_prediction(self, runner):
+    def test_warps_override_changes_prediction(self, pipeline):
         # A dependence-stall kernel: more resident warps hide stalls.
-        few = runner.evaluate("mandelbrot", warps_per_core=2)
-        many = runner.evaluate("mandelbrot", warps_per_core=4)
+        few = pipeline.evaluate("mandelbrot", warps_per_core=2)
+        many = pipeline.evaluate("mandelbrot", warps_per_core=4)
         assert few.n_warps == 2 and many.n_warps == 4
         assert many.oracle_cpi < few.oracle_cpi
         assert many.model_cpis["mt"] < few.model_cpis["mt"]
 
-    def test_model_ladder_is_cumulative(self, runner):
+    def test_model_ladder_is_cumulative(self, pipeline):
         """MT <= MT_MSHR <= MT_MSHR_BAND by construction."""
         for kernel in ("strided_deg32", "sad_calc_8", "vectoradd"):
-            result = runner.evaluate(kernel)
+            result = pipeline.evaluate(kernel)
             assert (
                 result.model_cpis["mt"]
                 <= result.model_cpis["mt_mshr"] + 1e-12
@@ -87,19 +88,19 @@ class TestRunner:
 
 
 class TestSpeedupHarness:
-    def test_measures_positive_times(self, runner):
+    def test_measures_positive_times(self, pipeline):
         from repro.harness.speedup import measure_speedup
 
-        results = measure_speedup(runner, ["vectoradd"])
+        results = measure_speedup(pipeline, ["vectoradd"])
         (result,) = results
         assert result.oracle_seconds > 0
         assert result.model_seconds > 0
         assert result.speedup > 0
         assert result.reconfigure_seconds <= result.model_seconds
 
-    def test_run_speedup_renders(self, runner):
+    def test_run_speedup_renders(self, pipeline):
         from repro.harness.speedup import run_speedup
 
-        result = run_speedup(runner, ["vectoradd", "saxpy"])
+        result = run_speedup(pipeline, ["vectoradd", "saxpy"])
         assert "speedup" in result.text
         assert result.data["overall_speedup"] > 0

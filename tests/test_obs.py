@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
 import pickle
-import threading
 
 import pytest
 
@@ -15,7 +15,6 @@ from repro.obs import (
     Tracer,
     diff_snapshots,
     get_tracer,
-    render_key,
     set_tracer,
     write_chrome_trace,
     write_jsonl,
@@ -80,25 +79,46 @@ class TestTracerRecording:
         (span,) = tracer.spans()
         assert span["error"] == "ValueError"
 
-    def test_threads_get_independent_stacks(self):
+    def test_span_tid_is_process_id(self):
         tracer = Tracer()
-        ready = threading.Barrier(2)
+        with tracer.span("stage"):
+            pass
+        tracer.instant("marker")
+        for span in tracer.spans():
+            assert span["pid"] == span["tid"] == os.getpid()
 
-        def work(name):
-            with tracer.span(name):
-                ready.wait(timeout=5)
+    def test_sibling_spans_are_not_parent_and_child(self):
+        tracer = Tracer()
+        with tracer.span("a"):
+            pass
+        with tracer.span("b"):
+            pass
+        with tracer.span("outer"):
+            with tracer.span("c"):
+                pass
+            with tracer.span("d"):
+                pass
+        by_name = {s["name"]: s for s in tracer.spans()}
+        assert by_name["a"]["parent"] == by_name["b"]["parent"] == 0
+        assert by_name["c"]["parent"] == by_name["outer"]["id"]
+        assert by_name["d"]["parent"] == by_name["outer"]["id"]
+        assert len({s["id"] for s in tracer.spans()}) == 5
 
-        threads = [threading.Thread(target=work, args=("t%d" % i,))
-                   for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        spans = tracer.spans()
-        assert len(spans) == 2
-        # Concurrent same-level spans must not become parent/child.
-        assert all(s["parent"] == 0 for s in spans)
-        assert len({s["tid"] for s in spans}) == 2
+    def test_instant_parents_to_open_span(self):
+        tracer = Tracer()
+        tracer.instant("top", args={"n": 1})
+        with tracer.span("outer"):
+            tracer.instant("inside")
+        by_name = {s["name"]: s for s in tracer.spans()}
+        assert by_name["top"]["parent"] == 0
+        assert by_name["top"]["args"] == {"n": 1}
+        assert by_name["top"]["dur"] == 0.0
+        assert by_name["inside"]["parent"] == by_name["outer"]["id"]
+
+    def test_disabled_instant_records_nothing(self):
+        tracer = Tracer(enabled=False)
+        tracer.instant("marker")
+        assert tracer.n_spans == 0
 
     def test_drain_and_merge(self):
         worker = Tracer()
@@ -274,17 +294,36 @@ class TestMetrics:
         registry.export(path)
         assert validate_file("metrics", path) == []
 
+    @pytest.mark.parametrize(
+        "protocol", range(2, pickle.HIGHEST_PROTOCOL + 1)
+    )
+    def test_metrics_pickle_natively(self, protocol):
+        registry = MetricsRegistry()
+        registry.counter("runs", stage="trace").inc(3)
+        registry.gauge("occupancy").set(0.5)
+        registry.histogram("ms", buckets=(1.0, 10.0)).observe(4.0)
+        clone = pickle.loads(pickle.dumps(registry, protocol=protocol))
+        assert clone.snapshot() == registry.snapshot()
+        clone.histogram("ms", buckets=(1.0, 10.0)).observe(40.0)
+        assert clone.histogram("ms", buckets=(1.0, 10.0)).counts == [0, 1, 1]
+        assert registry.histogram("ms", buckets=(1.0, 10.0)).count == 1
+
+    def test_histogram_entry_merge_entry_round_trip(self):
+        source = HistogramMetric(bounds=(1.0, 10.0))
+        for value in (0.5, 5.0, 50.0):
+            source.observe(value)
+        target = HistogramMetric(bounds=(10.0, 1.0))  # bounds get sorted
+        target.merge_entry({"name": "h", **source.entry()})
+        assert target.entry() == source.entry()
+        assert target.percentile(100) == 50.0
+
     def test_pickle(self):
         registry = MetricsRegistry()
         registry.counter("runs").inc(3)
         clone = pickle.loads(pickle.dumps(registry))
         assert clone.counter_value("runs") == 3
-        clone.counter("runs").inc()  # lock was rebuilt
+        clone.counter("runs").inc()
         assert clone.counter_value("runs") == 4
-
-    def test_render_key(self):
-        assert render_key("n", ()) == "n"
-        assert render_key("n", (("a", "1"), ("b", "2"))) == "n{a=1,b=2}"
 
 
 class TestTimeline:
@@ -373,6 +412,9 @@ class TestSchemaValidator:
         for kind in FORMATS:
             schema = load_schema(kind)
             assert isinstance(schema, dict) and schema
+
+    def test_formats_are_the_post_hoc_artifacts(self):
+        assert sorted(FORMATS) == ["ledger", "metrics", "spans", "trace"]
 
     def test_invalid_file_reports_errors(self, tmp_path):
         path = tmp_path / "bad.json"

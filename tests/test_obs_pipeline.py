@@ -7,7 +7,6 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.harness.reporting import render_stage_table
-from repro.harness.runner import Runner
 from repro.obs import MetricsRegistry, Tracer
 from repro.pipeline import EvalRequest, Pipeline
 from repro.workloads import Scale
@@ -146,10 +145,10 @@ class TestStageSpans:
 
 class TestParallelMerge:
     def _run(self, config, jobs):
-        runner = Runner(config, Scale.tiny(), jobs=jobs,
-                        metrics=MetricsRegistry())
-        results = runner.evaluate_many(_requests())
-        return results, runner.metrics
+        pipeline = Pipeline(config, scale=Scale.tiny(), jobs=jobs,
+                            metrics=MetricsRegistry())
+        results = pipeline.evaluate_many(_requests())
+        return results, pipeline.metrics
 
     def test_parallel_counters_match_serial(self, config):
         serial_results, serial_metrics = self._run(config, jobs=1)
@@ -180,8 +179,8 @@ class TestParallelMerge:
 
     def test_worker_spans_merged_with_child_pids(self, config):
         tracer = Tracer()
-        runner = Runner(config, Scale.tiny(), jobs=2, tracer=tracer)
-        runner.evaluate_many(_requests())
+        pipeline = Pipeline(config, scale=Scale.tiny(), jobs=2, tracer=tracer)
+        pipeline.evaluate_many(_requests())
         spans = tracer.spans()
         worker_pids = {s["pid"] for s in spans} - {os.getpid()}
         assert worker_pids  # spans shipped home from pool workers
@@ -219,8 +218,9 @@ class TestTimelineThroughPipeline:
         assert stats.total_cycles == plain_stats.total_cycles
 
     def test_timeline_survives_parallel_workers(self, config):
-        runner = Runner(config, Scale.tiny(), jobs=2, timeline_interval=32.0)
-        results = runner.evaluate_many(_requests())
+        pipeline = Pipeline(config, scale=Scale.tiny(), jobs=2,
+                            timeline_interval=32.0)
+        results = pipeline.evaluate_many(_requests())
         for result in results:
             assert result.oracle.timeline is not None
             assert result.oracle.timeline.n_samples > 0

@@ -1,39 +1,31 @@
-"""Telemetry stack: OpenMetrics exposition, the live HTTP exporter,
-the sampling profiler, the prediction ledger and its watchdog, and the
-HTML dashboard."""
+"""Telemetry stack: metric snapshots across worker round trips, the
+sampling profiler, the prediction ledger and its watchdog, and the HTML
+dashboard."""
 
 import json
 import math
+import os
 import pickle
-import threading
-import urllib.error
-import urllib.request
+import signal
+import sys
+import time
 
 import pytest
 
 from repro.config import GPUConfig
-from repro.harness.runner import Runner
 from repro.obs import (
-    MetricsExporter,
     MetricsRegistry,
-    OPENMETRICS_CONTENT_TYPE,
     PredictionLedger,
     SamplingProfiler,
     Tracer,
     compare_ledgers,
     diff_snapshots,
-    escape_label_value,
     read_ledger,
     render_dashboard,
-    render_key,
-    render_openmetrics,
-    unescape_label_value,
-    validate_openmetrics,
 )
 from repro.obs.ledger import per_kernel_errors, runs
-from repro.obs.openmetrics import metric_name, parse_labels
-from repro.obs.sampler import profile_call, wait_for_samples
 from repro.obs.schema import load_schema, validate, validate_file
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 
@@ -42,43 +34,9 @@ def config():
     return GPUConfig.small(n_cores=2, warps_per_core=8)
 
 
-def _fetch(url):
-    with urllib.request.urlopen(url, timeout=5.0) as response:
-        return response.status, dict(response.headers), response.read()
-
-
 # ---------------------------------------------------------------------------
-# Satellites: label escaping, histogram edge cases
+# Satellites: histogram edge cases
 # ---------------------------------------------------------------------------
-
-
-class TestLabelEscaping:
-    @pytest.mark.parametrize("value", [
-        "plain", 'with"quote', "back\\slash", "line\nfeed",
-        'all\\of"them\ntogether', "", "\\\\", '""',
-    ])
-    def test_escape_round_trips(self, value):
-        assert unescape_label_value(escape_label_value(value)) == value
-
-    def test_escape_is_openmetrics_three(self):
-        assert escape_label_value('a\\b"c\nd') == 'a\\\\b\\"c\\nd'
-
-    def test_render_key_bare_when_safe(self):
-        assert render_key("n", (("a", "1"), ("b", "2"))) == "n{a=1,b=2}"
-
-    def test_render_key_quotes_unsafe_values(self):
-        key = render_key("n", (("path", 'a"b'),))
-        assert key == 'n{path="a\\"b"}'
-
-    def test_render_key_quotes_newline_and_comma(self):
-        assert render_key("n", (("a", "x\ny"),)) == 'n{a="x\\ny"}'
-        assert render_key("n", (("a", "x,y"),)) == 'n{a="x,y"}'
-
-    def test_distinct_values_stay_distinct(self):
-        # The raison d'etre: these collided under naive rendering.
-        a = render_key("n", (("k", 'v",x="1'),))
-        b = render_key("n", (("k", "v"), ("x", "1")))
-        assert a != b
 
 
 class TestHistogramEdgeCases:
@@ -103,6 +61,84 @@ class TestHistogramEdgeCases:
         histogram = metrics.histogram("h", buckets=(1, 2, 4))
         histogram.observe(1.5)
         assert histogram.percentile(50) == 2
+
+
+# ---------------------------------------------------------------------------
+# Satellites: label values through the JSON snapshot
+# ---------------------------------------------------------------------------
+
+
+def _through_json(registry):
+    """The ``--metrics-out`` path: snapshot → JSON text → a fresh
+    registry, as a consumer of the exported file would rebuild it."""
+    rebuilt = MetricsRegistry()
+    rebuilt.merge(json.loads(registry.to_json()))
+    return rebuilt
+
+
+class TestLabelValues:
+    @pytest.mark.parametrize("value", [
+        "plain", 'with"quote', "back\\slash", "line\nfeed",
+        'all\\of"them\ntogether', "", "\\\\", '""',
+    ])
+    def test_value_round_trips_through_snapshot_json(self, value):
+        registry = MetricsRegistry()
+        registry.counter("runs", kernel=value).inc(3)
+        rebuilt = _through_json(registry)
+        assert rebuilt.counter_value("runs", kernel=value) == 3
+        (entry,) = rebuilt.snapshot()["counters"]
+        assert entry["labels"] == {"kernel": value}
+        assert validate(rebuilt.snapshot(), load_schema("metrics")) == []
+
+    def test_distinct_values_stay_distinct(self):
+        # A value that spells out another label must not alias it.
+        registry = MetricsRegistry()
+        registry.counter("n", k='v",x="1').inc()
+        registry.counter("n", k="v", x="1").inc(2)
+        rebuilt = _through_json(registry)
+        assert len(rebuilt.snapshot()["counters"]) == 2
+        assert rebuilt.counter_value("n", k='v",x="1') == 1
+        assert rebuilt.counter_value("n", k="v", x="1") == 2
+
+    def test_values_are_stringified(self):
+        registry = MetricsRegistry()
+        registry.counter("runs", warps=4).inc()
+        registry.counter("runs", warps="4").inc()
+        assert registry.counter_value("runs", warps=4) == 2
+        (entry,) = registry.snapshot()["counters"]
+        assert entry["labels"] == {"warps": "4"}
+
+    def test_diff_matches_entries_by_label_set(self):
+        registry = MetricsRegistry()
+        registry.counter("n", k="a", x="1").inc()
+        baseline = json.loads(registry.to_json())
+        registry.counter("n", x="1", k="a").inc(2)
+        registry.counter("n", k="b").inc(4)
+        delta = diff_snapshots(json.loads(registry.to_json()), baseline)
+        assert sorted((c["labels"]["k"], c["value"])
+                      for c in delta["counters"]) == [("a", 2), ("b", 4)]
+
+    def test_no_labels_and_empty_value_are_distinct(self):
+        registry = MetricsRegistry()
+        registry.counter("n").inc()
+        registry.counter("n", k="").inc(5)
+        rebuilt = _through_json(registry)
+        assert rebuilt.counter_value("n") == 1
+        assert rebuilt.counter_value("n", k="") == 5
+
+    def test_labeled_values_reads_one_dimension(self):
+        registry = MetricsRegistry()
+        registry.counter("hits", stage="trace", result="hit").inc(2)
+        registry.counter("hits", stage="trace", result="miss").inc()
+        registry.counter("hits", stage="oracle", result="hit").inc(4)
+        registry.counter("other", stage="trace").inc(100)
+        assert registry.labeled_values("hits", "stage") == {
+            "trace": 3, "oracle": 4,
+        }
+        assert registry.labeled_values("hits", "result") == {
+            "hit": 6, "miss": 1,
+        }
+        assert registry.labeled_values("hits", "absent") == {}
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +232,11 @@ class TestSnapshotMergeDiff:
 
 
 # ---------------------------------------------------------------------------
-# OpenMetrics exposition
+# The metrics snapshot: the format ``--metrics-out`` writes
 # ---------------------------------------------------------------------------
 
 
-class TestOpenMetrics:
+class TestSnapshotFormat:
     def _registry(self):
         registry = MetricsRegistry()
         registry.counter("pipeline.stage_executions", stage="trace").inc(2)
@@ -212,185 +248,119 @@ class TestOpenMetrics:
         hist.observe(42.0)
         return registry
 
-    def test_render_validates_clean(self):
-        text = render_openmetrics(self._registry().snapshot())
-        assert validate_openmetrics(text) == []
+    def _errors(self, snapshot):
+        return validate(snapshot, load_schema("metrics"))
 
-    def test_counter_renamed_to_total(self):
-        text = render_openmetrics(self._registry().snapshot())
-        assert "# TYPE pipeline_stage_executions counter" in text
-        assert 'pipeline_stage_executions_total{stage="trace"} 2' in text
+    def test_snapshot_validates_clean(self):
+        assert self._errors(self._registry().snapshot()) == []
 
-    def test_gauge_plain(self):
-        text = render_openmetrics(self._registry().snapshot())
-        assert "# TYPE workers_active gauge" in text
-        assert "workers_active 3" in text
+    def test_empty_registry_validates_clean(self):
+        snapshot = MetricsRegistry().snapshot()
+        assert snapshot == {"counters": [], "gauges": [], "histograms": []}
+        assert self._errors(snapshot) == []
 
-    def test_histogram_cumulative_with_inf_sum_count(self):
-        text = render_openmetrics(self._registry().snapshot())
-        assert 'stage_ms_bucket{stage="trace",le="1"} 1' in text
-        assert 'stage_ms_bucket{stage="trace",le="100"} 2' in text
-        assert 'stage_ms_bucket{stage="trace",le="+Inf"} 2' in text
-        assert 'stage_ms_sum{stage="trace"} 42.5' in text
-        assert 'stage_ms_count{stage="trace"} 2' in text
+    def test_counter_entry(self):
+        counters = self._registry().snapshot()["counters"]
+        assert {"name": "pipeline.stage_executions",
+                "labels": {"stage": "trace"}, "value": 2} in counters
 
-    def test_ends_with_eof(self):
-        text = render_openmetrics(self._registry().snapshot())
-        assert text.endswith("# EOF\n")
+    def test_gauge_entry(self):
+        (gauge,) = self._registry().snapshot()["gauges"]
+        assert gauge == {"name": "workers.active", "labels": {},
+                         "value": 3.0}
 
-    def test_label_escapes_round_trip_through_parse(self):
-        registry = MetricsRegistry()
-        nasty = 'ker"nel\\with\nnewline'
-        registry.counter("runs", kernel=nasty).inc()
-        text = render_openmetrics(registry.snapshot())
-        assert validate_openmetrics(text) == []
-        sample = [line for line in text.splitlines()
-                  if line.startswith("runs_total{")][0]
-        labels = parse_labels(sample[len("runs_total{"):sample.index("} ")])
-        assert labels == {"kernel": nasty}
+    def test_histogram_entry_has_overflow_bucket(self):
+        (hist,) = self._registry().snapshot()["histograms"]
+        assert hist["bounds"] == [1.0, 10.0, 100.0]
+        assert hist["counts"] == [1, 0, 1, 0]  # + one overflow bucket
+        assert hist["sum"] == 42.5
+        assert hist["count"] == 2
+        assert hist["max"] == 42.0
 
-    def test_metric_name_sanitization(self):
-        assert metric_name("pipeline.stage_ms") == "pipeline_stage_ms"
-        assert metric_name("9lives") == "_9lives"
-        assert metric_name("a-b c") == "a_b_c"
+    def test_entries_sorted_by_name_then_labels(self):
+        stages = [c["labels"]["stage"]
+                  for c in self._registry().snapshot()["counters"]]
+        assert stages == ["oracle", "trace"]
 
-    def test_type_collision_raises(self):
+    def test_to_json_independent_of_creation_order(self):
+        forward = MetricsRegistry()
+        forward.counter("b").inc()
+        forward.counter("a", k="2").inc()
+        forward.counter("a", k="1").inc()
+        backward = MetricsRegistry()
+        backward.counter("a", k="1").inc()
+        backward.counter("a", k="2").inc()
+        backward.counter("b").inc()
+        assert forward.to_json() == backward.to_json()
+
+    def test_export_writes_to_json(self, tmp_path):
+        registry = self._registry()
+        path = tmp_path / "metrics.json"
+        registry.export(str(path))
+        assert path.read_text() == registry.to_json()
+        assert validate_file("metrics", str(path)) == []
+
+    def test_same_name_in_two_kinds_stays_separate(self):
         registry = MetricsRegistry()
         registry.counter("stage.ms").inc()
-        registry.histogram("stage_ms", buckets=(1,)).observe(0.5)
-        with pytest.raises(ValueError):
-            render_openmetrics(registry.snapshot())
+        registry.histogram("stage.ms", buckets=(1,)).observe(0.5)
+        snapshot = registry.snapshot()
+        assert [c["name"] for c in snapshot["counters"]] == ["stage.ms"]
+        assert [h["name"] for h in snapshot["histograms"]] == ["stage.ms"]
+        assert self._errors(snapshot) == []
 
     # -- the validator actually catches broken documents --------------------
 
-    def test_validator_rejects_missing_eof(self):
-        assert any("EOF" in e for e in validate_openmetrics(
-            "# TYPE a counter\na_total 1\n"
-        ))
-
-    def test_validator_rejects_non_cumulative_buckets(self):
-        text = ("# TYPE h histogram\n"
-                'h_bucket{le="1"} 5\nh_bucket{le="2"} 3\n'
-                'h_bucket{le="+Inf"} 5\nh_sum 1\nh_count 5\n# EOF\n')
-        assert any("cumulative" in e for e in validate_openmetrics(text))
-
-    def test_validator_rejects_inf_count_mismatch(self):
-        text = ("# TYPE h histogram\n"
-                'h_bucket{le="1"} 1\nh_bucket{le="+Inf"} 2\n'
-                "h_sum 1\nh_count 3\n# EOF\n")
-        assert any("_count" in e for e in validate_openmetrics(text))
-
-    def test_validator_rejects_counter_without_total(self):
-        text = "# TYPE c counter\nc 1\n# EOF\n"
-        assert any("_total" in e for e in validate_openmetrics(text))
+    def test_validator_rejects_missing_section(self):
+        snapshot = self._registry().snapshot()
+        del snapshot["gauges"]
+        assert any("gauges" in e for e in self._errors(snapshot))
 
     def test_validator_rejects_negative_counter(self):
-        text = "# TYPE c counter\nc_total -1\n# EOF\n"
-        assert any("negative" in e for e in validate_openmetrics(text))
+        snapshot = self._registry().snapshot()
+        snapshot["counters"][0]["value"] = -1
+        assert any("minimum" in e for e in self._errors(snapshot))
 
-    def test_validator_rejects_garbage_line(self):
-        text = "# TYPE c counter\nnot a sample line at all !\n# EOF\n"
-        assert validate_openmetrics(text)
+    def test_validator_rejects_negative_bucket_count(self):
+        snapshot = self._registry().snapshot()
+        snapshot["histograms"][0]["counts"][1] = -1
+        assert any("counts[1]" in e for e in self._errors(snapshot))
 
-    def test_schema_cli_dispatches_openmetrics(self, tmp_path):
-        good = tmp_path / "good.om"
-        good.write_text(render_openmetrics(self._registry().snapshot()))
-        assert validate_file("openmetrics", str(good)) == []
-        bad = tmp_path / "bad.om"
-        bad.write_text("# TYPE c counter\nc_total -1\n")
-        assert validate_file("openmetrics", str(bad))
+    def test_validator_rejects_fractional_bucket_count(self):
+        snapshot = self._registry().snapshot()
+        snapshot["histograms"][0]["counts"][0] = 0.5
+        assert any("integer" in e for e in self._errors(snapshot))
 
+    def test_validator_rejects_unknown_entry_field(self):
+        snapshot = self._registry().snapshot()
+        snapshot["gauges"][0]["unit"] = "workers"
+        assert any("unexpected property 'unit'" in e
+                   for e in self._errors(snapshot))
 
-# ---------------------------------------------------------------------------
-# HTTP exporter
-# ---------------------------------------------------------------------------
+    def test_validator_rejects_non_numeric_value(self):
+        snapshot = self._registry().snapshot()
+        snapshot["counters"][0]["value"] = "2"
+        assert any("expected type number" in e
+                   for e in self._errors(snapshot))
 
+    def test_validator_rejects_histogram_without_counts(self):
+        snapshot = self._registry().snapshot()
+        del snapshot["histograms"][0]["counts"]
+        assert any("'counts'" in e for e in self._errors(snapshot))
 
-class TestExporter:
-    def test_metrics_endpoint_serves_valid_openmetrics(self):
-        registry = MetricsRegistry()
-        registry.counter("runs", kernel="vectoradd").inc(7)
-        with MetricsExporter(registry) as exporter:
-            status, headers, body = _fetch(exporter.url + "/metrics")
-        assert status == 200
-        assert headers["Content-Type"] == OPENMETRICS_CONTENT_TYPE
-        text = body.decode("utf-8")
-        assert validate_openmetrics(text) == []
-        assert 'runs_total{kernel="vectoradd"} 7' in text
+    def test_schema_cli_dispatches_metrics(self, tmp_path, capsys):
+        from repro.obs.schema import main as schema_main
 
-    def test_scrape_mid_run_sees_live_counters(self, config):
-        """The acceptance check: a sweep is scrapeable *while* it runs,
-        every scrape a valid exposition, counters visibly advancing."""
-        runner = Runner(config, Scale.tiny())
-        done = threading.Event()
-
-        def sweep():
-            try:
-                for kernel in ("vectoradd", "strided_deg8"):
-                    runner.evaluate(kernel, warps_per_core=4)
-            finally:
-                done.set()
-
-        with MetricsExporter(runner.metrics) as exporter:
-            thread = threading.Thread(target=sweep, daemon=True)
-            thread.start()
-            mid_run_scrapes = 0
-            last = ""
-            while not done.is_set():
-                _, _, body = _fetch(exporter.url + "/metrics")
-                last = body.decode("utf-8")
-                assert validate_openmetrics(last) == []
-                mid_run_scrapes += 1
-            thread.join(timeout=30.0)
-            _, _, body = _fetch(exporter.url + "/metrics")
-            final = body.decode("utf-8")
-        assert mid_run_scrapes >= 1
-        assert validate_openmetrics(final) == []
-        assert "pipeline_stage_executions_total" in final
-        assert exporter.n_scrapes == mid_run_scrapes + 1
-        assert last  # at least one mid-run exposition was non-empty
-
-    def test_healthz(self):
-        with MetricsExporter(MetricsRegistry()) as exporter:
-            status, _, body = _fetch(exporter.url + "/healthz")
-        assert status == 200
-        health = json.loads(body)
-        assert health["status"] == "ok"
-        assert health["n_spans"] == 0
-
-    def test_spans_endpoint_streams_ndjson(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        with MetricsExporter(MetricsRegistry(), tracer=tracer) as exporter:
-            status, headers, body = _fetch(exporter.url + "/spans")
-        assert status == 200
-        assert headers["Content-Type"] == "application/x-ndjson"
-        names = [json.loads(line)["name"]
-                 for line in body.decode().splitlines()]
-        assert set(names) == {"outer", "inner"}
-
-    def test_unknown_path_404(self):
-        with MetricsExporter(MetricsRegistry()) as exporter:
-            try:
-                _fetch(exporter.url + "/nope")
-                status = 200
-            except urllib.error.HTTPError as exc:
-                status = exc.code
-                payload = json.loads(exc.read())
-        assert status == 404
-        assert "/metrics" in payload["endpoints"]
-
-    def test_lifecycle_idempotent(self):
-        exporter = MetricsExporter(MetricsRegistry())
-        assert not exporter.running
-        exporter.start()
-        exporter.start()
-        assert exporter.running and exporter.port > 0
-        exporter.stop()
-        exporter.stop()
-        assert not exporter.running
+        good = tmp_path / "good.json"
+        self._registry().export(str(good))
+        assert schema_main(["metrics", str(good)]) == 0
+        bad = tmp_path / "bad.json"
+        snapshot = self._registry().snapshot()
+        snapshot["counters"][0]["value"] = -1
+        bad.write_text(json.dumps(snapshot))
+        assert schema_main(["metrics", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "good.json: ok" in out and "bad.json: INVALID" in out
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +368,26 @@ class TestExporter:
 # ---------------------------------------------------------------------------
 
 
-def _spin(deadline_event):
-    while not deadline_event.is_set():
+def _spin(profiler, n_samples, timeout=5.0):
+    """Burn CPU on this (the main) thread until ``profiler`` has taken
+    ``n_samples`` samples; False if the wall-clock ``timeout`` ran out."""
+    deadline = time.monotonic() + timeout
+    while profiler.n_samples < n_samples and time.monotonic() < deadline:
         sum(i * i for i in range(500))
+    return profiler.n_samples >= n_samples
+
+
+def _profile_call(fn, interval):
+    """Run ``fn()`` under a sampler; returns ``(result, profiler)``."""
+    with SamplingProfiler(interval=interval) as profiler:
+        result = fn()
+    return result, profiler
 
 
 class TestSampler:
     def test_samples_running_code(self):
-        stop = threading.Event()
-        worker = threading.Thread(target=_spin, args=(stop,), daemon=True)
-        worker.start()
-        profiler = SamplingProfiler(interval=0.002)
-        with profiler:
-            assert wait_for_samples(profiler, 5)
-        stop.set()
-        worker.join()
+        with SamplingProfiler(interval=0.002) as profiler:
+            assert _spin(profiler, 5)
         assert profiler.n_samples >= 5
         assert any("_spin" in frame for stack in profiler.stacks()
                    for frame in stack)
@@ -433,22 +408,9 @@ class TestSampler:
 
     def test_span_attribution(self):
         tracer = Tracer(enabled=True)
-        profiler = SamplingProfiler(interval=0.001, tracer=tracer)
-        seen = threading.Event()
-        stop = threading.Event()
-
-        def staged():
+        with SamplingProfiler(interval=0.001, tracer=tracer) as profiler:
             with tracer.span("trace"):
-                seen.set()
-                _spin(stop)
-
-        worker = threading.Thread(target=staged, daemon=True)
-        worker.start()
-        seen.wait(5.0)
-        for _ in range(20):
-            profiler.sample_once()
-        stop.set()
-        worker.join()
+                assert _spin(profiler, 20)
         spans = profiler.by_span()
         assert spans.get("trace", 0) > 0
         assert any(stack[0] == "stage:trace"
@@ -466,13 +428,141 @@ class TestSampler:
         assert profiler.by_span() == {"(no span)": 4}
 
     def test_profile_call(self):
-        result, profiler = profile_call(lambda: 42, interval=0.001)
+        result, profiler = _profile_call(lambda: 42, interval=0.001)
         assert result == 42
         assert not profiler.running
+
+    def test_stop_disarms_timer_and_restores_handler(self):
+        def installed_before(signum, frame):
+            pass
+
+        original = signal.signal(signal.SIGPROF, installed_before)
+        try:
+            profiler = SamplingProfiler(interval=0.001)
+            profiler.start()
+            assert signal.getsignal(signal.SIGPROF) is not installed_before
+            profiler.stop()
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is installed_before
+            profiler.start()
+            profiler.start()
+            profiler.stop()
+            profiler.stop()
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is installed_before
+        finally:
+            signal.signal(signal.SIGPROF, original)
+
+    def test_start_names_the_platform_without_setitimer(self, monkeypatch):
+        monkeypatch.delattr(signal, "setitimer")
+        with pytest.raises(RuntimeError, match=sys.platform):
+            SamplingProfiler().start()
 
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
             SamplingProfiler(interval=0.0)
+
+    def test_timer_armed_with_interval_while_running(self):
+        with SamplingProfiler(interval=0.25) as profiler:
+            _, period = signal.getitimer(signal.ITIMER_PROF)
+            assert signal.getsignal(signal.SIGPROF) == profiler._sample
+        assert period == pytest.approx(0.25, abs=0.01)
+
+    def test_context_manager_stops_on_exception(self):
+        before = signal.getsignal(signal.SIGPROF)
+        with pytest.raises(KeyError):
+            with SamplingProfiler(interval=0.001) as profiler:
+                raise KeyError("boom")
+        assert not profiler.running
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGPROF) == before
+
+    def test_no_samples_after_stop(self):
+        with SamplingProfiler(interval=0.001) as profiler:
+            assert _spin(profiler, 3)
+        taken = profiler.n_samples
+        deadline = time.monotonic() + 0.05
+        while time.monotonic() < deadline:
+            sum(i * i for i in range(500))
+        assert profiler.n_samples == taken
+
+    def test_sleeping_is_not_sampled(self):
+        # ITIMER_PROF counts CPU time: a blocked process takes no samples.
+        with SamplingProfiler(interval=0.01) as profiler:
+            time.sleep(0.3)
+        assert profiler.n_samples <= 2
+
+    def test_frames_are_module_qualified(self):
+        with SamplingProfiler(interval=0.001) as profiler:
+            assert _spin(profiler, 3)
+        frames = [frame for stack in profiler.stacks() for frame in stack]
+        assert all(":" in frame for frame in frames)
+        assert any(frame == __name__ + ":_spin" for frame in frames)
+
+    def test_nested_spans_attribute_to_innermost(self):
+        tracer = Tracer(enabled=True)
+        with SamplingProfiler(interval=0.001, tracer=tracer) as profiler:
+            with tracer.span("oracle"):
+                with tracer.span("cache_sim"):
+                    assert _spin(profiler, 5)
+        assert profiler.by_span() == {"cache_sim": profiler.n_samples}
+        assert all(stack[:2] == ("stage:oracle", "stage:cache_sim")
+                   for stack in profiler.stacks())
+
+    def test_span_prefix_is_configurable(self):
+        tracer = Tracer(enabled=True)
+        with SamplingProfiler(interval=0.001, tracer=tracer,
+                              span_prefix="span:") as profiler:
+            with tracer.span("predict"):
+                assert _spin(profiler, 3)
+        assert profiler.by_span() == {"predict": profiler.n_samples}
+        assert all(stack[0] == "span:predict"
+                   for stack in profiler.stacks())
+
+    def test_by_span_counts_samples_outside_spans(self):
+        profiler = SamplingProfiler()
+        profiler._stacks[("stage:trace", "m:f")] = 3
+        profiler._stacks[("stage:trace", "stage:predict", "m:g")] = 2
+        profiler._stacks[("m:h",)] = 1
+        assert profiler.by_span() == {
+            "trace": 3, "predict": 2, "(no span)": 1,
+        }
+
+    def test_collapsed_ties_sort_by_stack(self):
+        profiler = SamplingProfiler()
+        profiler._stacks[("b:f",)] = 2
+        profiler._stacks[("a:f", "z:g")] = 2
+        profiler._stacks[("c:f",)] = 5
+        assert profiler.collapsed() == ["c:f 5", "a:f;z:g 2", "b:f 2"]
+
+    def test_write_collapsed_empty_profile(self, tmp_path):
+        out = tmp_path / "stacks.txt"
+        SamplingProfiler().write_collapsed(str(out))
+        assert out.read_text() == ""
+
+    def test_hot_frames_sum_a_leaf_across_stacks(self):
+        profiler = SamplingProfiler()
+        profiler._stacks[("root:r", "leaf:a")] = 2
+        profiler._stacks[("root:s", "leaf:a")] = 3
+        profiler._stacks[("root:r", "leaf:b")] = 4
+        assert profiler.hot_frames() == [("leaf:a", 5), ("leaf:b", 4)]
+
+    def test_forked_child_does_not_inherit_the_timer(self):
+        read_end, write_end = os.pipe()
+        with SamplingProfiler(interval=0.001):
+            pid = os.fork()
+            if pid == 0:  # child: report the timer it inherited, then exit
+                try:
+                    os.write(write_end, repr(
+                        signal.getitimer(signal.ITIMER_PROF)
+                    ).encode())
+                finally:
+                    os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end) as handle:
+            reported = handle.read()
+        os.waitpid(pid, 0)
+        assert reported == repr((0.0, 0.0))
 
 
 class TestTracerOpenSpans:
@@ -485,31 +575,38 @@ class TestTracerOpenSpans:
             assert tracer.open_span_names() == ("outer",)
         assert tracer.open_span_names() == ()
 
-    def test_open_span_names_cross_thread(self):
-        tracer = Tracer(enabled=True)
-        inside = threading.Event()
-        release = threading.Event()
-        tid_holder = []
-
-        def work():
-            tid_holder.append(threading.get_ident())
-            with tracer.span("worker-stage"):
-                inside.set()
-                release.wait(5.0)
-
-        thread = threading.Thread(target=work, daemon=True)
-        thread.start()
-        inside.wait(5.0)
-        assert tracer.open_span_names(tid_holder[0]) == ("worker-stage",)
-        release.set()
-        thread.join()
-        assert tracer.open_span_names(tid_holder[0]) == ()
-
     def test_pickled_tracer_has_no_open_spans(self):
         tracer = Tracer(enabled=True)
         with tracer.span("outer"):
             clone = pickle.loads(pickle.dumps(tracer))
         assert clone.open_span_names() == ()
+
+    def test_open_span_names_unwind_on_exception(self):
+        tracer = Tracer(enabled=True)
+        with tracer.span("outer"):
+            with pytest.raises(RuntimeError):
+                with tracer.span("inner"):
+                    raise RuntimeError("boom")
+            assert tracer.open_span_names() == ("outer",)
+        assert tracer.open_span_names() == ()
+
+    def test_worker_clone_keeps_its_own_stack(self):
+        # A pool worker's tracer is an unpickled copy: spans it opens
+        # are roots there and never show up in the parent's stack.
+        tracer = Tracer(enabled=True)
+        with tracer.span("evaluate_many"):
+            worker = pickle.loads(pickle.dumps(tracer))
+            with worker.span("oracle"):
+                assert worker.open_span_names() == ("oracle",)
+                assert tracer.open_span_names() == ("evaluate_many",)
+        (shipped,) = worker.drain()
+        assert shipped["parent"] == 0
+        assert [s["name"] for s in tracer.spans()] == ["evaluate_many"]
+
+    def test_disabled_tracer_never_opens_spans(self):
+        tracer = Tracer(enabled=False)
+        with tracer.span("outer"):
+            assert tracer.open_span_names() == ()
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +626,31 @@ class TestLedger:
         assert records[0]["ts"] > 0
         assert records[1]["value"] is None  # NaN sanitized, not 0.0
 
-    def test_rotate_run(self, tmp_path):
-        ledger = PredictionLedger(str(tmp_path / "l.jsonl"))
-        first = ledger.run_id
-        ledger.append({"kernel": "a"})
-        second = ledger.rotate_run()
-        ledger.append({"kernel": "a"})
-        assert first != second
-        grouped = runs(read_ledger(ledger.path))
-        assert [run_id for run_id, _ in grouped] == [first, second]
+    def test_two_run_ids_on_one_path_group_into_two_runs(self, tmp_path):
+        path = str(tmp_path / "l.jsonl")
+        first = PredictionLedger(path, run_id="first")
+        first.append({"kernel": "a"})
+        second = PredictionLedger(path, run_id="second")
+        second.append({"kernel": "a"})
+        first.append({"kernel": "b"})
+        grouped = runs(read_ledger(path))
+        assert [run_id for run_id, _ in grouped] == ["first", "second"]
+        assert [r["kernel"] for r in grouped[0][1]] == ["a", "b"]
+
+    def test_runs_ordered_by_first_timestamp(self):
+        records = [
+            {"kernel": "k", "run_id": "late", "ts": 5.0},
+            {"kernel": "k", "run_id": "early", "ts": 1.0},
+            {"kernel": "j", "run_id": "late", "ts": 6.0},
+        ]
+        grouped = runs(records)
+        assert [run_id for run_id, _ in grouped] == ["early", "late"]
+        assert len(grouped[1][1]) == 2
+
+    def test_fresh_ledgers_get_distinct_run_ids(self, tmp_path):
+        path = str(tmp_path / "l.jsonl")
+        ids = {PredictionLedger(path).run_id for _ in range(8)}
+        assert len(ids) == 8
 
     def test_ledger_is_picklable(self, tmp_path):
         ledger = PredictionLedger(str(tmp_path / "l.jsonl"))
@@ -558,10 +671,9 @@ class TestLedger:
         self, config, tmp_path
     ):
         path = tmp_path / "ledger.jsonl"
-        runner = Runner(config, Scale.tiny(), ledger=PredictionLedger(
-            str(path)
-        ))
-        runner.evaluate("vectoradd", warps_per_core=4)
+        pipeline = Pipeline(config, scale=Scale.tiny(),
+                            ledger=PredictionLedger(str(path)))
+        pipeline.evaluate("vectoradd", warps_per_core=4)
         records = read_ledger(str(path))
         assert len(records) == 1
         record = records[0]
@@ -577,28 +689,28 @@ class TestLedger:
         assert 0.0 <= record["cache"]["l1_miss_rate"] <= 1.0
         assert record["stage_seconds"]  # fresh run: stages executed
         assert record["duration_s"] > 0
-        assert runner.metrics.counter_value("ledger.records") == 1
+        assert pipeline.metrics.counter_value("ledger.records") == 1
 
     def test_parallel_workers_append_all_records(self, config, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        runner = Runner(config, Scale.tiny(), jobs=2,
-                        ledger=PredictionLedger(str(path)))
+        pipeline = Pipeline(config, scale=Scale.tiny(), jobs=2,
+                            ledger=PredictionLedger(str(path)))
         kernels = ("vectoradd", "strided_deg8", "transpose_naive")
-        runner.evaluate_many(
+        pipeline.evaluate_many(
             [{"kernel": k, "warps_per_core": 4} for k in kernels]
         )
         records = read_ledger(str(path))
         assert sorted(r["kernel"] for r in records) == sorted(kernels)
-        assert {r["run_id"] for r in records} == {runner.pipeline.ledger.run_id}
+        assert {r["run_id"] for r in records} == {pipeline.ledger.run_id}
 
     def test_cached_reevaluation_still_appends(self, config, tmp_path):
         # Accuracy history wants one record per *evaluation*, even when
         # every artifact comes from the store.
         path = tmp_path / "ledger.jsonl"
-        runner = Runner(config, Scale.tiny(),
-                        ledger=PredictionLedger(str(path)))
-        runner.evaluate("vectoradd", warps_per_core=4)
-        runner.evaluate("vectoradd", warps_per_core=4)
+        pipeline = Pipeline(config, scale=Scale.tiny(),
+                            ledger=PredictionLedger(str(path)))
+        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd", warps_per_core=4)
         assert len(read_ledger(str(path))) == 2
 
 
@@ -802,11 +914,8 @@ class TestTelemetryCLI:
         from repro.cli import main
 
         path = tmp_path / "ledger.jsonl"
-        ledger = PredictionLedger(str(path))
         for run in range(2):
-            if run:
-                ledger.rotate_run()
-            ledger.append(
+            PredictionLedger(str(path), run_id="run-%d" % run).append(
                 {"kernel": "a", "errors": {"mt_mshr_band": 0.05 + 0.01 * run}}
             )
         out = tmp_path / "dash.html"
@@ -832,16 +941,44 @@ class TestTelemetryCLI:
         assert len(records) == 1
         assert validate(records[0], load_schema("ledger")) == []
 
-    def test_serve_metrics_parser(self):
+    @pytest.mark.parametrize("command", ["concheck", "serve-metrics"])
+    def test_removed_commands_are_rejected(self, command, capsys):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["serve-metrics", "--suite-kernel", "vectoradd",
-             "--repeat", "2", "--port", "0", "--scale", "tiny"]
-        )
-        assert args.command == "serve-metrics"
-        assert args.kernels == ["vectoradd"]
-        assert args.repeat == 2
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_help_lists_no_removed_command(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "profile" in out and "watchdog" in out
+        assert "concheck" not in out and "serve-metrics" not in out
+
+    def test_metrics_out_counts_advance_with_work(self, tmp_path, capsys):
+        from repro.cli import main
+
+        def stage_runs(*kernels):
+            path = tmp_path / ("%d.json" % len(kernels))
+            argv = ["profile", "-q", "--scale", "tiny", "--warps", "4",
+                    "--trace-out", str(tmp_path / "t.json"),
+                    "--metrics-out", str(path)]
+            for kernel in kernels:
+                argv += ["--suite-kernel", kernel]
+            assert main(argv) == 0
+            assert validate_file("metrics", str(path)) == []
+            payload = json.loads(path.read_text())
+            return sum(c["value"] for c in payload["counters"]
+                       if c["name"] == "pipeline.stage_executions")
+
+        one = stage_runs("vectoradd")
+        two = stage_runs("vectoradd", "strided_deg8")
+        assert one > 0
+        assert two == 2 * one
 
     def test_profile_sample_parser(self):
         from repro.cli import build_parser

@@ -11,7 +11,7 @@ from repro.config import ALL_FIELDS, HARDWARE_FIELDS, TRACE_FIELDS, GPUConfig
 from repro.core.interval import Interval, IntervalProfiles
 from repro.core.model import resident_warps_per_core
 from repro.harness import experiments as ex
-from repro.harness.runner import KernelResult, Runner, nanmean
+from repro.harness.runner import KernelResult, nanmean
 from repro.pipeline import (
     DiskStore,
     EvalRequest,
@@ -100,12 +100,12 @@ class TestInvalidation:
         assert pipeline.counters["cache_sim"] == 2
 
     def test_repeated_sweep_runs_nothing(self, config):
-        runner = Runner(config, Scale.tiny())
+        pipeline = Pipeline(config, scale=Scale.tiny())
         kernels = ("vectoradd", "strided_deg8")
-        ex.run_figure13(runner, kernels=kernels, warp_counts=(4, 8))
-        first = dict(runner.pipeline.counters)
-        ex.run_figure13(runner, kernels=kernels, warp_counts=(4, 8))
-        assert dict(runner.pipeline.counters) == first
+        ex.run_figure13(pipeline, kernels=kernels, warp_counts=(4, 8))
+        first = dict(pipeline.counters)
+        ex.run_figure13(pipeline, kernels=kernels, warp_counts=(4, 8))
+        assert dict(pipeline.counters) == first
 
     def test_scale_is_part_of_the_trace_key(self, config):
         store = MemoryStore()
@@ -121,11 +121,11 @@ class TestParallel:
     def test_parallel_matches_serial_bitwise(self, config):
         kernels = ("vectoradd", "strided_deg8")
         serial = ex.run_figure13(
-            Runner(config, Scale.tiny()),
+            Pipeline(config, scale=Scale.tiny()),
             kernels=kernels, warp_counts=(4, 8),
         )
         parallel = ex.run_figure13(
-            Runner(config, Scale.tiny(), jobs=2),
+            Pipeline(config, scale=Scale.tiny(), jobs=2),
             kernels=kernels, warp_counts=(4, 8),
         )
         assert parallel.text == serial.text
@@ -137,7 +137,8 @@ class TestParallel:
             EvalRequest(kernel="vectoradd", warps_per_core=8),
             EvalRequest(kernel="vectoradd", warps_per_core=4),
         ]
-        results = Runner(config, Scale.tiny(), jobs=2).evaluate_many(requests)
+        results = Pipeline(config, scale=Scale.tiny(),
+                           jobs=2).evaluate_many(requests)
         assert [(r.kernel, r.n_warps <= 8) for r in results] == [
             ("strided_deg8", True),
             ("vectoradd", True),
@@ -304,7 +305,7 @@ class TestNanErrors:
     def test_validation_excludes_degenerate_results(self, config):
         from repro.harness.validation import validate_model
 
-        good = Runner(config, Scale.tiny()).evaluate("vectoradd")
+        good = Pipeline(config, scale=Scale.tiny()).evaluate("vectoradd")
         validation = validate_model([good, self._degenerate()], "mt_mshr_band")
         assert validation.n == 1
         assert not math.isnan(validation.mean_error)

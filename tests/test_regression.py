@@ -9,13 +9,13 @@ changes, not to pin exact numbers.
 import pytest
 
 from repro.config import GPUConfig
-from repro.harness.runner import Runner
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return Runner(GPUConfig.small(n_cores=2, warps_per_core=16), Scale.tiny())
+def pipeline():
+    return Pipeline(GPUConfig.small(n_cores=2, warps_per_core=16), Scale.tiny())
 
 
 #: kernel -> maximum tolerated relative CPI error of the full model.
@@ -38,8 +38,8 @@ ERROR_CAPS = {
 
 
 @pytest.mark.parametrize("kernel,cap", sorted(ERROR_CAPS.items()))
-def test_gpumech_error_within_cap(runner, kernel, cap):
-    result = runner.evaluate(kernel)
+def test_gpumech_error_within_cap(pipeline, kernel, cap):
+    result = pipeline.evaluate(kernel)
     error = result.error("mt_mshr_band")
     assert error <= cap, (
         "%s: GPUMech error %.1f%% exceeds regression cap %.0f%% "
@@ -49,21 +49,21 @@ def test_gpumech_error_within_cap(runner, kernel, cap):
     )
 
 
-def test_mean_error_budget(runner):
+def test_mean_error_budget(pipeline):
     """The mean across the regression set stays under a global budget."""
     errors = [
-        runner.evaluate(kernel).error("mt_mshr_band")
+        pipeline.evaluate(kernel).error("mt_mshr_band")
         for kernel in ERROR_CAPS
     ]
     mean = sum(errors) / len(errors)
     assert mean < 0.30
 
 
-def test_gpumech_beats_naive_overall(runner):
+def test_gpumech_beats_naive_overall(pipeline):
     wins = 0
     ties = 0
     for kernel in ERROR_CAPS:
-        result = runner.evaluate(kernel)
+        result = pipeline.evaluate(kernel)
         band = result.error("mt_mshr_band")
         naive = result.error("naive")
         if band < naive - 1e-9:

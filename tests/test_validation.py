@@ -5,22 +5,23 @@ import math
 import pytest
 
 from repro.config import GPUConfig
-from repro.harness.runner import MODELS, Runner
+from repro.harness.runner import MODELS
 from repro.harness.validation import (
     render_validation,
     validate_all,
     validate_model,
 )
+from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 
 @pytest.fixture(scope="module")
 def results():
-    runner = Runner(GPUConfig.small(n_cores=2, warps_per_core=8),
-                    Scale.tiny())
+    pipeline = Pipeline(GPUConfig.small(n_cores=2, warps_per_core=8),
+                        Scale.tiny())
     kernels = ["vectoradd", "strided_deg8", "strided_deg32", "mandelbrot",
                "sad_calc_8"]
-    return [runner.evaluate(name) for name in kernels]
+    return [pipeline.evaluate(name) for name in kernels]
 
 
 class TestValidateModel:
