@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # imports for annotations only
     from repro.core.interval import IntervalProfile, IntervalProfiles
     from repro.core.latency import LatencyTable
     from repro.core.multithreading import MultithreadingResult
+    from repro.trace.trace_types import KernelTrace
 
 
 class ArchBackend:
@@ -92,12 +93,13 @@ class ArchBackend:
 
     def build_interval_profiles(
         self,
-        warps,
+        trace: "KernelTrace",
         latency_table: "LatencyTable",
         config: "GPUConfig",
     ) -> "IntervalProfiles":
-        """Per-warp Eq. 4 interval profiles under this architecture."""
-        return _build_interval_profiles(warps, latency_table,
+        """Per-warp Eq. 4 interval profiles of a launch's trace under
+        this architecture."""
+        return _build_interval_profiles(trace, latency_table,
                                         config.issue_rate)
 
     def model_multithreading(

@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.core.latency import LatencyTable
 from repro.memory.hierarchy import MissEvent
-from repro.trace.trace_types import NO_DEP, OpCode, WarpTrace
+from repro.trace.trace_types import NO_DEP, KernelTrace, OpCode, WarpTrace
 
 #: Canonical dtype of every interval column, in :class:`Interval` field
 #: order.  Both interval builders produce exactly these dtypes, which
@@ -420,16 +420,16 @@ class IntervalProfiles(Sequence):
 
 
 def build_interval_profiles(
-    warps: Sequence[WarpTrace],
+    trace: KernelTrace,
     latency_table: LatencyTable,
     issue_rate: float = 1.0,
 ) -> IntervalProfiles:
-    """Interval profiles for an ordered collection of warp traces.
+    """Interval profiles of every warp of a launch, in launch order.
 
     Dispatches to the batched numpy implementation
-    (:mod:`repro.core.interval_vec`) unless ``REPRO_SCALAR=1`` selects
-    the per-warp reference scan below; both produce bitwise-identical
-    profiles.
+    (:mod:`repro.core.interval_vec`), which reads the trace's columns,
+    unless ``REPRO_SCALAR=1`` selects the per-warp reference scan below
+    over ``trace.warps``; both produce bitwise-identical profiles.
     """
     from repro.backend import use_scalar
 
@@ -437,13 +437,13 @@ def build_interval_profiles(
         return IntervalProfiles.from_profiles(
             [
                 build_interval_profile(warp, latency_table, issue_rate)
-                for warp in warps
+                for warp in trace.warps
             ],
             issue_rate,
         )
     from repro.core.interval_vec import build_interval_profiles as vec
 
-    return vec(warps, latency_table, issue_rate)
+    return vec(trace, latency_table, issue_rate)
 
 
 def build_interval_profile(

@@ -10,13 +10,13 @@ gather of the (at most ``MAX_DEPS``) producer completion times followed
 by an ordered strict-greater update chain that reproduces the scalar
 cause-selection tie-breaking exactly (first producer wins ties).
 
-Interval segmentation then happens on a single *flattened* position
-axis (every warp's trace concatenated, warp boundaries forced as
-segment starts): integer per-interval counts come from exact
-``np.add.reduceat`` sums (integer reduction order cannot change the
-result), while the float expected-footprint accumulators
-(``exp_mshr_reqs`` & co.) are summed left-to-right over load
-instructions only — ``reduceat``'s pairwise summation is *not*
+Interval segmentation then happens on the trace's warp-major position
+axis (the :class:`~repro.trace.trace_types.KernelTrace` columns as they
+are, warp boundaries forced as segment starts): integer per-interval
+counts come from exact ``np.add.reduceat`` sums (integer reduction
+order cannot change the result), while the float expected-footprint
+accumulators (``exp_mshr_reqs`` & co.) are summed left-to-right over
+load instructions only — ``reduceat``'s pairwise summation is *not*
 bitwise-compatible with the scalar loop's sequential adds, and bitwise
 equality with the scalar backend is the contract
 (``tests/test_vectorized_equivalence.py``).
@@ -29,14 +29,12 @@ offsets — no per-interval Python object is ever built.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.interval import IntervalColumns, IntervalProfiles
 from repro.core.latency import LatencyTable
 from repro.memory.hierarchy import MissEvent
-from repro.trace.trace_types import MAX_DEPS, OpCode, WarpTrace
+from repro.trace.trace_types import MAX_DEPS, KernelTrace, OpCode
 
 
 def _issue_clocks(
@@ -79,14 +77,15 @@ def _issue_clocks(
 
 
 def build_interval_profiles(
-    warps: Sequence[WarpTrace],
+    trace: KernelTrace,
     latency_table: LatencyTable,
     issue_rate: float = 1.0,
 ) -> IntervalProfiles:
     """Vectorized counterpart of per-warp ``build_interval_profile``."""
-    n_warps = len(warps)
-    warp_ids = np.array([w.warp_id for w in warps], dtype=np.int64)
-    lengths = np.array([len(w) for w in warps], dtype=np.int64)
+    n_warps = trace.n_warps
+    warp_ids = trace.warp_ids.copy()  # the profiles own theirs
+    warp_starts = trace.warp_offsets
+    lengths = np.diff(warp_starts)
     max_len = int(lengths.max()) if n_warps else 0
     if not max_len:
         return IntervalProfiles(
@@ -98,8 +97,6 @@ def build_interval_profiles(
 
     lat_by_pc = latency_table.as_array
     step = 1.0 / issue_rate
-    warp_starts = np.zeros(n_warps + 1, dtype=np.int64)
-    np.cumsum(lengths, out=warp_starts[1:])
     total = int(warp_starts[-1])
 
     # Run the recurrence in warp chunks so the padded (chunk, max_len)
@@ -109,24 +106,25 @@ def build_interval_profiles(
     stall_parts = []
     cause_parts = []
     for lo in range(0, n_warps, chunk):
-        sub = warps[lo : lo + chunk]
-        sub_len = lengths[lo : lo + chunk]
+        hi = min(lo + chunk, n_warps)
+        sub_len = lengths[lo:hi]
         m = int(sub_len.max())
         if not m:
             continue
-        deps = np.full((len(sub), m, MAX_DEPS), -1, dtype=np.int32)
-        lat = np.zeros((len(sub), m), dtype=np.float64)
-        for i, warp in enumerate(sub):
-            n = len(warp)
-            deps[i, :n] = warp.deps
-            lat[i, :n] = lat_by_pc[warp.pcs]
-        stall_c, cause_c = _issue_clocks(deps, lat, step)
+        # The chunk's rows of the warp-major columns fill the padded
+        # block in row-major mask order.
         valid_c = np.arange(m) < sub_len[:, None]
+        rows = slice(warp_starts[lo], warp_starts[hi])
+        deps = np.full((hi - lo, m, MAX_DEPS), -1, dtype=np.int32)
+        deps[valid_c] = trace.deps[rows]
+        lat = np.zeros((hi - lo, m), dtype=np.float64)
+        lat[valid_c] = lat_by_pc[trace.pcs[rows]]
+        stall_c, cause_c = _issue_clocks(deps, lat, step)
         stall_parts.append(stall_c[valid_c])
         # Stall causes are per-warp instruction indices; lift them to
         # the flat axis (garbage where cause is -1, masked out below).
         cause_parts.append(
-            (cause_c + warp_starts[lo : lo + len(sub), None])[valid_c]
+            (cause_c + warp_starts[lo:hi, None])[valid_c]
         )
     stall_flat = np.concatenate(stall_parts)
     cause_flat = np.concatenate(cause_parts)
@@ -144,19 +142,16 @@ def build_interval_profiles(
             )
 
     # ------------------------------------------------------------------
-    # Flattened segmentation: every warp's trace concatenated into one
-    # position axis, so the cut/sum/gather machinery below runs once for
-    # the whole launch instead of once per warp.  Warp boundaries are
-    # forced segment starts, which is exactly the scalar semantics (each
-    # warp opens a fresh interval and its first instruction never closes
-    # one).
+    # Flattened segmentation on the trace's warp-major position axis, so
+    # the cut/sum/gather machinery below runs once for the whole launch
+    # instead of once per warp.  Warp boundaries are forced segment
+    # starts, which is exactly the scalar semantics (each warp opens a
+    # fresh interval and its first instruction never closes one).
     # ------------------------------------------------------------------
-    ops_flat = np.concatenate([w.ops for w in warps])
-    pcs_flat = np.concatenate([w.pcs for w in warps])
-    nreqs_flat = np.concatenate(
-        [np.diff(w.req_offsets) for w in warps]
-    )
-    conflict_flat = np.concatenate([w.conflict for w in warps])
+    ops_flat = trace.ops
+    pcs_flat = trace.pcs
+    nreqs_flat = np.diff(trace.req_offsets)
+    conflict_flat = trace.conflict
 
     # An interval closes at every stalled position except a warp's first
     # instruction (the open interval is never empty past k=0).

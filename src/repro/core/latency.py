@@ -53,28 +53,27 @@ def build_latency_table(
     config: GPUConfig,
 ) -> LatencyTable:
     """Assign a latency to every static PC observed in the trace."""
-    max_pc = max(int(w.pcs.max()) for w in trace.warps if len(w))
+    pcs = trace.pcs
+    ops = trace.ops
+    max_pc = int(pcs.max())
     latencies = np.ones(max_pc + 1, dtype=np.float64)
-    seen = np.zeros(max_pc + 1, dtype=bool)
+    # Each PC is priced by the op of its first dynamic instance.
+    seen_pcs, first = np.unique(pcs, return_index=True)
+    for pc, op in zip(seen_pcs.tolist(), ops[first].tolist()):
+        latencies[pc] = _latency_of(pc, OpCode(op), cache_result, config)
     # Shared-memory loads are priced by their mean bank-conflict degree:
-    # latency + (degree - 1) serialised replays.
-    conflict_sum = np.zeros(max_pc + 1, dtype=np.float64)
-    conflict_count = np.zeros(max_pc + 1, dtype=np.int64)
-    for warp in trace.warps:
-        smem = warp.is_shared_memory
-        if smem.any():
-            np.add.at(conflict_sum, warp.pcs[smem], warp.conflict[smem])
-            np.add.at(conflict_count, warp.pcs[smem], 1)
-        fresh = ~seen[warp.pcs]
-        if not fresh.any():
-            continue
-        for pc, op in zip(warp.pcs[fresh].tolist(), warp.ops[fresh].tolist()):
-            latencies[pc] = _latency_of(pc, OpCode(op), cache_result, config)
-            seen[pc] = True
-    smem_pcs = np.flatnonzero(conflict_count)
-    for pc in smem_pcs.tolist():
-        mean_degree = conflict_sum[pc] / conflict_count[pc]
-        latencies[pc] += max(mean_degree - 1.0, 0.0)
+    # latency + (degree - 1) serialised replays.  The degrees are small
+    # integers, so their float sums are exact in any order.
+    smem = (ops == OpCode.SMEM_LOAD) | (ops == OpCode.SMEM_STORE)
+    if smem.any():
+        smem_pcs = pcs[smem]
+        conflict_sum = np.bincount(
+            smem_pcs, weights=trace.conflict[smem], minlength=max_pc + 1
+        )
+        conflict_count = np.bincount(smem_pcs, minlength=max_pc + 1)
+        for pc in np.flatnonzero(conflict_count).tolist():
+            mean_degree = conflict_sum[pc] / conflict_count[pc]
+            latencies[pc] += max(mean_degree - 1.0, 0.0)
     return LatencyTable(latencies, cache_result.per_pc)
 
 

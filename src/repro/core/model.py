@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.config import GPUConfig
 from repro.core.contention import ContentionResult
 from repro.core.cpi_stack import CPIStack
@@ -118,7 +120,7 @@ def resident_warps_per_core(
     if not blocks:
         return 1
     warps_per_block = max(
-        len(trace.warps_of_block(0)), 1
+        int(np.count_nonzero(trace.block_ids == 0)), 1
     )
     blocks_per_core = -(-blocks // config.n_cores)  # ceil division
     resident_blocks = min(max(limit // warps_per_block, 1), blocks_per_core)

@@ -99,17 +99,17 @@ def simulate_caches_vectorized(
         _resident_waves,
     )
 
-    n_warps = len(trace.warps)
-    mem_sel = [
-        np.flatnonzero(
-            (warp.ops == OpCode.LOAD) | (warp.ops == OpCode.STORE)
-        )
-        for warp in trace.warps
-    ]
-    mem_counts = np.array([len(sel) for sel in mem_sel], dtype=np.int64)
-    total_insts = int(mem_counts.sum())
+    n_warps = trace.n_warps
+    ops = trace.ops
+    mem = np.flatnonzero((ops == OpCode.LOAD) | (ops == OpCode.STORE))
+    total_insts = len(mem)
     if not total_insts:
         return CacheSimResult(per_pc={}, l1_miss_rate=0.0, l2_miss_rate=0.0)
+    # Warp-major flat arrays over memory instructions.
+    inst_warp = (
+        np.searchsorted(trace.warp_offsets, mem, side="right") - 1
+    )
+    mem_counts = np.bincount(inst_warp, minlength=n_warps)
 
     # ------------------------------------------------------------------
     # Replay order: warp w's j-th memory instruction runs at
@@ -131,8 +131,6 @@ def simulate_caches_vectorized(
             if wave:
                 base += int(mem_counts[wave].max())
 
-    # Warp-major flat arrays over memory instructions.
-    inst_warp = np.repeat(np.arange(n_warps, dtype=np.int64), mem_counts)
     inst_ordinal = (
         np.arange(total_insts, dtype=np.int64)
         - np.repeat(np.cumsum(mem_counts) - mem_counts, mem_counts)
@@ -142,28 +140,9 @@ def simulate_caches_vectorized(
         (warp_wavepos[inst_warp], warp_core[inst_warp], rounds)
     )
 
-    pcs_wm = np.concatenate(
-        [w.pcs[sel] for w, sel in zip(trace.warps, mem_sel)]
-    ).astype(np.int64)
-    stores_wm = np.concatenate(
-        [w.ops[sel] == OpCode.STORE for w, sel in zip(trace.warps, mem_sel)]
-    )
-    req_counts_wm = np.concatenate(
-        [
-            w.req_offsets[sel + 1] - w.req_offsets[sel]
-            for w, sel in zip(trace.warps, mem_sel)
-        ]
-    )
-    lines_wm = np.concatenate(
-        [
-            _gather_slices(
-                w.req_lines,
-                w.req_offsets[sel],
-                w.req_offsets[sel + 1] - w.req_offsets[sel],
-            )
-            for w, sel in zip(trace.warps, mem_sel)
-        ]
-    )
+    pcs_wm = trace.pcs[mem].astype(np.int64)
+    stores_wm = ops[mem] == OpCode.STORE
+    req_counts_wm = trace.req_offsets[mem + 1] - trace.req_offsets[mem]
 
     # Per-warp-per-PC occurrence ordinals (the "j-th execution of this
     # PC by this warp"), computed warp-major where within-warp order is
@@ -187,10 +166,9 @@ def simulate_caches_vectorized(
     counts_r = req_counts_wm[perm]
     occ_r = occ_wm[perm]
     cores_r = warp_core[inst_warp[perm]]
-    off_wm = np.concatenate(
-        ([0], np.cumsum(req_counts_wm))
+    lines_r = _gather_slices(
+        trace.req_lines, trace.req_offsets[mem[perm]], counts_r
     )
-    lines_r = _gather_slices(lines_wm, off_wm[perm], counts_r)
 
     # ------------------------------------------------------------------
     # L1s: each core sees its own subsequence of the global stream;

@@ -163,8 +163,8 @@ def _resident_waves(
         config.max_warps_per_core
     )
     blocks: Dict[int, List[int]] = {}
-    for w, warp in enumerate(trace.warps):
-        blocks.setdefault(warp.block_id, []).append(w)
+    for w, block_id in enumerate(trace.block_ids.tolist()):
+        blocks.setdefault(block_id, []).append(w)
     per_core_waves: List[List[List[int]]] = [
         [] for _ in range(config.n_cores)
     ]

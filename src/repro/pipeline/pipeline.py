@@ -390,7 +390,7 @@ class Pipeline:
             self._execute(
                 "interval_profiles", key, config,
                 lambda config: compute_profiles(
-                    trace.warps, latency_table, config
+                    trace, latency_table, config
                 ),
             ),
             key,

@@ -163,6 +163,7 @@ STAGES = {
             inputs=(),
             config_fields=TRACE_FIELDS,
             description="functional SIMT emulation (machine-independent)",
+            layout=2,  # launch-wide trace columns
         ),
         StageSpec(
             "costmodel",
@@ -313,20 +314,23 @@ def trace_digest(trace: KernelTrace) -> str:
     """Content hash of an externally supplied trace.
 
     Lets ``GPUMech.prepare(trace=...)`` participate in content-addressed
-    caching without knowing which kernel/scale produced the trace.
+    caching without knowing which kernel/scale produced the trace.  It
+    hashes every column and every scalar field, so two traces that
+    differ anywhere (dependencies and block ids included) never share a
+    downstream key.
     """
     digest = hashlib.sha256()
     digest.update(
         repr(
-            (trace.kernel_name, trace.warp_size, trace.line_size, trace.n_warps)
+            (
+                trace.kernel_name, trace.warp_size, trace.line_size,
+                trace.n_blocks, trace.n_warps, trace.total_insts,
+                trace.total_requests,
+            )
         ).encode("utf-8")
     )
-    for warp in trace.warps:
-        digest.update(warp.pcs.tobytes())
-        digest.update(warp.ops.tobytes())
-        digest.update(warp.active.tobytes())
-        digest.update(warp.req_lines.tobytes())
-        digest.update(warp.conflict.tobytes())
+    for name in KernelTrace.COLUMNS:
+        digest.update(getattr(trace, name).tobytes())
     return digest.hexdigest()[:24]
 
 
@@ -378,8 +382,8 @@ def compute_latency_table(trace, cache_result, config):
     return build_latency_table(trace, cache_result, config)
 
 
-def compute_profiles(warps, latency_table, config: GPUConfig):
-    """Interval profiles of a launch's warp traces, in launch order.
+def compute_profiles(trace, latency_table, config: GPUConfig):
+    """Interval profiles of a launch's warps, in launch order.
 
     Interval-construction semantics are an architecture-backend hook
     (``config.arch``); both shipped backends use the Eq. 4 scan.
@@ -389,7 +393,7 @@ def compute_profiles(warps, latency_table, config: GPUConfig):
     from repro.arch import get_arch  # deferred: circular import
 
     return get_arch(config.arch).build_interval_profiles(
-        warps, latency_table, config
+        trace, latency_table, config
     )
 
 

@@ -176,20 +176,18 @@ def emulate(
 
         return emulate_vectorized(kernel, config, memory, max_warp_insts)
     n_regs = kernel.max_register + 1
-    trace = KernelTrace(
-        kernel_name=kernel.name,
-        warp_size=config.warp_size,
-        line_size=config.line_size,
-        n_blocks=kernel.n_blocks,
-    )
+    warps = []
     for warp_id in range(kernel.n_warps):
         ctx = _WarpContext(
             kernel, warp_id, config.warp_size, n_regs,
             stack_factory=arch.make_reconvergence_stack,
         )
         _run_warp(kernel, ctx, config, memory, max_warp_insts)
-        trace.warps.append(ctx.builder.build())
-    return trace
+        warps.append(ctx.builder.build())
+    return KernelTrace.from_warps(
+        kernel.name, config.warp_size, config.line_size, kernel.n_blocks,
+        warps,
+    )
 
 
 def _run_warp(

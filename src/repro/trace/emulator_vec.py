@@ -12,9 +12,10 @@ state genuinely diverges: reconvergence-stack pushes/pops and scratchpad
 dictionaries.
 
 Trace rows are emitted into preallocated 2-D SoA columns (one row per
-warp, geometric growth along the instruction axis) and sliced into
-per-warp :class:`~repro.trace.trace_types.WarpTrace` arrays at the end —
-no per-instruction Python lists.
+warp, geometric growth along the instruction axis) and gathered into the
+launch's warp-major :class:`~repro.trace.trace_types.KernelTrace`
+columns at the end with one boolean mask — no per-instruction Python
+lists, no per-warp slices.
 
 Equivalence with the scalar backend
 -----------------------------------
@@ -41,13 +42,7 @@ from repro.isa.instructions import Imm, Instruction, Reg, Special
 from repro.isa.kernel import Kernel
 from repro.trace.memory_image import MemoryImage, _hash_unit
 from repro.trace.simt_stack import SimtStackError
-from repro.trace.trace_types import (
-    MAX_DEPS,
-    NO_DEP,
-    KernelTrace,
-    OpCode,
-    WarpTrace,
-)
+from repro.trace.trace_types import MAX_DEPS, NO_DEP, KernelTrace, OpCode
 
 #: Sorts after every real line/word in row-wise unique extraction.
 _SENT = np.iinfo(np.int64).max
@@ -206,9 +201,8 @@ class _LaunchState:
         self.active2d = np.zeros((n_warps, cap), dtype=np.int16)
         self.conflict2d = np.zeros((n_warps, cap), dtype=np.int16)
         self.reqcount2d = np.zeros((n_warps, cap), dtype=np.int64)
-        self.req_chunks: List[List[np.ndarray]] = [
-            [] for _ in range(n_warps)
-        ]
+        # One (warps, pos, req_counts, req_flat) chunk per memory group.
+        self.req_groups: List[Tuple[np.ndarray, ...]] = []
 
     def ensure_capacity(self) -> None:
         """Guarantee room for one more row in every warp's columns."""
@@ -255,45 +249,46 @@ class _LaunchState:
             self.conflict2d[warps, pos] = conflict
         if req_counts is not None:
             self.reqcount2d[warps, pos] = req_counts
-            pieces = np.split(req_flat, np.cumsum(req_counts)[:-1])
-            chunks = self.req_chunks
-            for i, w in enumerate(warps.tolist()):
-                chunks[w].append(pieces[i])
+            self.req_groups.append((warps, pos, req_counts, req_flat))
         self.lengths[warps] = pos + 1
         return pos
 
     def build_traces(self, kernel: Kernel, config: GPUConfig) -> KernelTrace:
-        """Slice the SoA columns into per-warp WarpTrace arrays."""
-        trace = KernelTrace(
-            kernel_name=kernel.name,
-            warp_size=config.warp_size,
-            line_size=config.line_size,
-            n_blocks=kernel.n_blocks,
-        )
-        empty_lines = np.empty(0, dtype=np.int64)
-        for w in range(self.n_warps):
-            n = int(self.lengths[w])
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            if n:
-                np.cumsum(self.reqcount2d[w, :n], out=offsets[1:])
-            chunks = self.req_chunks[w]
-            req_lines = (
-                np.concatenate(chunks) if chunks else empty_lines
-            ).astype(np.int64, copy=False)
-            trace.warps.append(
-                WarpTrace(
-                    warp_id=w,
-                    block_id=int(self.block_ids[w]),
-                    pcs=self.pcs2d[w, :n].copy(),
-                    ops=self.ops2d[w, :n].copy(),
-                    deps=self.deps2d[w, :n].copy(),
-                    active=self.active2d[w, :n].copy(),
-                    req_offsets=offsets,
-                    req_lines=req_lines,
-                    conflict=self.conflict2d[w, :n].copy(),
-                )
+        """Gather the SoA buffers into the launch's warp-major columns."""
+        lengths = self.lengths
+        # Row-major order of the (warp, position) mask is warp-major.
+        mask = np.arange(self.cap) < lengths[:, None]
+        warp_offsets = np.zeros(self.n_warps + 1, dtype=np.int64)
+        np.cumsum(lengths, out=warp_offsets[1:])
+        req_offsets = np.zeros(int(warp_offsets[-1]) + 1, dtype=np.int64)
+        np.cumsum(self.reqcount2d[mask], out=req_offsets[1:])
+        req_lines = np.empty(int(req_offsets[-1]), dtype=np.int64)
+        if self.req_groups:
+            warps, pos, counts, flat = (
+                np.concatenate(part) for part in zip(*self.req_groups)
             )
-        return trace
+            # Instruction i's lines sit at flat[f_i : f_i + counts[i]]
+            # and go to req_lines[s_i : s_i + counts[i]].
+            shift = req_offsets[warp_offsets[warps] + pos] - (
+                np.cumsum(counts) - counts
+            )
+            req_lines[np.repeat(shift, counts) + np.arange(len(flat))] = flat
+        return KernelTrace(
+            kernel.name,
+            config.warp_size,
+            config.line_size,
+            kernel.n_blocks,
+            pcs=self.pcs2d[mask],
+            ops=self.ops2d[mask],
+            deps=self.deps2d[mask],
+            active=self.active2d[mask],
+            conflict=self.conflict2d[mask],
+            req_offsets=req_offsets,
+            req_lines=req_lines,
+            warp_offsets=warp_offsets,
+            warp_ids=np.arange(self.n_warps, dtype=np.int64),
+            block_ids=self.block_ids,
+        )
 
 
 def emulate_vectorized(

@@ -15,7 +15,7 @@ address.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -42,7 +42,9 @@ class MemoryImage:
 
     def __init__(self, track_stores: bool = True):
         self._regions: List[Tuple[int, int, RegionFn]] = []
-        self._overlay: Dict[int, float] = {}
+        # The store overlay: sorted distinct addresses, their values.
+        self._keys = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0, dtype=np.float64)
         self.track_stores = track_stores
 
     # Region registration ----------------------------------------------------
@@ -138,29 +140,32 @@ class MemoryImage:
             mask = (addrs >= base) & (addrs < end)
             if mask.any():
                 values = np.where(mask, fn(addrs), values)
-        if self._overlay:
-            flat = addrs.ravel()
-            out = values.ravel()
-            for i, addr in enumerate(flat.tolist()):
-                hit = self._overlay.get(addr)
-                if hit is not None:
-                    out[i] = hit
+        keys = self._keys
+        if len(keys):
+            slot = np.minimum(np.searchsorted(keys, addrs), len(keys) - 1)
+            hit = keys[slot] == addrs
+            values[hit] = self._values[slot[hit]]
         return values
 
     def write(self, addrs: np.ndarray, values: np.ndarray, mask: np.ndarray) -> None:
         """Masked store into the overlay (no-op if tracking is disabled)."""
         if not self.track_stores:
             return
-        flat_addrs = np.asarray(addrs, dtype=np.int64).ravel()
-        flat_vals = np.asarray(values, dtype=np.float64).ravel()
-        flat_mask = np.asarray(mask, dtype=bool).ravel()
-        for addr, value, on in zip(
-            flat_addrs.tolist(), flat_vals.tolist(), flat_mask.tolist()
-        ):
-            if on:
-                self._overlay[addr] = value
+        on = np.asarray(mask, dtype=bool).ravel()
+        new_keys = np.asarray(addrs, dtype=np.int64).ravel()[on]
+        if not len(new_keys):
+            return
+        new_values = np.asarray(values, dtype=np.float64).ravel()[on]
+        # Newest first (this store's lanes last to first, then the
+        # overlay), so the first occurrence np.unique keeps is the last
+        # write to each address.
+        keys, first = np.unique(
+            np.concatenate((new_keys[::-1], self._keys)), return_index=True
+        )
+        self._values = np.concatenate((new_values[::-1], self._values))[first]
+        self._keys = keys
 
     @property
     def n_overlaid(self) -> int:
         """Number of addresses written so far (diagnostics)."""
-        return len(self._overlay)
+        return len(self._keys)

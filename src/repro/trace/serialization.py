@@ -9,6 +9,9 @@ configurations across processes or machines.
 The format is a single compressed numpy archive: a small JSON header
 plus, per warp, the column arrays of :class:`WarpTrace`.  Integers are
 stored at their natural widths; the archive is portable and versioned.
+Loading packs the warps back into a :class:`KernelTrace`'s launch-wide
+columns, after checking that every producer index and request offset
+is one the model can use.
 
 Every column has exactly one canonical dtype (:data:`COLUMN_DTYPES`),
 enforced on *both* save and load: whatever widths an archive carries —
@@ -27,23 +30,16 @@ from typing import Union
 
 import numpy as np
 
-from repro.trace.trace_types import MAX_DEPS, KernelTrace, WarpTrace
+from repro.trace.trace_types import (
+    COLUMN_DTYPES,
+    MAX_DEPS,
+    NO_DEP,
+    KernelTrace,
+    WarpTrace,
+)
 
 #: Bump when the on-disk layout changes incompatibly.
 FORMAT_VERSION = 2
-
-#: Canonical dtype of every WarpTrace column (the dtypes
-#: ``WarpTraceBuilder.build`` produces).  ``deps`` is additionally
-#: shape-normalised to ``(n, MAX_DEPS)``.
-COLUMN_DTYPES = {
-    "pcs": np.dtype(np.int32),
-    "ops": np.dtype(np.int8),
-    "deps": np.dtype(np.int32),
-    "active": np.dtype(np.int16),
-    "req_offsets": np.dtype(np.int64),
-    "req_lines": np.dtype(np.int64),
-    "conflict": np.dtype(np.int16),
-}
 
 
 class TraceFormatError(RuntimeError):
@@ -110,12 +106,7 @@ def load_trace(path: Union[str, os.PathLike]) -> KernelTrace:
                 "unsupported trace format version %r (expected <= %d)"
                 % (version, FORMAT_VERSION)
             )
-        trace = KernelTrace(
-            kernel_name=header["kernel_name"],
-            warp_size=header["warp_size"],
-            line_size=header["line_size"],
-            n_blocks=header["n_blocks"],
-        )
+        warps = []
         for i, meta in enumerate(header["warps"]):
             columns = {}
             for name in COLUMN_DTYPES:
@@ -127,7 +118,8 @@ def load_trace(path: Union[str, os.PathLike]) -> KernelTrace:
                         "missing column %s in %s" % (key, path)
                     )
                 columns[name] = _canonical(name, archive[key])
-            trace.warps.append(
+            _check_links(columns, "warp %d of %s" % (i, path))
+            warps.append(
                 WarpTrace(
                     warp_id=meta["warp_id"],
                     block_id=meta["block_id"],
@@ -135,4 +127,44 @@ def load_trace(path: Union[str, os.PathLike]) -> KernelTrace:
                     **columns,
                 )
             )
-    return trace
+    return KernelTrace.from_warps(
+        header["kernel_name"],
+        header["warp_size"],
+        header["line_size"],
+        header["n_blocks"],
+        warps,
+    )
+
+
+def _check_links(columns: dict, where: str) -> None:
+    """Reject producer indices and request offsets the model cannot use.
+
+    Instruction ``k`` may depend only on an earlier instruction of its
+    warp (``0 <= p < k``) or on nothing (``NO_DEP``); ``req_offsets``
+    must rise from 0 to ``len(req_lines)`` over ``n + 1`` entries.  The
+    emulators build such traces by construction; an archive is checked
+    here, where it enters.
+    """
+    n = len(columns["pcs"])
+    offsets = columns["req_offsets"]
+    if not (
+        len(offsets) == n + 1
+        and offsets[0] == 0
+        and offsets[-1] == len(columns["req_lines"])
+        and (np.diff(offsets) >= 0).all()
+    ):
+        raise TraceFormatError(
+            "%s: req_offsets must rise from 0 to len(req_lines) over "
+            "%d entries" % (where, n + 1)
+        )
+    deps = columns["deps"]
+    bad = (deps != NO_DEP) & (
+        (deps < 0) | (deps >= np.arange(len(deps))[:, None])
+    )
+    if bad.any():
+        k, slot = np.argwhere(bad)[0].tolist()
+        raise TraceFormatError(
+            "%s: instruction %d depends on %d; a producer must be NO_DEP "
+            "or an earlier instruction of the same warp"
+            % (where, k, int(deps[k, slot]))
+        )

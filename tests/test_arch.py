@@ -336,7 +336,7 @@ class TestSubcoreEndToEnd:
         cache = simulate_caches(trace, SUBCORE)
         table = build_latency_table(trace, cache, SUBCORE)
         profile = build_interval_profiles(
-            trace.warps, table, SUBCORE.issue_rate
+            trace, table, SUBCORE.issue_rate
         )[0]
         sub = get_arch("subcore").model_multithreading(
             profile, 8, "rr", SUBCORE

@@ -228,7 +228,7 @@ def suite_profiles(name, scale):
     kernel, memory = SUITE[name].build(scale)
     trace = emulate(kernel, config, memory=memory)
     table = build_latency_table(trace, simulate_caches(trace, config), config)
-    return build_interval_profiles(trace.warps, table, config.issue_rate)
+    return build_interval_profiles(trace, table, config.issue_rate)
 
 
 class TestProfilesArtifact:

@@ -105,3 +105,71 @@ class TestStores:
                     np.array([True]))
         values = image.read(np.array([0, 4], dtype=np.int64))
         assert list(values) == [1.0, 3.0]
+
+
+#: Few distinct addresses, so writes overwrite and repeat within a store.
+ADDRS = st.integers(min_value=0, max_value=15).map(lambda i: 0x1000 + 4 * i)
+
+
+@st.composite
+def lane_blocks(draw):
+    """Addresses, values and an active mask over ``(rows, width)`` lanes,
+    the shapes both emulators read and store with."""
+    rows = draw(st.integers(min_value=1, max_value=3))
+    width = draw(st.integers(min_value=1, max_value=6))
+    n = rows * width
+    addrs = draw(st.lists(ADDRS, min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(allow_nan=False), min_size=n,
+                           max_size=n))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return tuple(
+        np.array(column, dtype=dtype).reshape(rows, width)
+        for column, dtype in ((addrs, np.int64), (values, np.float64),
+                              (mask, bool))
+    )
+
+
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), lane_blocks()),
+        st.tuples(st.just("read"), lane_blocks()),
+    ),
+    max_size=12,
+)
+
+
+class TestOverlayMatchesDict:
+    """The sorted-array store overlay behaves as the address → value
+    dict it replaced: the last write of an address wins, also among
+    the lanes of one store; masked lanes write nothing; a disabled
+    overlay stays empty."""
+
+    @given(STEPS, st.booleans(), st.booleans())
+    def test_interleaved_reads_and_writes(self, steps, track, region):
+        image = MemoryImage(track_stores=track)
+        plain = MemoryImage(track_stores=False)  # no overlay: the base
+        if region:
+            for im in (image, plain):
+                im.add_linear_region(0x1000, 32, scale=0.5, offset=1.0)
+        reference = {}
+        for kind, payload in steps:
+            if kind == "write":
+                addrs, values, mask = payload
+                image.write(addrs, values, mask)
+                if track:
+                    for addr, value, on in zip(addrs.ravel().tolist(),
+                                               values.ravel().tolist(),
+                                               mask.ravel().tolist()):
+                        if on:
+                            reference[addr] = value
+            else:
+                addrs = payload[0]
+                want = [
+                    reference.get(addr, base)
+                    for addr, base in zip(addrs.ravel().tolist(),
+                                          plain.read(addrs).ravel().tolist())
+                ]
+                got = image.read(addrs)
+                assert got.shape == addrs.shape
+                assert got.tobytes() == np.array(want).tobytes()
+            assert image.n_overlaid == len(reference)

@@ -1,10 +1,12 @@
 """Tests for the staged artifact pipeline (fingerprints, invalidation,
 parallel equivalence, on-disk reuse)."""
 
+import copy
 import hashlib
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.config import ALL_FIELDS, HARDWARE_FIELDS, TRACE_FIELDS, GPUConfig
@@ -21,7 +23,8 @@ from repro.pipeline import (
     TieredStore,
     open_store,
 )
-from repro.pipeline.stages import stage_key
+from repro.pipeline.stages import stage_key, trace_digest
+from repro.trace.trace_types import NO_DEP, KernelTrace
 from repro.workloads import Scale
 
 
@@ -256,6 +259,60 @@ class TestArtifactLayout:
         DiskStore(str(tmp_path)).put(oracle_key, SimpleNamespace(cpi=-1.0))
         assert pipeline.simulate(kernel).cpi > 0
         assert pipeline.counters["oracle"] == 1
+
+    def test_legacy_traces_on_disk_are_recomputed(self, config, tmp_path):
+        """Traces stored before the columnar layout hold a list of
+        per-warp traces under the layout-1 key; they must miss."""
+        kernel = "vectoradd"
+        scale = Scale.tiny()
+        pipeline = Pipeline(config, scale=scale, cache_dir=str(tmp_path))
+        trace_key = legacy_key(
+            "trace", config, kernel,
+            (scale.n_blocks, scale.block_size, scale.iters),
+        )
+        DiskStore(str(tmp_path)).put(trace_key, SimpleNamespace(warps=[]))
+        trace = pipeline.trace(kernel)
+        assert isinstance(trace, KernelTrace)
+        assert trace.n_warps > 0
+        assert pipeline.counters["trace"] == 1
+
+
+class TestTraceDigest:
+    """The content key of an externally supplied trace covers all of it."""
+
+    def test_dependencies_key_the_model_inputs(self, config, pipeline):
+        """Two supplied traces that differ only in their producer
+        indices must not share model inputs through a shared store."""
+        from repro.core.model import GPUMech
+
+        trace = pipeline.trace("vectoradd")
+        changed = copy.deepcopy(trace)
+        for warp in changed.warps:
+            warp.deps[:] = NO_DEP
+        shared = GPUMech(config, pipeline=pipeline)
+        original = shared.predict(shared.prepare(trace=trace))
+        fresh = GPUMech(config)
+        want = fresh.predict(fresh.prepare(trace=changed))
+        got = shared.predict(shared.prepare(trace=changed))
+        assert want.cpi != original.cpi
+        assert got.cpi == want.cpi
+
+    @pytest.mark.parametrize(
+        "field",
+        KernelTrace.COLUMNS
+        + ("kernel_name", "warp_size", "line_size", "n_blocks"),
+    )
+    def test_every_field_changes_the_digest(self, pipeline, field):
+        trace = pipeline.trace("vectoradd")
+        changed = copy.deepcopy(trace)
+        value = getattr(changed, field)
+        if isinstance(value, np.ndarray):
+            value[-1] += 1
+        elif isinstance(value, str):
+            setattr(changed, field, value + "_")
+        else:
+            setattr(changed, field, value + 1)
+        assert trace_digest(changed) != trace_digest(trace)
 
 
 class TestGPUMechThroughPipeline:

@@ -65,21 +65,27 @@ class TestTraceSerialization:
             load_trace(path)
 
 
+def roundtrip_saxpy(tmp_path, mutate=None):
+    """Save saxpy's trace, let ``mutate`` edit the archive's arrays,
+    and load it back."""
+    trace = emulate(build_saxpy(), GPUConfig.small())
+    path = os.path.join(tmp_path, "trace.npz")
+    save_trace(trace, path)
+    if mutate is not None:
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        mutate(arrays)
+        np.savez(path, **arrays)
+    return trace, load_trace(path)
+
+
 class TestDtypeStability:
     """Archives must round-trip the canonical column dtypes exactly —
     the content-addressed store hashes raw column bytes, so any drift
     silently forks the artifact cache."""
 
     def roundtrip(self, tmp_path, mutate=None):
-        trace = emulate(build_saxpy(), GPUConfig.small())
-        path = os.path.join(tmp_path, "trace.npz")
-        save_trace(trace, path)
-        if mutate is not None:
-            with np.load(path) as archive:
-                arrays = {k: archive[k] for k in archive.files}
-            mutate(arrays)
-            np.savez(path, **arrays)
-        return trace, load_trace(path)
+        return roundtrip_saxpy(tmp_path, mutate)
 
     def test_roundtrip_preserves_dtypes_and_shapes(self, tmp_path):
         original, loaded = self.roundtrip(tmp_path)
@@ -120,6 +126,57 @@ class TestDtypeStability:
 
         with pytest.raises(TraceFormatError):
             self.roundtrip(tmp_path, mutate=drop)
+
+
+def shift_offsets(arrays):
+    """Every offset one higher and one more line: only the start is off."""
+    arrays["w0_req_offsets"] = arrays["w0_req_offsets"] + 1
+    lines = arrays["w0_req_lines"]
+    arrays["w0_req_lines"] = np.append(lines, lines[-1])
+
+
+def raise_an_offset(arrays):
+    """Start and end intact, but the offsets fall after entry 1."""
+    offsets = arrays["w0_req_offsets"].copy()
+    offsets[1] = offsets[-1] + 1
+    arrays["w0_req_offsets"] = offsets
+
+
+def add_a_line(arrays):
+    """One line no offset covers: the offsets end short of the lines."""
+    lines = arrays["w0_req_lines"]
+    arrays["w0_req_lines"] = np.append(lines, lines[-1])
+
+
+class TestLinkValidation:
+    """Producer indices and request offsets the model cannot use are
+    rejected where an archive is loaded, not deep inside a stage."""
+
+    @pytest.mark.parametrize(
+        "producer",
+        [lambda n: n - 1, lambda n: n, lambda n: 1, lambda n: -2],
+        ids=["later", "past-the-end", "itself", "negative"],
+    )
+    def test_rejects_a_producer_that_is_not_earlier(self, tmp_path,
+                                                    producer):
+        def mutate(arrays):
+            # Instruction 1 of warp 0 of saxpy (10 instructions).
+            deps = arrays["w0_deps"].copy()
+            deps[1, 0] = producer(len(arrays["w0_pcs"]))
+            arrays["w0_deps"] = deps
+
+        with pytest.raises(TraceFormatError, match="depends on"):
+            roundtrip_saxpy(tmp_path, mutate)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [shift_offsets, raise_an_offset, add_a_line],
+        ids=["not-from-zero", "decreasing", "not-to-the-end"],
+    )
+    def test_rejects_offsets_that_do_not_cover_the_lines(self, tmp_path,
+                                                         mutate):
+        with pytest.raises(TraceFormatError, match="req_offsets"):
+            roundtrip_saxpy(tmp_path, mutate)
 
 
 class TestDRAMChannels:

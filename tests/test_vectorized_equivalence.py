@@ -25,6 +25,7 @@ from repro.memory.cache_simulator import simulate_caches
 from repro.pipeline import Pipeline
 from repro.pipeline.stages import trace_digest
 from repro.trace.emulator import emulate
+from repro.trace.trace_types import KernelTrace
 from repro.workloads.generators import Scale
 from repro.workloads.suite import SUITE, kernel_names
 
@@ -59,7 +60,7 @@ def _artifacts(name, scalar):
         cache = simulate_caches(trace, CONFIG)
         table = build_latency_table(trace, cache, CONFIG)
         profiles = build_interval_profiles(
-            trace.warps, table, CONFIG.issue_rate
+            trace, table, CONFIG.issue_rate
         )
     return trace, cache, profiles
 
@@ -80,6 +81,20 @@ class TestSuiteEquivalence:
                 assert b.dtype == a.dtype, (name, column)
                 assert b.shape == a.shape, (name, column)
                 assert np.array_equal(b, a), (name, column)
+        # Launch-wide columns: the same bytes, dtypes and shapes.
+        for column in KernelTrace.COLUMNS:
+            a, b = getattr(strace, column), getattr(vtrace, column)
+            assert b.dtype == a.dtype, (name, column)
+            assert b.shape == a.shape, (name, column)
+            assert np.array_equal(b, a), (name, column)
+        # Views slice the columns rather than copying them.
+        for trace in (strace, vtrace):
+            for warp in trace.warps:
+                for column in ("pcs", "ops", "deps", "req_lines"):
+                    view = getattr(warp, column)
+                    assert not len(view) or np.shares_memory(
+                        view, getattr(trace, column)
+                    ), (name, column)
         # Same content hash → same store fingerprints downstream.
         assert trace_digest(vtrace) == trace_digest(strace)
 
