@@ -320,17 +320,16 @@ def compare_architectures(
     config=None,
     arches: Optional[List[str]] = None,
 ) -> Dict[str, Dict[str, float]]:
-    """Predicted CPI per kernel under each architecture backend.
+    """Predicted CPI per kernel under each arch.
 
     Runs the analytical model once per (kernel, arch) pair — each arch
     gets its own :class:`~repro.pipeline.Pipeline` so artifacts stay
-    content-addressed per backend — and returns
+    content-addressed per machine — and returns
     ``{kernel: {arch: cpi}}``.  The baseline for delta reporting is the
-    first entry of ``arches`` (default: the paper model,
-    ``gpumech2014``, followed by the other registered backends).
+    first entry of ``arches`` (default: ``config.arch``, followed by
+    the other ``KNOWN_ARCHES``).
     """
-    from repro.arch import ARCH_NAMES
-    from repro.config import GPUConfig
+    from repro.config import KNOWN_ARCHES, GPUConfig
     from repro.pipeline import Pipeline
     from repro.workloads.generators import Scale
     from repro.workloads.suite import kernel_names
@@ -339,8 +338,8 @@ def compare_architectures(
     scale = scale if scale is not None else Scale.tiny()
     names = kernels if kernels is not None else kernel_names()
     if arches is None:
-        default = config.arch if config.arch in ARCH_NAMES else "gpumech2014"
-        arches = [default] + [a for a in ARCH_NAMES if a != default]
+        arches = [config.arch]
+        arches += [a for a in KNOWN_ARCHES if a != config.arch]
     pipelines = {
         arch: Pipeline(config.with_(arch=arch), scale=scale)
         for arch in arches
@@ -354,7 +353,7 @@ def compare_architectures(
 
 
 def render_arch_comparison(results: Dict[str, Dict[str, float]]) -> str:
-    """Per-kernel CPI delta table across architecture backends.
+    """Per-kernel CPI delta table across arches.
 
     ``results`` is the :func:`compare_architectures` mapping; the first
     arch column (insertion order) is the baseline the deltas are

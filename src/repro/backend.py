@@ -1,13 +1,11 @@
 """Hot-path *compute* backend selection: vectorized vs scalar reference.
 
 Terminology: this module selects **how** results are computed, never
-**what** is modeled.  The *architecture* backends in :mod:`repro.arch`
-(``GPUConfig.arch``) are the opposite: they change modeled semantics
-(interval construction, multithreading sharing rules, reconvergence,
-per-cycle issue) and therefore *do* participate in cache keys.  The two
-axes are orthogonal: either compute backend must produce bitwise-equal
-results under either architecture backend, which
-``repro.arch.assert_backend_independent`` asserts for any kernel/config.
+**what** is modeled.  ``GPUConfig.arch`` is the opposite: it changes
+modeled semantics (reconvergence, issue slots per core) and therefore
+*does* participate in cache keys.  The two axes are orthogonal: either
+compute backend must produce bitwise-equal results under either arch,
+which ``tests/test_vectorized_equivalence.py`` asserts for both.
 
 Three pipeline stages dominate wall-clock — functional emulation, the
 Eq. 4 interval scan, and the functional cache replay.  Each has two

@@ -133,7 +133,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheduler", choices=("rr", "gto"), default="rr")
     parser.add_argument("--arch", choices=KNOWN_ARCHES,
                         default="gpumech2014",
-                        help="architecture backend (see docs/architectures.md)")
+                        help="modeled machine (see docs/architectures.md)")
     parser.add_argument("--schedulers", type=int, default=4,
                         help="sub-core schedulers per core "
                         "(arch=subcore only)")
@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     characterize.add_argument("kernel")
     characterize.add_argument("--compare-arch", action="store_true",
                               help="predicted-CPI delta table across all "
-                              "architecture backends")
+                              "known arches")
     _add_machine_args(characterize)
 
     lint = sub.add_parser(

@@ -27,17 +27,18 @@ class ConfigError(ValueError):
     """Raised when a :class:`GPUConfig` fails validation."""
 
 
-#: Registered microarchitecture backends (see ``repro.arch``).  Defined
-#: here rather than imported so the config layer stays import-cycle-free;
-#: ``repro.arch`` cross-checks its registry against this tuple at import.
+#: The machines ``GPUConfig.arch`` can name (docs/architectures.md).
+#: ``subcore`` differs from the paper's core in exactly two places: the
+#: emulator's reconvergence (``repro.trace.emulator.emulate``) and the
+#: issue slots per core (:attr:`GPUConfig.schedulers_per_core`).
 KNOWN_ARCHES = ("gpumech2014", "subcore")
 
 
 #: Fields the *functional emulator* reads: they determine the dynamic
 #: trace (lane count, coalescing granularity, bank-conflict degrees
-#: — and, via the architecture backend's reconvergence policy, the
-#: divergence serialisation order).  Changing any other field leaves the
-#: trace artifact valid — the invariant behind the paper's Sec. VI-D
+#: — and, via the arch's reconvergence, the divergence serialisation
+#: order).  Changing any other field leaves the trace artifact
+#: valid — the invariant behind the paper's Sec. VI-D
 #: cost argument and the staged pipeline's invalidation rules
 #: (``repro.pipeline``).  ``arch`` is here because independent-thread-
 #: scheduling reconvergence reorders divergent warps' dynamic streams;
@@ -125,8 +126,8 @@ class GPUConfig:
         default_factory=lambda: dict(DEFAULT_OP_LATENCIES)
     )
 
-    # Microarchitecture backend --------------------------------------------
-    #: Which machine family the model and oracle describe (``repro.arch``):
+    # Machine family -------------------------------------------------------
+    #: Which machine the model and oracle describe (``KNOWN_ARCHES``):
     #: ``"gpumech2014"`` — the paper's 2014-era core (one scheduler,
     #: stack-based reconvergence); ``"subcore"`` — a modern core with
     #: ``n_schedulers`` sub-core issue slots and independent-thread-
@@ -135,9 +136,9 @@ class GPUConfig:
     #: part of ``fingerprint()`` and keys the artifact store.
     arch: str = "gpumech2014"
     #: Sub-core schedulers (issue slots) per core; each owns a static
-    #: partition of the resident warps.  Read only by backends with
-    #: sub-core dispatch (``arch="subcore"``); gpumech2014 always runs
-    #: one scheduler per core.
+    #: partition of the resident warps.  Read only under
+    #: ``arch="subcore"`` (see :attr:`schedulers_per_core`); gpumech2014
+    #: always runs one scheduler per core.
     n_schedulers: int = 4
 
     def __post_init__(self) -> None:
@@ -160,16 +161,36 @@ class GPUConfig:
                 "in one cycle); got simt_width=%d warp_size=%d"
                 % (self.simt_width, self.warp_size)
             )
+        if self.max_threads_per_core < self.warp_size:
+            raise ConfigError(
+                "max_threads_per_core must hold at least one warp (%d "
+                "threads); got %d" % (self.warp_size, self.max_threads_per_core)
+            )
         if self.max_threads_per_core % self.warp_size != 0:
             raise ConfigError("max_threads_per_core must be a multiple of warp_size")
         if self.scheduler not in ("rr", "gto"):
             raise ConfigError("scheduler must be 'rr' or 'gto'")
         if self.issue_width != 1:
             raise ConfigError("only issue_width == 1 is supported (Table I)")
+        if self.line_size < 1 or self.line_size & (self.line_size - 1):
+            raise ConfigError(
+                "line_size must be a positive power of two; got %d"
+                % self.line_size
+            )
         for cache_name, (size, assoc) in {
             "l1": (self.l1_size, self.l1_assoc),
             "l2": (self.l2_size, self.l2_assoc),
         }.items():
+            if assoc < 1:
+                raise ConfigError(
+                    "%s_assoc must be >= 1; got %d" % (cache_name, assoc)
+                )
+            if size < self.line_size * assoc:
+                raise ConfigError(
+                    "%s cache size %d is smaller than one set "
+                    "(line_size*assoc = %d)"
+                    % (cache_name, size, self.line_size * assoc)
+                )
             if size % (self.line_size * assoc) != 0:
                 raise ConfigError(
                     "%s cache size %d is not divisible by line_size*assoc"
@@ -184,6 +205,15 @@ class GPUConfig:
         missing = {"ialu", "falu", "sfu"} - set(self.op_latencies)
         if missing:
             raise ConfigError("op_latencies missing classes: %s" % sorted(missing))
+        latencies = {
+            "l1_latency": self.l1_latency,
+            "l2_latency": self.l2_latency,
+            "dram_latency": self.dram_latency,
+            **{"op_latencies[%r]" % op: v for op, v in self.op_latencies.items()},
+        }
+        negative = sorted(name for name, value in latencies.items() if value < 0)
+        if negative:
+            raise ConfigError("negative latencies: %s" % ", ".join(negative))
         if not (1 <= self.n_sfu_units <= self.warp_size):
             raise ConfigError(
                 "n_sfu_units must be in [1, warp_size]; got %d"
@@ -197,7 +227,7 @@ class GPUConfig:
             raise ConfigError("smem_banks must be >= 1")
         if self.arch not in KNOWN_ARCHES:
             raise ConfigError(
-                "unknown arch %r; known architecture backends: %s"
+                "unknown arch %r; known arches: %s"
                 % (self.arch, ", ".join(KNOWN_ARCHES))
             )
         if self.n_schedulers < 1:
@@ -219,6 +249,17 @@ class GPUConfig:
     def max_warps_per_core(self) -> int:
         """Maximum resident warps on one core (Table I: 1024/32 = 32)."""
         return self.max_threads_per_core // self.warp_size
+
+    @property
+    def schedulers_per_core(self) -> int:
+        """Issue slots per core, each owning a static warp partition.
+
+        ``n_schedulers`` under ``arch="subcore"``, otherwise 1: the
+        paper's core has one scheduler for every resident warp.  The
+        oracle builds this many scheduler partitions per core and the
+        multithreading model runs per partition.
+        """
+        return self.n_schedulers if self.arch == "subcore" else 1
 
     @property
     def issue_rate(self) -> float:

@@ -18,11 +18,15 @@ from typing import Optional
 import numpy as np
 
 from repro.config import GPUConfig
-from repro.core.contention import ContentionResult
-from repro.core.cpi_stack import CPIStack
+from repro.core.contention import ContentionResult, model_contention
+from repro.core.cpi_stack import CPIStack, build_cpi_stack
 from repro.core.interval import IntervalProfile, IntervalProfiles
 from repro.core.latency import LatencyTable
-from repro.core.multithreading import MultithreadingResult, kernel_alignment
+from repro.core.multithreading import (
+    MultithreadingResult,
+    kernel_alignment,
+    model_multithreading,
+)
 from repro.core.representative import RepresentativeSelection
 from repro.isa.kernel import Kernel
 from repro.memory.cache_simulator import CacheSimResult
@@ -68,8 +72,7 @@ class Prediction:
     cpi_stack: CPIStack
     multithreading: MultithreadingResult
     contention: ContentionResult
-    #: Architecture backend that produced this prediction
-    #: (``GPUConfig.arch``; see ``repro.arch``).
+    #: Machine this prediction describes (``GPUConfig.arch``).
     arch: str = "gpumech2014"
 
     @property
@@ -206,9 +209,12 @@ class GPUMech:
         policy: Optional[str] = None,
         warps_per_core: Optional[int] = None,
     ) -> Prediction:
-        """Predict CPI under multithreading and contention (Fig. 5, right)."""
-        from repro.arch import get_arch  # deferred: circular import
+        """Predict CPI under multithreading and contention (Fig. 5, right).
 
+        The only arch-specific step is the issue-slot count the
+        multithreading model runs with (``schedulers_per_core``);
+        contention and the CPI stack are per-core under every arch.
+        """
         policy = policy if policy is not None else self.config.scheduler
         if n_warps is None:
             n_warps = resident_warps_per_core(
@@ -219,19 +225,16 @@ class GPUMech:
         if self.rr_mode == "blended" and policy == "rr":
             rep_trace = inputs.trace.warps[inputs.selection.index]
             alignment = kernel_alignment(rep_trace, inputs.latency_table)
-        # Every microarchitecture-specific composition step dispatches
-        # through the backend; gpumech2014 delegates verbatim to the
-        # repro.core functions (bitwise-identical predictions).
-        arch = get_arch(self.config.arch)
-        multithreading = arch.model_multithreading(
-            profile, n_warps, policy, self.config, rr_mode=self.rr_mode,
+        multithreading = model_multithreading(
+            profile, n_warps, policy, rr_mode=self.rr_mode,
             alignment=alignment,
+            n_schedulers=self.config.schedulers_per_core,
         )
-        contention = arch.model_contention(
+        contention = model_contention(
             profile, n_warps, self.config,
             inputs.cache_result.avg_miss_latency(self.config),
         )
-        stack = arch.build_cpi_stack(
+        stack = build_cpi_stack(
             profile, inputs.latency_table, multithreading, contention,
             self.config,
         )

@@ -157,8 +157,19 @@ def model_multithreading(
     policy: str,
     rr_mode: str = "probabilistic",
     alignment: float = 1.0,
+    n_schedulers: int = 1,
 ) -> MultithreadingResult:
     """Predict multithreaded CPI from the representative warp's profile.
+
+    ``n_schedulers`` is the core's issue slots
+    (``GPUConfig.schedulers_per_core``), each arbitrating a static
+    partition of the warps.  With ``S = min(n_schedulers, n_warps)``
+    slots the representative warp's stalls are hidden (and its issue
+    slot contended) only by its own partition's ``ceil(n_warps / S)``
+    warps, while the core still retires all ``n_warps`` warps'
+    instructions over the busiest partition's span, and the CPI floor is
+    ``1 / (S * issue_rate)``.  At ``S = 1`` (the paper's core) this is
+    Eq. 7-16 as printed.
 
     ``rr_mode`` selects the RR non-overlap counting:
 
@@ -186,9 +197,11 @@ def model_multithreading(
     issue_rate = profile.issue_rate
     issue_prob = profile.issue_prob
     avg_insts = profile.avg_interval_insts
+    n_slots = max(1, min(n_schedulers, n_warps))
+    peers = -(-n_warps // n_slots)  # warps in the busiest partition
 
     intervals = profile.columns
-    if n_warps == 1:
+    if peers == 1:
         per_interval = np.zeros(profile.n_intervals)
     elif policy == "rr":
         weight = {
@@ -196,12 +209,12 @@ def model_multithreading(
             "probabilistic": 0.0,
             "blended": min(max(alignment, 0.0), 1.0),
         }[rr_mode]
-        lockstep = nonoverlapped_rr_lockstep(intervals, n_warps)
-        random = nonoverlapped_rr(intervals, issue_prob, n_warps)
+        lockstep = nonoverlapped_rr_lockstep(intervals, peers)
+        random = nonoverlapped_rr(intervals, issue_prob, peers)
         per_interval = weight * lockstep + (1.0 - weight) * random
     else:
         per_interval = nonoverlapped_gto(
-            intervals, issue_prob, n_warps, avg_insts, issue_rate
+            intervals, issue_prob, peers, avg_insts, issue_rate
         )
 
     total_nonoverlapped = ordered_sum(per_interval)  # Eq. 8
@@ -214,10 +227,11 @@ def model_multithreading(
     cycles = rep_cycles + total_nonoverlapped / issue_rate
     cpi = cycles / total_insts if total_insts else 0.0
     # Physical issue-bandwidth bound: a core cannot retire more than
-    # issue_rate instructions per cycle, so per-core-instruction CPI can
-    # never drop below 1/issue_rate.  (The probabilistic overlap count
-    # can otherwise become optimistic for heavily saturated cores.)
-    cpi = max(cpi, 1.0 / issue_rate)
+    # n_slots * issue_rate instructions per cycle, so per-core-instruction
+    # CPI can never drop below 1/(n_slots * issue_rate).  (The
+    # probabilistic overlap count can otherwise become optimistic for
+    # heavily saturated cores.)
+    cpi = max(cpi, 1.0 / (n_slots * issue_rate))
     return MultithreadingResult(
         policy=policy,
         n_warps=n_warps,

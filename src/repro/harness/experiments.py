@@ -23,6 +23,7 @@ from repro.harness.runner import (
     KernelResult,
     nanmean,
 )
+from repro.harness.sweeps import Sweep
 from repro.pipeline import EvalRequest, Pipeline
 from repro.workloads.suite import kernel_names, kernels_with_tag
 
@@ -245,30 +246,25 @@ def _sweep(
     pipeline: Pipeline,
     figure: str,
     x_label: str,
-    x_values: Sequence,
-    request_for,
+    sweep: Sweep,
     kernels: Sequence[str],
 ) -> ExperimentResult:
-    """Fan every (kernel × sweep point) out through the pipeline at once.
+    """Run ``sweep`` over ``kernels`` and plot each model's mean error.
 
-    ``request_for(name, x)`` builds the :class:`EvalRequest` of one
-    point; with ``pipeline.jobs > 1`` the whole grid runs in parallel.
+    :meth:`Sweep.run` sends the whole (kernel × point) grid through
+    the pipeline at once; with ``pipeline.jobs > 1`` it runs in parallel.
     """
-    requests = [
-        request_for(name, x) for x in x_values for name in kernels
-    ]
-    flat = iter(pipeline.evaluate_many(requests))
     series: Dict[str, List[float]] = {MODEL_LABELS[m]: [] for m in MODELS}
     all_results: Dict = {}
-    for x in x_values:
-        results = [next(flat) for _ in kernels]
-        all_results[x] = results
+    for point in sweep.run(pipeline, kernels).points:
+        results = list(point.results.values())
+        all_results[point.value] = results
         means = _mean_errors(results)
         for model in MODELS:
             series[MODEL_LABELS[model]].append(means[model])
     text = render_series(
         x_label,
-        list(x_values),
+        sweep.values,
         series,
         title="%s: mean relative error over %d kernels"
         % (figure.capitalize(), len(kernels)),
@@ -286,12 +282,8 @@ def run_figure13(
 ) -> ExperimentResult:
     """Mean error vs. warps per core (round-robin policy)."""
     return _sweep(
-        pipeline,
-        "figure13",
-        "warps/core",
-        warp_counts,
-        lambda name, warps: EvalRequest(kernel=name, warps_per_core=warps),
-        kernels,
+        pipeline, "figure13", "warps/core",
+        Sweep("warps_per_core", warp_counts), kernels,
     )
 
 
@@ -302,14 +294,7 @@ def run_figure14(
 ) -> ExperimentResult:
     """Mean error vs. number of MSHR entries."""
     return _sweep(
-        pipeline,
-        "figure14",
-        "MSHRs",
-        mshr_counts,
-        lambda name, mshrs: EvalRequest(
-            kernel=name, config=pipeline.config.with_(n_mshrs=mshrs)
-        ),
-        kernels,
+        pipeline, "figure14", "MSHRs", Sweep("n_mshrs", mshr_counts), kernels
     )
 
 
@@ -320,14 +305,8 @@ def run_figure15(
 ) -> ExperimentResult:
     """Mean error vs. DRAM bandwidth (GB/s)."""
     return _sweep(
-        pipeline,
-        "figure15",
-        "GB/s",
-        bandwidths,
-        lambda name, gbps: EvalRequest(
-            kernel=name, config=pipeline.config.with_(dram_bandwidth_gbps=gbps)
-        ),
-        kernels,
+        pipeline, "figure15", "GB/s",
+        Sweep("dram_bandwidth_gbps", bandwidths), kernels,
     )
 
 

@@ -49,16 +49,16 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.backend import BACKEND_STAGES, current_backend
 from repro.config import GPUConfig
+from repro.core.interval import build_interval_profiles
+from repro.core.latency import build_latency_table
+from repro.core.representative import select_representative
+from repro.memory.cache_simulator import simulate_caches
 from repro.obs.metrics import MetricsRegistry, diff_snapshots
 from repro.obs.tracer import Tracer, get_tracer
 from repro.pipeline.stages import (
-    compute_cache_sim,
-    compute_clustering,
     compute_costmodel,
-    compute_latency_table,
     compute_lint,
     compute_oracle,
-    compute_profiles,
     compute_trace,
     compute_xcheck,
     config_view,
@@ -213,16 +213,14 @@ class Pipeline:
         ``compute`` receives :func:`~repro.pipeline.stages.config_view`
         of ``config``: only the fields ``key`` covers, so a read of any
         other field raises before anything is stored.  ``config.arch``
-        labels the execution in both the span args and the per-arch
-        shadow counters — the observability face of the multi-backend
-        refactor (cross-arch sweeps show up separated per backend).
+        labels the execution's span, so cross-arch sweeps show up
+        separated per machine.
         """
         artifact = self.store.get(key)
         if artifact is not None:
             self.metrics.counter("pipeline.stage_hits", stage=stage).inc()
             return artifact
-        arch = config.arch
-        span_args = {"key": key, "arch": arch}
+        span_args = {"key": key, "arch": config.arch}
         backend = None
         if stage in BACKEND_STAGES:
             backend = current_backend()
@@ -246,10 +244,6 @@ class Pipeline:
             metrics.counter(
                 "pipeline.backend_seconds", stage=stage, backend=backend
             ).inc(elapsed)
-        # Per-architecture shadow counters, same pattern as above.
-        metrics.counter(
-            "pipeline.arch_executions", stage=stage, arch=arch
-        ).inc()
         _LOG.debug("stage %s executed in %.1f ms (%s)",
                    stage, elapsed * 1e3, key)
         self.store.put(key, artifact)
@@ -352,7 +346,9 @@ class Pipeline:
         key = stage_key("cache_sim", config, trace_key_, warps_per_core)
 
         def compute(config):
-            result = compute_cache_sim(trace, config, warps_per_core)
+            result = simulate_caches(
+                trace, config, warps_per_core=warps_per_core
+            )
             self._record_cache_metrics(result)
             return result
 
@@ -377,7 +373,7 @@ class Pipeline:
         return (
             self._execute(
                 "latency_table", key, config,
-                lambda config: compute_latency_table(
+                lambda config: build_latency_table(
                     trace, cache_result, config
                 ),
             ),
@@ -389,8 +385,8 @@ class Pipeline:
         return (
             self._execute(
                 "interval_profiles", key, config,
-                lambda config: compute_profiles(
-                    trace, latency_table, config
+                lambda config: build_interval_profiles(
+                    trace, latency_table, config.issue_rate
                 ),
             ),
             key,
@@ -401,7 +397,7 @@ class Pipeline:
         return (
             self._execute(
                 "clustering", key, config,
-                lambda config: compute_clustering(profiles, strategy),
+                lambda config: select_representative(profiles, strategy),
             ),
             key,
         )

@@ -37,9 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.config import ALL_FIELDS, TRACE_FIELDS, GPUConfig
-from repro.core.latency import build_latency_table
-from repro.core.representative import select_representative
-from repro.memory.cache_simulator import simulate_caches
 from repro.timing.simulator import TimingSimulator
 from repro.trace.emulator import emulate
 from repro.trace.trace_types import KernelTrace
@@ -70,11 +67,10 @@ LATENCY_FIELDS: FrozenSet[str] = frozenset(
     }
 )
 
-#: Interval-profile config dependencies: issue bandwidth plus the
-#: architecture backend (interval construction is an arch hook, so two
-#: archs must never share a profile artifact even while both shipped
-#: backends happen to build profiles identically).
-PROFILE_FIELDS: FrozenSet[str] = frozenset({"issue_width", "arch"})
+#: Interval-profile config dependencies: issue bandwidth.  (Profiles of
+#: two archs never share an artifact: ``arch`` keys the trace, and the
+#: profile key folds in the trace key.)
+PROFILE_FIELDS: FrozenSet[str] = frozenset({"issue_width"})
 
 #: Static cost-model config dependencies: warp/line geometry for the
 #: access classifier, residency limits for occupancy, issue width and
@@ -99,8 +95,9 @@ XCHECK_FIELDS: FrozenSet[str] = frozenset({"warp_size"})
 
 #: Analytical-model config dependencies beyond the clustering key's
 #: coverage (which already brings in cache geometry, residency,
-#: latencies and issue width): the scheduler policy, arch dispatch and
-#: sub-core partitioning, and the Sec. IV-B contention parameters.
+#: latencies and issue width): the scheduler policy, the issue slots per
+#: core (``arch``, ``n_schedulers``), and the Sec. IV-B contention
+#: parameters.
 PREDICT_FIELDS: FrozenSet[str] = frozenset(
     {
         "scheduler",
@@ -372,33 +369,6 @@ def compute_xcheck(kernel_name: str, scale, trace, cost, config: GPUConfig):
 
     kernel, _ = SUITE[kernel_name].build(scale)
     return crosscheck_kernel(kernel, trace, cost=cost, config=config)
-
-
-def compute_cache_sim(trace, config, warps_per_core: Optional[int]):
-    return simulate_caches(trace, config, warps_per_core=warps_per_core)
-
-
-def compute_latency_table(trace, cache_result, config):
-    return build_latency_table(trace, cache_result, config)
-
-
-def compute_profiles(trace, latency_table, config: GPUConfig):
-    """Interval profiles of a launch's warps, in launch order.
-
-    Interval-construction semantics are an architecture-backend hook
-    (``config.arch``); both shipped backends use the Eq. 4 scan.
-    Batched across warps by default (``repro.core.interval_vec``);
-    ``REPRO_SCALAR=1`` selects the per-warp reference scan.
-    """
-    from repro.arch import get_arch  # deferred: circular import
-
-    return get_arch(config.arch).build_interval_profiles(
-        trace, latency_table, config
-    )
-
-
-def compute_clustering(profiles, strategy: str):
-    return select_representative(profiles, strategy)
 
 
 def compute_oracle(

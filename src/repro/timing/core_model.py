@@ -2,11 +2,11 @@
 
 Each core holds a queue of thread blocks, keeps up to ``warps_per_core``
 warps resident (block-granular residency, like real GPUs), and issues
-through one or more *scheduler partitions* — the architecture backend
-(``repro.arch``) decides how many.  The paper's ``gpumech2014`` machine
-has a single partition holding every resident warp; the ``subcore``
-backend builds ``n_schedulers`` partitions (warp → partition by
-activation age, one issue slot each per cycle — sub-core dispatch).
+through ``config.schedulers_per_core`` *scheduler partitions*.  The
+paper's ``gpumech2014`` machine has a single partition holding every
+resident warp; ``arch="subcore"`` builds ``n_schedulers`` partitions
+(warp → partition by activation age, one issue slot each per cycle —
+sub-core dispatch).
 Within a partition the configured scheduler picks the issuing warp:
 
 * **RR** (round-robin): priority rotates to the warp after the last
@@ -181,14 +181,10 @@ class CoreModel:
         self._resident_blocks: List[List[_WarpRun]] = []
         self._resident: List[_WarpRun] = []
         self._age_counter = 0
-        # Scheduler partitions (sub-core dispatch): the architecture
-        # backend decides how many issue slots the core has; warps are
-        # statically assigned to partitions by activation age.
-        from repro.arch import get_arch  # deferred: circular import
-
-        n_partitions = get_arch(config.arch).schedulers_per_core(config)
+        # Scheduler partitions (sub-core dispatch): one per issue slot;
+        # warps are statically assigned to partitions by activation age.
         self._partitions = [
-            _SchedulerPartition() for _ in range(max(n_partitions, 1))
+            _SchedulerPartition() for _ in range(config.schedulers_per_core)
         ]
         # A core's issue eligibility only changes with its own events
         # (dependency completions, MSHR releases), so after a failed scan

@@ -30,6 +30,7 @@ from repro.isa.instructions import CmpOp, Imm, Instruction, Reg, Special
 from repro.isa.kernel import Kernel
 from repro.trace.coalescer import coalesce
 from repro.trace.memory_image import MemoryImage
+from repro.trace.reconvergence import InterleavedStack
 from repro.trace.simt_stack import SimtStack
 from repro.trace.trace_types import KernelTrace, OpCode, WarpTraceBuilder
 
@@ -105,7 +106,7 @@ class _WarpContext:
         warp_id: int,
         warp_size: int,
         n_regs: int,
-        stack_factory: Optional[Callable] = None,
+        stack_factory: Callable,
     ):
         self.warp_id = warp_id
         base_thread = warp_id * warp_size
@@ -114,10 +115,9 @@ class _WarpContext:
         active = tids < kernel.n_threads
         if not active.any():
             raise EmulatorError("warp %d has no threads" % warp_id)
-        # The architecture backend picks the divergence structure (stack
-        # vs ITS-style interleaving); default is the classic SIMT stack.
-        factory = stack_factory if stack_factory is not None else SimtStack
-        self.stack = factory(active)
+        # The divergence structure: the classic SIMT stack, or ITS-style
+        # interleaving under arch="subcore".
+        self.stack = stack_factory(active)
         self.regs = np.zeros((max(n_regs, 1), warp_size), dtype=np.float64)
         self.writers = np.full(max(n_regs, 1), -1, dtype=np.int64)
         block_id = base_thread // kernel.block_size
@@ -156,31 +156,31 @@ def emulate(
     max_warp_insts:
         Safety bound on dynamic instructions per warp (runaway loops).
 
-    The divergence structure comes from the architecture backend
-    (``config.arch``): stack reconvergence for ``gpumech2014``,
-    ITS-style interleaving for ``subcore``.  For stack traces the
-    batched lockstep backend (:mod:`repro.trace.emulator_vec`) runs by
-    default and produces bitwise-identical traces; ``REPRO_SCALAR=1``
-    forces this module's per-warp reference loop.  Interleaved policies
-    always run the per-warp loop (lockstep batching assumes the stack),
-    so the compute backend is trivially result-invariant there.
+    ``config.arch`` picks the divergence structure: stack reconvergence
+    for ``gpumech2014``, ITS-style interleaving
+    (:class:`~repro.trace.reconvergence.InterleavedStack`) for
+    ``subcore``.  For stack traces the batched lockstep backend
+    (:mod:`repro.trace.emulator_vec`) runs by default and produces
+    bitwise-identical traces; ``REPRO_SCALAR=1`` forces this module's
+    per-warp reference loop.  ``subcore`` always runs the per-warp loop
+    (lockstep batching assumes the stack), so the compute backend is
+    trivially result-invariant there.
     """
-    from repro.arch import get_arch  # deferred: circular import
     from repro.backend import use_scalar
 
     config = config if config is not None else GPUConfig()
     memory = memory if memory is not None else MemoryImage()
-    arch = get_arch(config.arch)
-    if arch.reconvergence == "stack" and not use_scalar():
+    interleaved = config.arch == "subcore"
+    if not interleaved and not use_scalar():
         from repro.trace.emulator_vec import emulate_vectorized
 
         return emulate_vectorized(kernel, config, memory, max_warp_insts)
+    stack_factory = InterleavedStack if interleaved else SimtStack
     n_regs = kernel.max_register + 1
     warps = []
     for warp_id in range(kernel.n_warps):
         ctx = _WarpContext(
-            kernel, warp_id, config.warp_size, n_regs,
-            stack_factory=arch.make_reconvergence_stack,
+            kernel, warp_id, config.warp_size, n_regs, stack_factory
         )
         _run_warp(kernel, ctx, config, memory, max_warp_insts)
         warps.append(ctx.builder.build())

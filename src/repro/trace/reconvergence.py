@@ -11,9 +11,9 @@ the scheduling-visible part of it).
 :class:`InterleavedStack` exposes the same interface the functional
 emulator drives the stack with (``pop_reconverged`` / ``top`` /
 ``branch`` / ``jump`` / ``advance`` / ``depth``), so either policy can
-plug into the same per-warp execution loop — the architecture backend
-(``repro.arch``) picks which one.  Instead of a stack it keeps a flat
-list of lane groups; each group carries the *join chain* of
+plug into the same per-warp execution loop; ``GPUConfig.arch`` picks
+which one (this one under ``subcore``).  Instead of a stack it keeps a
+flat list of lane groups; each group carries the *join chain* of
 reconvergence PCs it still owes (innermost last, the path-history
 analogue of nested stack entries):
 
@@ -31,7 +31,7 @@ For straight-line or uniformly-branching warps this executes the exact
 same instruction sequence as the stack; under divergence it emits the
 same multiset of trace rows per warp but interleaves the two sides —
 which changes producer→consumer distances and therefore the interval
-profiles, the effect the ``subcore`` backend exists to model.
+profiles, the effect ``arch="subcore"`` exists to model.
 """
 
 from __future__ import annotations

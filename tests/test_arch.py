@@ -1,18 +1,20 @@
-"""Architecture-backend contract tests (``repro.arch``).
+"""What ``GPUConfig.arch`` changes, tested where it is read.
 
-Pins the three load-bearing properties of the backend refactor:
+``subcore`` differs from the paper's ``gpumech2014`` core in exactly two
+places, both read straight from the config:
 
-* **Registry coherence** — the ``repro.arch`` registry and
-  ``config.KNOWN_ARCHES`` describe the same backends, and lookups fail
-  loudly for unknown names.
-* **Cache-key discipline** — ``GPUConfig.fingerprint`` changes with
-  ``arch`` and the sub-core parameters but never with the scalar/vector
-  *compute* backend; two architectures never collide in the artifact
-  store.
-* **Bitwise identity of the default backend** — ``arch="gpumech2014"``
-  predictions are pickle-identical to composing the ``repro.core``
-  functions directly (the pre-backend code path), across the whole
-  workload suite.
+* **Reconvergence** — ``repro.trace.emulator.emulate`` runs ITS-style
+  interleaving (``InterleavedStack``) under ``subcore``, the post-
+  dominator stack otherwise.
+* **Issue slots** — ``GPUConfig.schedulers_per_core`` is
+  ``n_schedulers`` under ``subcore`` and 1 otherwise; the oracle builds
+  that many scheduler partitions per core and the multithreading model
+  runs per partition.
+
+Pinned here: validation of the two fields, cache-key discipline (two
+arches never collide in the store), the default arch's predictions
+equal direct composition of the ``repro.core`` functions, and
+``subcore`` with one scheduler is the paper machine on every kernel.
 """
 
 import pickle
@@ -20,15 +22,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.arch import (
-    ARCH_NAMES,
-    ArchBackend,
-    GpuMech2014,
-    SubCore,
-    assert_backend_independent,
-    get_arch,
-    schedulers_for,
-)
 from repro.config import (
     ALL_FIELDS,
     KNOWN_ARCHES,
@@ -36,41 +29,32 @@ from repro.config import (
     ConfigError,
     GPUConfig,
 )
+from repro.core.interval import Interval, IntervalProfile
+from repro.core.multithreading import model_multithreading
 from repro.pipeline import Pipeline
+from repro.trace.trace_types import KernelTrace
 from repro.workloads.generators import Scale
 from repro.workloads.suite import SUITE, kernel_names
 
 CONFIG = GPUConfig.small(n_cores=2, warps_per_core=8)
 SUBCORE = CONFIG.with_(arch="subcore", n_schedulers=2)
+#: Sub-core dispatch with a single issue slot: the paper's machine.
+ONE_SLOT = CONFIG.with_(arch="subcore", n_schedulers=1)
 
 
-class TestRegistry:
-    def test_registry_matches_config(self):
-        assert set(ARCH_NAMES) == set(KNOWN_ARCHES)
-
-    def test_get_arch_returns_singletons(self):
-        for name in ARCH_NAMES:
-            backend = get_arch(name)
-            assert isinstance(backend, ArchBackend)
-            assert backend.name == name
-            assert get_arch(name) is backend
-
-    def test_default_is_the_paper_backend(self):
-        assert isinstance(get_arch(GPUConfig().arch), GpuMech2014)
-
-    def test_unknown_arch_raises_with_known_names(self):
-        with pytest.raises(ValueError, match="gpumech2014"):
-            get_arch("volta")
-
-    def test_describe_is_informative(self):
-        for name in ARCH_NAMES:
-            text = get_arch(name).describe()
-            assert name in text
-
+class TestIssueSlots:
     def test_schedulers_per_core(self):
-        assert get_arch("gpumech2014").schedulers_per_core(SUBCORE) == 1
-        assert get_arch("subcore").schedulers_per_core(SUBCORE) == 2
-        assert schedulers_for(SubCore(), SUBCORE, n_warps=1) == 1
+        assert SUBCORE.schedulers_per_core == 2
+        # gpumech2014 has one scheduler whatever n_schedulers says.
+        assert SUBCORE.with_(arch="gpumech2014").schedulers_per_core == 1
+        # The model never runs more slots than there are warps: at one
+        # warp four slots are one slot.
+        profile = IntervalProfile.from_intervals(
+            0, [Interval(n_insts=3, stall_cycles=6.0)]
+        )
+        clamped = model_multithreading(profile, 1, "rr", n_schedulers=4)
+        single = model_multithreading(profile, 1, "rr")
+        assert pickle.dumps(clamped) == pickle.dumps(single)
 
 
 class TestConfigValidation:
@@ -140,20 +124,10 @@ class TestCacheKeys:
         assert pickle.dumps(again_sub) == pickle.dumps(second)
 
 
-class TestComputeBackendIndependence:
-    @pytest.mark.parametrize("config", [CONFIG, SUBCORE],
-                             ids=["gpumech2014", "subcore"])
-    def test_scalar_and_vectorized_agree(self, config):
-        prediction = assert_backend_independent(
-            "bfs_kernel1", config=config, scale=Scale.tiny()
-        )
-        assert prediction.arch == config.arch
-        assert prediction.cpi > 0
-
-
 class TestDefaultArchBitwiseIdentity:
     def test_dispatch_equals_direct_composition(self):
-        """gpumech2014 == the pre-backend code path, whole suite."""
+        """gpumech2014 == composing the repro.core functions, whole
+        suite."""
         from repro.core.contention import model_contention
         from repro.core.cpi_stack import build_cpi_stack
         from repro.core.model import resident_warps_per_core
@@ -186,6 +160,44 @@ class TestDefaultArchBitwiseIdentity:
                 stack
             ), name
             assert prediction.arch == "gpumech2014"
+
+
+@pytest.fixture(scope="module")
+def paper_and_one_slot():
+    """Pipelines of the paper machine and of one-slot ``subcore``."""
+    return (
+        Pipeline(CONFIG, scale=Scale.tiny()),
+        Pipeline(ONE_SLOT, scale=Scale.tiny()),
+    )
+
+
+class TestOneSchedulerSubcoreIsThePaperMachine:
+    """At ``n_schedulers=1`` only the reconvergence policy differs from
+    ``gpumech2014``, and on the suite's structured control flow it
+    executes in stack order: every trace, prediction and oracle count
+    must match the paper machine's exactly."""
+
+    @pytest.mark.parametrize("name", kernel_names())
+    def test_same_trace_prediction_and_oracle(self, name, paper_and_one_slot):
+        paper, one_slot = paper_and_one_slot
+        a, b = paper.trace(name), one_slot.trace(name)
+        for column in KernelTrace.COLUMNS:
+            assert np.array_equal(getattr(a, column), getattr(b, column)), (
+                name, column,
+            )
+        for policy in ("rr", "gto"):
+            want = paper.predict(name, policy=policy)
+            got = one_slot.predict(name, policy=policy)
+            assert got.cpi == want.cpi, (name, policy)
+            assert got.cpi_multithreading == want.cpi_multithreading, (
+                name, policy,
+            )
+            assert pickle.dumps(got.cpi_stack) == pickle.dumps(
+                want.cpi_stack
+            ), (name, policy)
+        want, got = paper.simulate(name), one_slot.simulate(name)
+        assert got.total_cycles == want.total_cycles, name
+        assert got.total_insts == want.total_insts, name
 
 
 class TestInterleavedTraces:
@@ -338,8 +350,8 @@ class TestSubcoreEndToEnd:
         profile = build_interval_profiles(
             trace, table, SUBCORE.issue_rate
         )[0]
-        sub = get_arch("subcore").model_multithreading(
-            profile, 8, "rr", SUBCORE
+        sub = model_multithreading(
+            profile, 8, "rr", n_schedulers=SUBCORE.schedulers_per_core
         )
         assert sub.n_warps == 8
         assert sub.cpi >= 1.0 / (2 * SUBCORE.issue_rate)
@@ -354,7 +366,7 @@ class TestSubcoreEndToEnd:
             scale=Scale.tiny(), kernels=["vectoradd"], config=CONFIG
         )
         assert set(results) == {"vectoradd"}
-        assert set(results["vectoradd"]) == set(ARCH_NAMES)
+        assert list(results["vectoradd"]) == list(KNOWN_ARCHES)
         report = render_arch_comparison(results)
         assert "vectoradd" in report
         assert "gpumech2014" in report and "subcore" in report

@@ -12,14 +12,14 @@ goes stale under an override of that field.  These tests pin
   leaves nothing in the store;
 * the converse: every declared field is read on some kernel and arch,
   so no declaration invalidates artifacts for nothing;
-* architecture dispatch: ``subcore`` predictions and traces go through
-  the backend's hooks, not the paper model's defaults.
+* arch dispatch: ``subcore`` predictions run the multithreading model
+  per issue slot and ``subcore`` traces interleave divergent paths,
+  unlike the paper model's.
 """
 
 import pytest
 
 import repro.pipeline.stages as stages
-from repro.arch import get_arch
 from repro.config import ALL_FIELDS, GPUConfig
 from repro.core.model import resident_warps_per_core
 from repro.core.multithreading import model_multithreading
@@ -216,14 +216,15 @@ class TestArchDispatchPin:
         inputs = pipeline.model_inputs(kernel)
         profile = inputs.representative
         n_warps = resident_warps_per_core(inputs.trace, SUBCORE)
-        backend = get_arch("subcore").model_multithreading(
-            profile, n_warps, SUBCORE.scheduler, SUBCORE,
-            rr_mode=pipeline.rr_mode,
+        subcore = model_multithreading(
+            profile, n_warps, SUBCORE.scheduler, rr_mode=pipeline.rr_mode,
+            n_schedulers=SUBCORE.schedulers_per_core,
         )
         paper = model_multithreading(
             profile, n_warps, SUBCORE.scheduler, rr_mode=pipeline.rr_mode
         )
-        assert prediction.cpi_multithreading == backend.cpi
+        assert SUBCORE.schedulers_per_core == SUBCORE.n_schedulers > 1
+        assert prediction.cpi_multithreading == subcore.cpi
         assert prediction.cpi_multithreading != paper.cpi
 
     def test_subcore_trace_uses_the_backend_reconvergence(self):

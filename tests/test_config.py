@@ -79,11 +79,35 @@ class TestValidation:
             ("n_mshrs", 0),
             ("dram_bandwidth_gbps", 0.0),
             ("core_clock_ghz", -1.0),
+            # Fewer threads per core than one warp.
+            ("max_threads_per_core", 0),
+            ("max_threads_per_core", -32),
+            # Line sizes that are not a positive power of two.
+            ("line_size", 96),
+            ("line_size", 0),
+            # Associativity below 1 (checked before the divisibility
+            # test, which would divide by it).
+            ("l1_assoc", 0),
+            ("l2_assoc", 0),
+            # A cache smaller than one set.
+            ("l1_size", 0),
+            # Negative latencies.
+            ("l1_latency", -5),
+            ("l2_latency", -1),
+            ("dram_latency", -300),
+            ("op_latencies", {"ialu": 4, "falu": -1, "sfu": 40}),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):
         with pytest.raises(ConfigError):
             GPUConfig(**{field: value})
+
+    def test_line_size_must_be_power_of_two(self):
+        # Cache sizes divisible by line_size*assoc, so only the line
+        # size itself is wrong.
+        with pytest.raises(ConfigError, match="power of two"):
+            GPUConfig(line_size=96, l1_size=96 * 8 * 32,
+                      l2_size=96 * 8 * 1024)
 
     def test_max_threads_must_be_warp_multiple(self):
         with pytest.raises(ConfigError):

@@ -30,6 +30,8 @@ from repro.workloads.generators import Scale
 from repro.workloads.suite import SUITE, kernel_names
 
 CONFIG = GPUConfig.small(n_cores=2, warps_per_core=8)
+#: The other arch: interleaved reconvergence, two issue slots per core.
+SUBCORE = CONFIG.with_(arch="subcore", n_schedulers=2)
 
 #: Trace columns that must match bitwise, dtype and shape included.
 COLUMNS = (
@@ -104,15 +106,28 @@ class TestSuiteEquivalence:
         assert pickle.dumps(vprofiles) == pickle.dumps(sprofiles)
 
 
+def _predictions_identical(name, config):
+    """The whole trace → … → predict chain, under both backends."""
+    stacks = {}
+    for scalar in (True, False):
+        with backend(scalar):
+            pipeline = Pipeline(config, scale=Scale.tiny())
+            stacks[scalar] = pipeline.predict(name)
+    assert stacks[False].arch == config.arch
+    assert pickle.dumps(stacks[False]) == pickle.dumps(stacks[True])
+
+
 class TestCpiStackEquivalence:
+    """``REPRO_SCALAR`` selects an implementation, never an answer —
+    under either arch."""
+
     @pytest.mark.parametrize("name", kernel_names())
     def test_predictions_identical(self, name):
-        stacks = {}
-        for scalar in (True, False):
-            with backend(scalar):
-                pipeline = Pipeline(CONFIG, scale=Scale.tiny())
-                stacks[scalar] = pipeline.predict(name)
-        assert pickle.dumps(stacks[False]) == pickle.dumps(stacks[True])
+        _predictions_identical(name, CONFIG)
+
+    @pytest.mark.parametrize("name", kernel_names())
+    def test_subcore_predictions_identical(self, name):
+        _predictions_identical(name, SUBCORE)
 
 
 class TestBackendSelection:
