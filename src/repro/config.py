@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, Optional
 
@@ -198,10 +199,14 @@ class GPUConfig:
                 )
         if self.n_mshrs < 1:
             raise ConfigError("n_mshrs must be >= 1")
-        if self.dram_bandwidth_gbps <= 0:
-            raise ConfigError("dram_bandwidth_gbps must be positive")
-        if self.core_clock_ghz <= 0:
-            raise ConfigError("core_clock_ghz must be positive")
+        # NaN fails every comparison and +inf passes "> 0", so test
+        # finiteness too: either would reach the model and the oracle.
+        for name in ("dram_bandwidth_gbps", "core_clock_ghz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    "%s must be positive and finite; got %r" % (name, value)
+                )
         missing = {"ialu", "falu", "sfu"} - set(self.op_latencies)
         if missing:
             raise ConfigError("op_latencies missing classes: %s" % sorted(missing))

@@ -224,10 +224,8 @@ def model_contention(
     per_mshr = delay * intervals.exp_mshr_loads
 
     # --- DRAM bandwidth (reads that miss L2 + write-through stores) ------
-    core_dram_reqs = intervals.dram_reqs * n_warps
-    wait = dram_queuing_delay(
-        core_dram_reqs, intervals.cycles(profile.issue_rate), config
-    )
+    core_dram_reqs = profile.interval_dram_reqs * n_warps
+    wait = dram_queuing_delay(core_dram_reqs, profile.interval_cycles, config)
     per_queue = wait * intervals.exp_dram_loads
 
     total_insts = n_warps * profile.n_insts
@@ -235,10 +233,10 @@ def model_contention(
     cpi_queue = ordered_sum(per_queue) / total_insts if total_insts else 0.0
 
     rep_insts = profile.n_insts
-    mshr_reqs = ordered_sum(intervals.exp_mshr_reqs)
-    dram_reqs = ordered_sum(intervals.dram_reqs)
-    sfu_insts = int(intervals.n_sfu.sum())
-    smem_slots = int(intervals.smem_slots.sum())
+    mshr_reqs = profile.total_mshr_reqs
+    dram_reqs = profile.total_dram_reqs
+    sfu_insts = profile.total_sfu
+    smem_slots = profile.total_smem_slots
     mshr_floor = 0.0
     bandwidth_floor = 0.0
     sfu_floor = 0.0

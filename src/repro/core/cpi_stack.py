@@ -31,7 +31,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.config import GPUConfig
 from repro.core.contention import ContentionResult
 from repro.core.interval import IntervalProfile
 from repro.core.latency import LatencyTable
@@ -193,17 +192,19 @@ def single_warp_stack(
 
 
 def build_cpi_stack(
-    profile: IntervalProfile,
-    latency_table: LatencyTable,
+    single_warp: CPIStack,
     multithreading: MultithreadingResult,
     contention: ContentionResult,
-    config: GPUConfig,
 ) -> CPIStack:
-    """The kernel's CPI stack under multithreading and contention."""
-    base = single_warp_stack(profile, latency_table)
-    single_cpi = base.total
+    """The kernel's CPI stack under multithreading and contention.
+
+    ``single_warp`` is the representative's :func:`single_warp_stack`,
+    computed once per kernel by the clustering stage; it is scaled into
+    a new stack and never modified.
+    """
+    single_cpi = single_warp.total
     factor = multithreading.cpi / single_cpi if single_cpi else 0.0
-    stack = base.scaled(factor)
+    stack = single_warp.scaled(factor)
     mshr, sfu, smem, queue = contention.effective_components(
         multithreading.cpi
     )

@@ -305,6 +305,39 @@ class IntervalProfile:
         :attr:`n_insts`)."""
         return ordered_sum(self.columns.stall_cycles)
 
+    # What the contention model reads on every prediction and no
+    # design point changes, cached like :attr:`n_insts`:
+
+    @cached_property
+    def interval_dram_reqs(self) -> np.ndarray:
+        """Per-interval expected DRAM transfers (``dram_reqs`` column)."""
+        return self.columns.dram_reqs
+
+    @cached_property
+    def interval_cycles(self) -> np.ndarray:
+        """Per-interval cycles (issue + stall) at :attr:`issue_rate`."""
+        return self.columns.cycles(self.issue_rate)
+
+    @cached_property
+    def total_mshr_reqs(self) -> float:
+        """Expected MSHR-occupying read requests, summed in order."""
+        return ordered_sum(self.columns.exp_mshr_reqs)
+
+    @cached_property
+    def total_dram_reqs(self) -> float:
+        """Expected DRAM transfers, summed in order."""
+        return ordered_sum(self.interval_dram_reqs)
+
+    @cached_property
+    def total_sfu(self) -> int:
+        """SFU instructions across all intervals."""
+        return int(self.columns.n_sfu.sum())
+
+    @cached_property
+    def total_smem_slots(self) -> int:
+        """Serialised scratchpad bank slots across all intervals."""
+        return int(self.columns.smem_slots.sum())
+
     @property
     def total_cycles(self) -> float:
         """Single-warp execution time (issue cycles + stalls)."""

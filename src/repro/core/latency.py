@@ -23,15 +23,24 @@ from repro.trace.trace_types import KernelTrace, OpCode
 
 
 class LatencyTable:
-    """Latency (cycles) and miss statistics per static instruction."""
+    """Latency (cycles) and miss statistics per static instruction.
+
+    ``avg_miss_latency`` is the kernel's mean L2/DRAM service time of an
+    L1-missing load request (Eq. 19,
+    :meth:`CacheSimResult.avg_miss_latency`).  It depends only on the
+    cache statistics and the latencies this table is keyed on, so it is
+    computed once here rather than on every prediction.
+    """
 
     def __init__(
         self,
         latencies: np.ndarray,
         pc_stats: Dict[int, PCStats],
+        avg_miss_latency: float,
     ):
         self._latencies = latencies
         self.pc_stats = pc_stats
+        self.avg_miss_latency = avg_miss_latency
 
     def latency(self, pc: int) -> float:
         """Latency (cycles) of the static instruction at ``pc``."""
@@ -74,7 +83,9 @@ def build_latency_table(
         for pc in np.flatnonzero(conflict_count).tolist():
             mean_degree = conflict_sum[pc] / conflict_count[pc]
             latencies[pc] += max(mean_degree - 1.0, 0.0)
-    return LatencyTable(latencies, cache_result.per_pc)
+    return LatencyTable(
+        latencies, cache_result.per_pc, cache_result.avg_miss_latency(config)
+    )
 
 
 def _latency_of(

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.config import GPUConfig
 from repro.core.contention import ContentionResult, model_contention
 from repro.core.cpi_stack import CPIStack, build_cpi_stack
@@ -122,9 +120,7 @@ def resident_warps_per_core(
     blocks = trace.n_blocks
     if not blocks:
         return 1
-    warps_per_block = max(
-        int(np.count_nonzero(trace.block_ids == 0)), 1
-    )
+    warps_per_block = max(trace.warps_per_block, 1)
     blocks_per_core = -(-blocks // config.n_cores)  # ceil division
     resident_blocks = min(max(limit // warps_per_block, 1), blocks_per_core)
     return resident_blocks * warps_per_block
@@ -232,11 +228,10 @@ class GPUMech:
         )
         contention = model_contention(
             profile, n_warps, self.config,
-            inputs.cache_result.avg_miss_latency(self.config),
+            inputs.latency_table.avg_miss_latency,
         )
         stack = build_cpi_stack(
-            profile, inputs.latency_table, multithreading, contention,
-            self.config,
+            inputs.selection.single_warp_stack, multithreading, contention
         )
         cpi_mshr, cpi_sfu, cpi_smem, cpi_queue = (
             contention.effective_components(multithreading.cpi)

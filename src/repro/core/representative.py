@@ -16,23 +16,31 @@ lowest single-warp IPC) are provided for the comparison experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.cpi_stack import CPIStack
 from repro.core.interval import IntervalProfile
 from repro.core.kmeans import KMeansResult, kmeans
 
 
 @dataclass
 class RepresentativeSelection:
-    """Outcome of representative-warp selection."""
+    """Outcome of representative-warp selection.
+
+    The ``clustering`` stage artifact also carries the representative's
+    :func:`~repro.core.cpi_stack.single_warp_stack`: it depends only on
+    the profile and the latency table, so every prediction of the kernel
+    scales this one stack.
+    """
 
     index: int  # index into the profile list
     profile: IntervalProfile
     strategy: str
     features: np.ndarray  # (n_warps, 2) normalised feature vectors
     clustering: KMeansResult = None
+    single_warp_stack: Optional[CPIStack] = None
 
     @property
     def warp_id(self) -> int:

@@ -11,8 +11,9 @@
    stale;
 2. *memoised* — looked up in an :class:`~repro.pipeline.store.ArtifactStore`
    (in-memory by default; memory-fronted disk with ``cache_dir``), so a
-   hardware sweep automatically re-runs only the cache-sim-and-later
-   stages and a repeated sweep re-runs nothing at all;
+   hardware sweep automatically re-runs only the stages downstream of
+   the fields it changes (``predict`` alone for MSHR, bandwidth or
+   scheduler points) and a repeated sweep re-runs nothing at all;
 3. *counted and timed* — every execution lands in the pipeline's
    :class:`~repro.obs.metrics.MetricsRegistry` (stage execution/hit
    counters, wall-clock totals and latency histograms, cache-sim and
@@ -49,6 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.backend import BACKEND_STAGES, current_backend
 from repro.config import GPUConfig
+from repro.core.cpi_stack import single_warp_stack
 from repro.core.interval import build_interval_profiles
 from repro.core.latency import build_latency_table
 from repro.core.representative import select_representative
@@ -392,15 +394,20 @@ class Pipeline:
             key,
         )
 
-    def _clustering(self, profiles, profiles_key, config, strategy):
+    def _clustering(self, profiles, latency_table, profiles_key, config,
+                    strategy):
+        # The profiles key hashes the latency key, so this key covers the
+        # representative's single-warp stack too.
         key = stage_key("clustering", config, profiles_key, strategy)
-        return (
-            self._execute(
-                "clustering", key, config,
-                lambda config: select_representative(profiles, strategy),
-            ),
-            key,
-        )
+
+        def compute(config):
+            selection = select_representative(profiles, strategy)
+            selection.single_warp_stack = single_warp_stack(
+                selection.profile, latency_table
+            )
+            return selection
+
+        return self._execute("clustering", key, config, compute), key
 
     def _model_inputs(
         self, trace, trace_key_, config, selection_strategy, warps_per_core
@@ -422,7 +429,7 @@ class Pipeline:
             trace, latency_table, latency_key, config
         )
         selection, clustering_key = self._clustering(
-            profiles, profiles_key, config, selection_strategy
+            profiles, latency_table, profiles_key, config, selection_strategy
         )
         inputs = ModelInputs(
             trace=trace,
@@ -474,6 +481,9 @@ class Pipeline:
         """Run the cycle-level timing oracle (cached on the full config)."""
         config = self._effective_config(config)
         trace, trace_key_ = self._trace(kernel_name, config)
+        return self._simulate(trace, trace_key_, config, warps_per_core)
+
+    def _simulate(self, trace, trace_key_, config, warps_per_core):
         interval = self.timeline_interval
         parts: tuple = (trace_key_, warps_per_core)
         if interval is not None:
@@ -535,10 +545,18 @@ class Pipeline:
         selection_strategy: str = "clustering",
     ):
         """GPUMech prediction through the cached stage chain."""
-        from repro.core.model import GPUMech, resident_warps_per_core
-
         config = self._effective_config(config, policy)
         trace, trace_key_ = self._trace(kernel_name, config)
+        return self._predict(
+            trace, trace_key_, config, selection_strategy, warps_per_core,
+            n_warps,
+        )[2]
+
+    def _predict(self, trace, trace_key_, config, selection_strategy,
+                 warps_per_core, n_warps=None):
+        """Fig. 5 from a trace: ``(inputs, n_warps, prediction)``."""
+        from repro.core.model import GPUMech, resident_warps_per_core
+
         inputs, clustering_key = self._model_inputs(
             trace, trace_key_, config, selection_strategy, warps_per_core
         )
@@ -547,12 +565,13 @@ class Pipeline:
         key = stage_key(
             "predict", config, clustering_key, n_warps, self.rr_mode
         )
-        return self._execute(
+        prediction = self._execute(
             "predict", key, config,
             lambda config: GPUMech(config, rr_mode=self.rr_mode).predict(
                 inputs, n_warps=n_warps
             ),
         )
+        return inputs, n_warps, prediction
 
     def evaluate(
         self,
@@ -578,25 +597,14 @@ class Pipeline:
     ):
         from repro.baselines.markov import markov_chain_cpi
         from repro.baselines.naive import naive_interval_cpi
-        from repro.core.model import resident_warps_per_core
         from repro.harness.runner import KernelResult  # circular at import
 
         started = time.perf_counter()
         timings_before = dict(self.timings) if self.ledger else {}
-        oracle = self.simulate(kernel_name, config, warps_per_core)
-        inputs = self.model_inputs(
-            kernel_name,
-            config,
-            selection_strategy=selection_strategy,
-            warps_per_core=warps_per_core,
-        )
-        n_warps = resident_warps_per_core(inputs.trace, config, warps_per_core)
-        prediction = self.predict(
-            kernel_name,
-            config,
-            warps_per_core=warps_per_core,
-            n_warps=n_warps,
-            selection_strategy=selection_strategy,
+        trace, trace_key_ = self._trace(kernel_name, config)
+        oracle = self._simulate(trace, trace_key_, config, warps_per_core)
+        inputs, n_warps, prediction = self._predict(
+            trace, trace_key_, config, selection_strategy, warps_per_core
         )
         representative = inputs.representative
         mt_cpi = prediction.cpi_multithreading

@@ -14,9 +14,9 @@ artifacts a configuration override invalidates:
 ``costmodel``         static cost model (warp/line geometry + cost params)
 ``xcheck``            dynamic-vs-static cross-validation (trace fields)
 ``cache_sim``         functional cache replay (cache geometry + residency)
-``latency_table``     per-PC AMAT (latency parameters)
+``latency_table``     per-PC AMAT + avg miss latency (latency parameters)
 ``interval_profiles`` per-warp Eq. 4 scan (issue bandwidth)
-``clustering``        representative-warp selection (strategy parameter)
+``clustering``        representative warp + its single-warp CPI stack
 ``predict``           multi-warp analytical model (scheduling, contention)
 ``oracle``            cycle-level timing simulation (full config)
 ====================  =====================================================
@@ -185,6 +185,7 @@ STAGES = {
             inputs=("cache_sim",),
             config_fields=LATENCY_FIELDS,
             description="per-PC average memory access times",
+            layout=2,  # carries avg_miss_latency
         ),
         StageSpec(
             "interval_profiles",
@@ -198,6 +199,7 @@ STAGES = {
             inputs=("interval_profiles",),
             config_fields=frozenset(),
             description="representative-warp selection (k-means, Eq. 5/6)",
+            layout=2,  # carries the single-warp CPI stack
         ),
         StageSpec(
             "predict",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -411,6 +412,12 @@ class KernelTrace:
     def total_requests(self) -> int:
         """Coalesced memory requests across all warps."""
         return int(self.req_offsets[-1])
+
+    @cached_property
+    def warps_per_block(self) -> int:
+        """Warps of block 0, counted once: the multi-warp model's
+        block-granular residency reads it on every prediction."""
+        return int(np.count_nonzero(self.block_ids == 0))
 
     def summary(self) -> str:
         """One-line description for logs and examples."""

@@ -129,7 +129,7 @@ class TestDefaultArchBitwiseIdentity:
         """gpumech2014 == composing the repro.core functions, whole
         suite."""
         from repro.core.contention import model_contention
-        from repro.core.cpi_stack import build_cpi_stack
+        from repro.core.cpi_stack import build_cpi_stack, single_warp_stack
         from repro.core.model import resident_warps_per_core
         from repro.core.multithreading import model_multithreading
 
@@ -147,8 +147,8 @@ class TestDefaultArchBitwiseIdentity:
                 inputs.cache_result.avg_miss_latency(CONFIG),
             )
             stack = build_cpi_stack(
-                profile, inputs.latency_table, multithreading, contention,
-                CONFIG,
+                single_warp_stack(profile, inputs.latency_table),
+                multithreading, contention,
             )
             assert pickle.dumps(prediction.multithreading) == pickle.dumps(
                 multithreading

@@ -105,8 +105,8 @@ class TestKeyCoverage:
         assert PREDICT_FIELDS < covered
 
     def test_upstream_covered_field_stays_readable(self):
-        # avg_miss_latency reads l2_latency inside predict, which only
-        # the latency_table key covers.
+        # predict depends on l2_latency through the latency table's
+        # avg_miss_latency, which only the latency_table key covers.
         assert "l2_latency" not in STAGES["predict"].config_fields
         pipeline = Pipeline(CONFIG, scale=SCALE)
         base = pipeline.predict("vectoradd")

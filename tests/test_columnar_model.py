@@ -402,7 +402,7 @@ def latency_tables(draw):
         stats.inst_events = dict(zip(_EVENT_CATEGORY, events))
         stats.n_insts = sum(events)
         pc_stats[pc] = stats
-    return LatencyTable(np.ones(8), pc_stats)
+    return LatencyTable(np.ones(8), pc_stats, 420.0)
 
 
 def both(rows, issue_rate=1.0, warp_id=0):
@@ -558,7 +558,7 @@ EDGE_PROFILES = {
 def test_edge_profiles_match_reference(name, n_warps):
     rows = EDGE_PROFILES[name]
     config = GPUConfig()
-    table = LatencyTable(np.ones(8), {})
+    table = LatencyTable(np.ones(8), {}, 420.0)
     check_contention(rows, 1.0, n_warps, config, 420.0)
     check_multithreading(rows, 1.0, n_warps, 0.5)
     check_baselines(rows, 1.0, n_warps)

@@ -1,5 +1,7 @@
 """Unit tests for the machine configuration (Table I)."""
 
+import math
+
 import pytest
 
 from repro.config import ConfigError, GPUConfig
@@ -79,6 +81,12 @@ class TestValidation:
             ("n_mshrs", 0),
             ("dram_bandwidth_gbps", 0.0),
             ("core_clock_ghz", -1.0),
+            # Non-finite rates pass a bare "<= 0" check, then yield NaN
+            # CPIs or stall the oracle.
+            ("dram_bandwidth_gbps", math.nan),
+            ("dram_bandwidth_gbps", math.inf),
+            ("core_clock_ghz", math.nan),
+            ("core_clock_ghz", math.inf),
             # Fewer threads per core than one warp.
             ("max_threads_per_core", 0),
             ("max_threads_per_core", -32),

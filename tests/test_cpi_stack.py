@@ -19,7 +19,7 @@ from repro.memory.hierarchy import MissEvent
 
 
 def latency_table_with(pc_stats):
-    return LatencyTable(np.ones(16), pc_stats)
+    return LatencyTable(np.ones(16), pc_stats, 420.0)
 
 
 def memory_pc_stats(pc, l1=0.0, l2=0.0, dram=1.0, n=10):
@@ -112,7 +112,11 @@ class TestFullStack:
         table = latency_table_with({3: stats})
         mt = model_multithreading(profile, n_warps, "rr")
         rc = model_contention(profile, n_warps, config, 420.0)
-        return build_cpi_stack(profile, table, mt, rc, config), mt, rc
+        return (
+            build_cpi_stack(single_warp_stack(profile, table), mt, rc),
+            mt,
+            rc,
+        )
 
     def test_stack_total_equals_final_cpi(self):
         stack, mt, rc = self.build(n_warps=32)

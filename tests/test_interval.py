@@ -48,7 +48,7 @@ def make_trace(rows, req_counts=None):
 def make_latency_table(latencies):
     """LatencyTable with explicit per-PC latencies and no cache stats."""
     return LatencyTable(
-        np.asarray(latencies, dtype=np.float64), {}
+        np.asarray(latencies, dtype=np.float64), {}, 420.0
     )
 
 

@@ -79,7 +79,7 @@ def build_trace_and_table(deps, lats):
         req_offsets=np.zeros(n + 1, dtype=np.int64),
         req_lines=np.empty(0, dtype=np.int64),
     )
-    table = LatencyTable(np.asarray(lats, dtype=np.float64), {})
+    table = LatencyTable(np.asarray(lats, dtype=np.float64), {}, 420.0)
     return trace, table
 
 

@@ -4,6 +4,8 @@ parallel equivalence, on-disk reuse)."""
 import copy
 import hashlib
 import math
+import pickle
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,6 +95,21 @@ class TestInvalidation:
         assert pipeline.counters["interval_profiles"] == 1
         assert pipeline.counters["oracle"] == 2
         assert pipeline.counters["predict"] == 2
+
+    def test_warm_evaluate_hits_each_stage_once(self, pipeline):
+        """One evaluation gets the trace once and walks the model-input
+        chain once, for both the inputs and the prediction."""
+        pipeline.evaluate("vectoradd")
+        executions, hits = pipeline.counters, pipeline.hits
+        pipeline.evaluate("vectoradd")
+        assert pipeline.counters == executions
+        assert pipeline.hits - hits == Counter(
+            dict.fromkeys(
+                ("trace", "cache_sim", "latency_table", "interval_profiles",
+                 "clustering", "oracle", "predict"),
+                1,
+            )
+        )
 
     def test_cache_geometry_override_re_runs_cache_sim(self, pipeline):
         pipeline.evaluate("vectoradd")
@@ -247,6 +264,31 @@ class TestArtifactLayout:
         disk.put(predict_key, SimpleNamespace(cpi=-1.0))
         assert pipeline.predict(kernel).cpi > 0
         assert pipeline.counters["predict"] == 1
+
+    def test_legacy_latency_table_and_clustering_on_disk_are_recomputed(
+        self, config, tmp_path
+    ):
+        """A latency table stored without its average miss latency, or a
+        selection without its single-warp stack, sits under the layout-1
+        key; neither may be served."""
+        kernel = "vectoradd"
+        want = Pipeline(config, scale=Scale.tiny()).predict(kernel)
+        pipeline = Pipeline(config, scale=Scale.tiny(), cache_dir=str(tmp_path))
+        cache_key = stage_key("cache_sim", config, pipeline.trace_key(kernel),
+                              None)
+        profiles_key = stage_key(
+            "interval_profiles", config,
+            stage_key("latency_table", config, cache_key),
+        )
+        disk = DiskStore(str(tmp_path))
+        disk.put(legacy_key("latency_table", config, cache_key),
+                 SimpleNamespace(pc_stats={}))
+        disk.put(legacy_key("clustering", config, profiles_key, "clustering"),
+                 SimpleNamespace(index=0))
+        got = pipeline.predict(kernel)
+        assert pipeline.counters["latency_table"] == 1
+        assert pipeline.counters["clustering"] == 1
+        assert pickle.dumps(got) == pickle.dumps(want)
 
     def test_legacy_oracle_stats_on_disk_are_recomputed(self, config,
                                                          tmp_path):
