@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, Optional
 
@@ -152,6 +153,20 @@ class GPUConfig:
         re-validate too); public so callers holding a config from an
         untrusted source can re-assert the invariants explicitly.
         """
+        counts = [(name, getattr(self, name)) for name in sorted(INT_FIELDS)]
+        counts += [
+            ("op_latencies[%r]" % op, value)
+            for op, value in self.op_latencies.items()
+        ]
+        for name, value in counts:
+            # A bool is an Integral, and a float count gets as far as the
+            # oracle's ``range`` calls before it fails.
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ConfigError(
+                    "%s must be an integer; got %r" % (name, value)
+                )
         if self.n_cores < 1:
             raise ConfigError("n_cores must be >= 1")
         if self.warp_size < 1:
@@ -361,6 +376,12 @@ class GPUConfig:
 #: Every :class:`GPUConfig` field name.
 ALL_FIELDS: FrozenSet[str] = frozenset(
     f.name for f in dataclasses.fields(GPUConfig)
+)
+
+#: Fields annotated ``int``: counts, sizes and latencies in cycles.
+#: Validation rejects a ``bool`` or a non-integral value in any of them.
+INT_FIELDS: FrozenSet[str] = frozenset(
+    f.name for f in dataclasses.fields(GPUConfig) if f.type == "int"
 )
 
 #: Fields that do *not* change the functional trace: caches, latencies,

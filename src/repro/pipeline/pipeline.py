@@ -8,7 +8,8 @@
    stage reads, and the keys of its upstream artifacts — and computed
    on a view of the config holding only the fields that key covers, so
    an undeclared read raises instead of caching a result that could go
-   stale;
+   stale (keys are memoized per process on the exact bytes of their
+   inputs, see :func:`~repro.pipeline.stages.stage_key`);
 2. *memoised* — looked up in an :class:`~repro.pipeline.store.ArtifactStore`
    (in-memory by default; memory-fronted disk with ``cache_dir``), so a
    hardware sweep automatically re-runs only the stages downstream of
@@ -55,7 +56,7 @@ from repro.core.interval import build_interval_profiles
 from repro.core.latency import build_latency_table
 from repro.core.representative import select_representative
 from repro.memory.cache_simulator import simulate_caches
-from repro.obs.metrics import MetricsRegistry, diff_snapshots
+from repro.obs.metrics import CounterMetric, MetricsRegistry, diff_snapshots
 from repro.obs.tracer import Tracer, get_tracer
 from repro.pipeline.stages import (
     compute_costmodel,
@@ -165,9 +166,13 @@ class Pipeline:
         #: Span tracer; defaults to the process-wide one (disabled
         #: unless something installed an enabled tracer).
         self.tracer = tracer if tracer is not None else get_tracer()
-        #: Home of every counter/timing this pipeline produces; pool
-        #: workers ship deltas of it back with each result.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Metrics of ``self.metrics`` that ``_execute`` updates, each
+        #: looked up once: hit counters by stage, execution metrics by
+        #: (stage, backend).  Binding on first use keeps snapshots
+        #: listing only metrics that moved.
+        self._hit_counters: Dict[str, CounterMetric] = {}
+        self._bound_runs: Dict[tuple, tuple] = {}
         #: Oracle sampling period in cycles (None: no timeline).
         self.timeline_interval = timeline_interval
         #: Optional :class:`~repro.obs.ledger.PredictionLedger`: every
@@ -178,6 +183,13 @@ class Pipeline:
         self.ledger = ledger
 
     # -- plumbing -----------------------------------------------------------
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Home of every counter/timing this pipeline produces; pool
+        workers ship deltas of it back with each result.  Read-only:
+        ``_execute`` holds metrics bound from this registry."""
+        return self._metrics
 
     # ``counters``/``hits``/``timings`` are read-only *snapshots*: each
     # access builds a fresh Counter from the metrics registry, so
@@ -220,7 +232,12 @@ class Pipeline:
         """
         artifact = self.store.get(key)
         if artifact is not None:
-            self.metrics.counter("pipeline.stage_hits", stage=stage).inc()
+            hits = self._hit_counters.get(stage)
+            if hits is None:
+                hits = self._hit_counters[stage] = self.metrics.counter(
+                    "pipeline.stage_hits", stage=stage
+                )
+            hits.inc()
             return artifact
         span_args = {"key": key, "arch": config.arch}
         backend = None
@@ -231,25 +248,40 @@ class Pipeline:
             start = time.perf_counter()
             artifact = compute(config_view(stage, config))
             elapsed = time.perf_counter() - start
-        metrics = self.metrics
-        metrics.counter("pipeline.stage_executions", stage=stage).inc()
-        metrics.counter("pipeline.stage_seconds", stage=stage).inc(elapsed)
-        metrics.histogram("pipeline.stage_ms", stage=stage).observe(
-            elapsed * 1e3
-        )
-        if backend is not None:
-            # Per-backend shadow counters (separate names so the exact-
-            # label stage views above stay backend-agnostic).
-            metrics.counter(
-                "pipeline.backend_executions", stage=stage, backend=backend
-            ).inc()
-            metrics.counter(
-                "pipeline.backend_seconds", stage=stage, backend=backend
-            ).inc(elapsed)
+        counters, stage_ms = self._run_metrics(stage, backend)
+        for executions, seconds in counters:
+            executions.inc()
+            seconds.inc(elapsed)
+        stage_ms.observe(elapsed * 1e3)
         _LOG.debug("stage %s executed in %.1f ms (%s)",
                    stage, elapsed * 1e3, key)
         self.store.put(key, artifact)
         return artifact
+
+    def _run_metrics(self, stage: str, backend: Optional[str]):
+        """``stage``'s execution metrics under ``backend``: (executions,
+        seconds) counter pairs and the ``stage_ms`` histogram, looked up
+        in the registry on the first execution only."""
+        bound = self._bound_runs.get((stage, backend))
+        if bound is None:
+            metrics = self.metrics
+            counters = [(
+                metrics.counter("pipeline.stage_executions", stage=stage),
+                metrics.counter("pipeline.stage_seconds", stage=stage),
+            )]
+            if backend is not None:
+                # Per-backend shadow counters (separate names so the
+                # exact-label stage views stay backend-agnostic).
+                counters.append((
+                    metrics.counter("pipeline.backend_executions",
+                                    stage=stage, backend=backend),
+                    metrics.counter("pipeline.backend_seconds",
+                                    stage=stage, backend=backend),
+                ))
+            bound = self._bound_runs[stage, backend] = (
+                counters, metrics.histogram("pipeline.stage_ms", stage=stage)
+            )
+        return bound
 
     def _effective_config(
         self, config: Optional[GPUConfig], policy: Optional[str] = None

@@ -33,6 +33,7 @@ safe to fan out across processes.
 from __future__ import annotations
 
 import hashlib
+import marshal
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -293,6 +294,39 @@ def config_view(stage: str, config: GPUConfig) -> GPUConfig:
     return view
 
 
+#: Each stage's ``config_fields`` in the order ``fingerprint`` reads them.
+_SORTED_FIELDS: Dict[str, Tuple[str, ...]] = {
+    name: tuple(sorted(spec.config_fields)) for name, spec in STAGES.items()
+}
+
+#: Types marshal writes by type and bits alone, so equal bytes mean equal
+#: types and values, hence an equal ``repr``.  (It writes any buffer, a
+#: numpy scalar included, as bare bytes: ``np.int64(1)`` and
+#: ``np.uint64(1)`` would share bytes, so buffers are not plain.)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: Process-wide memo of :func:`stage_key`: marshal bytes of the inputs ->
+#: key.  Dropped whole once it holds ``_KEY_MEMO_SIZE`` entries.
+_KEY_MEMO: Dict[bytes, str] = {}
+_KEY_MEMO_SIZE = 4096
+
+
+def _plain(items) -> bool:
+    """Whether ``items`` hold only :data:`_SCALARS`, in tuples and dicts."""
+    for item in items:
+        kind = type(item)
+        if kind in _SCALARS:
+            continue
+        if kind is tuple:
+            if _plain(item):
+                continue
+        elif kind is dict:
+            if _plain(item) and _plain(item.values()):
+                continue
+        return False
+    return True
+
+
 def stage_key(stage: str, config: GPUConfig, *parts: object) -> str:
     """Content-addressed key for one stage artifact.
 
@@ -300,7 +334,29 @@ def stage_key(stage: str, config: GPUConfig, *parts: object) -> str:
     artifact keys, call parameters); the config contributes only the
     fingerprint of the fields the stage declares, the stage its
     artifact layout version.
+
+    Keys are memoized on the marshal (version 2) bytes of the stage name,
+    the declared fields' values and ``parts``.  Two inputs share those
+    bytes only when every value has the same type and bits (``64``,
+    ``64.0`` and ``True`` differ, so do ``0.0`` and ``-0.0``; dict order
+    is kept), so a hit returns the key :func:`hash_stage_key` would.
+    Inputs holding anything but plain scalars, tuples and dicts are
+    hashed directly.
     """
+    values = tuple([getattr(config, name) for name in _SORTED_FIELDS[stage]])
+    if not (_plain(values) and _plain(parts)):
+        return hash_stage_key(stage, config, *parts)
+    inputs = marshal.dumps((stage, values, parts), 2)
+    key = _KEY_MEMO.get(inputs)
+    if key is None:
+        if len(_KEY_MEMO) >= _KEY_MEMO_SIZE:
+            _KEY_MEMO.clear()
+        key = _KEY_MEMO[inputs] = hash_stage_key(stage, config, *parts)
+    return key
+
+
+def hash_stage_key(stage: str, config: GPUConfig, *parts: object) -> str:
+    """:func:`stage_key` computed from scratch, without the memo."""
     spec = STAGES[stage]
     head = (config.fingerprint(spec.config_fields),)
     if spec.layout > 1:

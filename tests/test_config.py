@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.config import ConfigError, GPUConfig
+from repro.config import INT_FIELDS, ConfigError, GPUConfig
 
 
 class TestDefaults:
@@ -104,11 +105,28 @@ class TestValidation:
             ("l2_latency", -1),
             ("dram_latency", -300),
             ("op_latencies", {"ialu": 4, "falu": -1, "sfu": 40}),
+            # Counts that are not integers: a fraction, a bool (one
+            # MSHR), and floats that crash the oracle's integer maths.
+            ("n_mshrs", 32.5),
+            ("n_mshrs", True),
+            ("n_dram_channels", 2.0),
+            ("n_cores", 2.0),
+            ("op_latencies", {"ialu": 4, "falu": 25.0, "sfu": 40}),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):
         with pytest.raises(ConfigError):
             GPUConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", sorted(INT_FIELDS))
+    def test_counts_must_be_integers(self, field):
+        value = getattr(GPUConfig(), field)
+        for bad in (float(value), bool(value)):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                GPUConfig(**{field: bad})
+
+    def test_numpy_integers_are_integers(self):
+        assert GPUConfig(n_mshrs=np.int64(16)).n_mshrs == 16
 
     def test_line_size_must_be_power_of_two(self):
         # Cache sizes divisible by line_size*assoc, so only the line

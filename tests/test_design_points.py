@@ -5,8 +5,9 @@ change is computed once per kernel, in the stage whose key covers its
 inputs: the representative's single-warp CPI stack in ``clustering``,
 the average miss latency in ``latency_table``, the interval totals on
 first access to the representative's profile.  These tests count that
-work exactly, and check that a point's prediction depends neither on
-the points served before it nor on where its inputs were stored.
+work exactly, and the keying a point does, and check that a point's
+prediction depends neither on the points served before it nor on where
+its inputs were stored.
 """
 
 import pickle
@@ -19,7 +20,8 @@ from repro.config import GPUConfig
 from repro.core.cpi_stack import single_warp_stack
 from repro.core.model import GPUMech
 from repro.memory.cache_simulator import CacheSimResult
-from repro.pipeline import Pipeline
+from repro.obs.metrics import MetricsRegistry
+from repro.pipeline import Pipeline, stages
 from repro.pipeline.stages import PREDICT_FIELDS
 from repro.workloads import Scale
 
@@ -136,6 +138,42 @@ def test_config_independent_work_runs_once_per_kernel(monkeypatch):
     assert calls["stack"] == counters["clustering"] == len(KERNELS)
     assert calls["stack_in_predict"] == 0
     assert calls["miss_latency"] == counters["latency_table"] == len(KERNELS)
+
+
+def test_keying_work_per_point(monkeypatch):
+    """Keys from scratch and metric lookups per point, at zero tolerance.
+
+    The first point keys all six stages; a later point only its own
+    ``predict`` (the five upstream keys are memo hits), and a repeated
+    point nothing.  Metrics are looked up once per stage: on its first
+    execution and on its first hit, never again.
+    """
+    monkeypatch.setattr(stages, "_KEY_MEMO", {})
+    calls = {"key": 0, "lookup": 0}
+    monkeypatch.setattr(
+        stages, "hash_stage_key",
+        counted(stages.hash_stage_key, calls, "key"),
+    )
+    for name in ("counter", "histogram"):
+        monkeypatch.setattr(
+            MetricsRegistry, name,
+            counted(getattr(MetricsRegistry, name), calls, "lookup"),
+        )
+    pipeline = new_pipeline()
+    keys, lookups = [], []
+    # Every point once, then the first two again.
+    for index in list(range(len(POINTS))) + [0, 1]:
+        before = dict(calls)
+        served(pipeline, KERNELS[0], index)
+        keys.append(calls["key"] - before["key"])
+        lookups.append(calls["lookup"] - before["lookup"])
+    distinct = len(POINTS) - 1
+    assert keys == [1 + len(INPUT_STAGES)] + [1] * distinct + [0, 0]
+    # Point 1 binds the five input stages' hit counters, the first
+    # repeat binds predict's; nothing else looks a metric up.
+    assert lookups[1:] == [len(INPUT_STAGES)] + [0] * (distinct - 1) + [1, 0]
+    assert pipeline.counters["predict"] == len(POINTS)
+    assert pipeline.hits["predict"] == 2
 
 
 def test_shuffled_points_match(in_order):

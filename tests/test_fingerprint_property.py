@@ -3,7 +3,9 @@
 The contract the whole artifact store rests on: the fingerprint of a
 field subset changes **iff** a field in that subset changes, and is
 stable across process spawns (no ``PYTHONHASHSEED`` or dict-order
-dependence).  The fuzz covers every fingerprinted field, including the
+dependence).  The memo in front of ``stage_key`` must return exactly
+the key computed from scratch, so two inputs share a key only when
+they did before it.  The fuzz covers every fingerprinted field, including the
 architecture-backend ones (``arch``/``n_schedulers``); validation
 couples a few fields, so each mutation names the full set of fields it
 touches and the iff-property is asserted against that set.
@@ -14,10 +16,13 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro
 from repro.config import ALL_FIELDS, GPUConfig
+from repro.pipeline import stages
+from repro.pipeline.stages import STAGES, hash_stage_key, stage_key
 
 #: One validation-respecting mutation per field: field -> overrides.
 #: Coupled constraints (``simt_width == warp_size``) make some
@@ -133,3 +138,108 @@ def test_fingerprint_stable_across_process_spawns():
         here.fingerprint(ALL_FIELDS),
         here.fingerprint(TRACE_FIELDS),
     ]
+
+
+# ---------------------------------------------------------------------------
+# The stage-key memo: a hit returns exactly the key computed from scratch
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def direct(monkeypatch):
+    """An empty key memo; counts the keys computed from scratch."""
+    monkeypatch.setattr(stages, "_KEY_MEMO", {})
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hash_stage_key(*args)
+
+    monkeypatch.setattr(stages, "hash_stage_key", counted)
+    return calls
+
+
+def assert_same_sharing(inputs):
+    """Memoized keys equal direct ones, so two inputs share a key exactly
+    when their direct keys (the keys before the memo) are equal."""
+    memoized = [stage_key(*args) for args in inputs]
+    assert memoized == [hash_stage_key(*args) for args in inputs]
+    assert memoized == [stage_key(*args) for args in inputs]  # memo hits
+    return memoized
+
+
+#: Keys of the default config as the code before the memo wrote them,
+#: which on-disk stores and the baseline ledger hold.
+PINNED_KEYS = {
+    ("predict", "clustering:0", 32, "probabilistic"):
+        "predict:d804c8387a71b23cb797d38f",
+    ("latency_table", "cache_sim:0"): "latency_table:a6c0daba791dc1ad23f22c94",
+    ("trace", "vectoradd", (4, 32, 1)): "trace:3694e2419aa9de21b53513a7",
+}
+
+
+def test_keys_match_pinned_keys(direct):
+    config = GPUConfig()
+    for (stage, *parts), want in PINNED_KEYS.items():
+        assert stage_key(stage, config, *parts) == want  # computed
+        assert stage_key(stage, config, *parts) == want  # memo hit
+    assert len(direct) == len(PINNED_KEYS)
+    assert config.fingerprint() == "f16ac09ea3bbf390"
+
+
+def test_memoized_keys_equal_direct_keys_on_fuzz_configs(direct):
+    configs = [BASE] + [BASE.with_(**m) for _, m in sorted(MUTATIONS.items())]
+    for stage in STAGES:
+        keys = assert_same_sharing(
+            [(stage, config, "kernel", (4, 32, 1)) for config in configs]
+        )
+        for config, key in zip(configs, keys):
+            changed = config.fingerprint(STAGES[stage].config_fields) != (
+                BASE.fingerprint(STAGES[stage].config_fields)
+            )
+            assert (key != keys[0]) == changed, stage
+    assert len(stages._KEY_MEMO) == len(direct)  # each input hashed once
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(0.0, -0.0, 0), (1, True, 1.0), ((0.0,), (-0.0,), (0,)), (None, "None")],
+)
+def test_parts_of_other_types_or_bits_keep_their_keys(direct, parts):
+    keys = assert_same_sharing([("predict", BASE, part) for part in parts])
+    assert len(set(keys)) == len(parts)
+
+
+def test_reordered_op_latencies_share_a_key(direct):
+    reordered = GPUConfig(op_latencies={"sfu": 40, "falu": 25, "ialu": 4})
+    keys = assert_same_sharing(
+        [("latency_table", config, "cache_sim:0") for config in
+         (BASE, reordered)]
+    )
+    assert keys[0] == keys[1]
+
+
+def test_op_latencies_mutated_in_place_change_the_key(direct):
+    config = GPUConfig()
+    before = stage_key("latency_table", config, "cache_sim:0")
+    config.op_latencies["sfu"] = 80
+    after = stage_key("latency_table", config, "cache_sim:0")
+    assert after != before
+    assert after == hash_stage_key("latency_table", config, "cache_sim:0")
+
+
+def test_numpy_scalars_are_hashed_directly(direct):
+    # marshal writes a numpy scalar as its bare buffer, so np.int64(1)
+    # and np.uint64(1) would share bytes; neither reaches the memo.
+    inputs = [("predict", BASE, value) for value in
+              (np.int64(1), np.uint64(1), np.float64(1.0), 1.0)]
+    inputs.append(("predict", BASE.with_(n_mshrs=np.int64(16)), "k"))
+    assert_same_sharing(inputs)
+    assert len(direct) == 2 * 4 + 1  # 1.0 is hashed once, then hits
+    assert list(stages._KEY_MEMO.values()) == [stage_key("predict", BASE, 1.0)]
+
+
+def test_key_memo_is_bounded(direct, monkeypatch):
+    monkeypatch.setattr(stages, "_KEY_MEMO_SIZE", 4)
+    assert_same_sharing([("predict", BASE, n) for n in range(10)])
+    assert len(stages._KEY_MEMO) <= 4
