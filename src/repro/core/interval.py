@@ -46,7 +46,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -479,6 +479,45 @@ def build_interval_profiles(
     return vec(trace, latency_table, issue_rate)
 
 
+def issue_stalls(
+    deps: List[List[int]], lat: List[float], step: float
+) -> Tuple[List[float], List[int]]:
+    """The Eq. 4 recurrence over one warp's instruction stream.
+
+    ``deps`` are the trace's producer rows and ``lat`` the per-instruction
+    latencies, as Python lists; ``step`` is the issue interval
+    (``1 / issue_rate``).  Returns per-instruction ``(stall, cause)``:
+    the cycles instruction ``k`` waited past ``issue(k-1) + step``, and
+    the producer that pushed it out (-1 if none).  A producer replaces
+    the running ready time only when it completes strictly later, so the
+    first of tied producers is the cause.
+
+    The result depends on nothing but ``deps`` and the latencies of the
+    producers' PCs, so warps with equal ``(pcs, deps)`` rows share it.
+    """
+    n = len(lat)
+    issue = [0.0] * n
+    stall = [0.0] * n
+    cause = [-1] * n
+    prev_issue = -step
+    for k in range(n):
+        earliest = prev_issue + step
+        ready = earliest
+        best = -1
+        for dep in deps[k]:
+            if dep == NO_DEP:
+                continue
+            done = issue[dep] + lat[dep]
+            if done > ready:
+                ready = done
+                best = dep
+        issue[k] = ready
+        stall[k] = ready - earliest
+        cause[k] = best
+        prev_issue = ready
+    return stall, cause
+
+
 def build_interval_profile(
     warp: WarpTrace,
     latency_table: LatencyTable,
@@ -491,35 +530,24 @@ def build_interval_profile(
 
     pcs = warp.pcs.tolist()
     ops = warp.ops.tolist()
-    deps = warp.deps.tolist()
     nreqs = warp.requests_per_inst.tolist()
     conflicts = warp.conflict.tolist()
-    lat = latency_table.as_array[warp.pcs].tolist()
     pc_stats = latency_table.pc_stats
+    stalls, causes = issue_stalls(
+        warp.deps.tolist(),
+        latency_table.as_array[warp.pcs].tolist(),
+        1.0 / issue_rate,
+    )
 
-    issue = [0.0] * n
-    step = 1.0 / issue_rate
     current = Interval()
     intervals: List[Interval] = []
-
-    prev_issue = -step
     for k in range(n):
-        earliest = prev_issue + step
-        ready = earliest
-        cause = -1
-        for dep in deps[k]:
-            if dep == NO_DEP:
-                continue
-            done = issue[dep] + lat[dep]
-            if done > ready:
-                ready = done
-                cause = dep
-        issue[k] = ready
-        stall = ready - earliest
+        stall = stalls[k]
         if stall > 0.0 and current.n_insts:
             # Close the current interval: its instructions are the ones
             # issued before this stall; the stall's cause is the producer
             # that pushed instruction k out.
+            cause = causes[k]
             current.stall_cycles = stall
             current.cause_pc = pcs[cause]
             current.cause_is_memory = ops[cause] == OpCode.LOAD
@@ -527,7 +555,6 @@ def build_interval_profile(
             current = Interval()
         _account(current, k, ops, pcs, nreqs, conflicts, pc_stats)
         current.n_insts += 1
-        prev_issue = ready
 
     intervals.append(current)  # trailing interval with no stall
     return IntervalProfile.from_intervals(warp.warp_id, intervals, issue_rate)

@@ -1,18 +1,25 @@
-"""Batched interval construction: all warps' Eq. 4 scans in one pass.
+"""Batched interval construction: Eq. 4 once per warp class.
 
 The scalar :func:`~repro.core.interval.build_interval_profile` walks one
 warp's trace in Python, one dynamic instruction per iteration.  This
-backend propagates producer latencies for *every* warp simultaneously:
-the issue-cycle recurrence still marches over instruction positions
-sequentially (issue(k) depends on issue(k-1)), but each step is a
-vectorized ``np.maximum``-style update across the whole warp axis — a
-gather of the (at most ``MAX_DEPS``) producer completion times followed
-by an ordered strict-greater update chain that reproduces the scalar
-cause-selection tie-breaking exactly (first producer wins ties).
+backend builds every warp's profile of a launch at once, from the
+trace's warp-major :class:`~repro.trace.trace_types.KernelTrace`
+columns.
+
+Eq. 4's issue-cycle recurrence is sequential (issue(k) depends on
+issue(k-1)), and its stall and cause columns depend on nothing but a
+warp's ``pcs`` and ``deps`` rows (the latencies are per PC).  So warps
+with equal rows, a *warp class*, get equal columns.  Warps are grouped
+by those rows, :func:`~repro.core.interval.issue_stalls` (the very loop
+the scalar builder runs) runs once per class in Python floats, and its
+stall and cause columns are copied into every member, causes lifted to
+the member's offset.  Most suite kernels are one class at
+``Scale.small``; the most divergent, ``mandelbrot``, has 48 of 192
+warps.  There is no vectorized fallback for launches with many classes:
+a launch whose warps all differ costs what the scalar reference costs.
 
 Interval segmentation then happens on the trace's warp-major position
-axis (the :class:`~repro.trace.trace_types.KernelTrace` columns as they
-are, warp boundaries forced as segment starts): integer per-interval
+axis (warp boundaries forced as segment starts): integer per-interval
 counts come from exact ``np.add.reduceat`` sums (integer reduction
 order cannot change the result), while the float expected-footprint
 accumulators (``exp_mshr_reqs`` & co.) are summed left-to-right over
@@ -31,48 +38,47 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.interval import IntervalColumns, IntervalProfiles
+from repro.core.interval import (
+    IntervalColumns,
+    IntervalProfiles,
+    issue_stalls,
+)
 from repro.core.latency import LatencyTable
 from repro.memory.hierarchy import MissEvent
-from repro.trace.trace_types import MAX_DEPS, KernelTrace, OpCode
+from repro.trace.trace_types import KernelTrace, OpCode
 
 
-def _issue_clocks(
-    deps: np.ndarray,
-    lat: np.ndarray,
-    step: float,
+def _issue_stalls_by_class(
+    trace: KernelTrace, lat_by_pc: np.ndarray, step: float
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Run the Eq. 4 recurrence over ``(n_warps, max_len)`` columns.
+    """Eq. 4 over the launch: flat per-instruction ``(stall, cause)``.
 
-    Returns per-position ``(stall, cause)`` arrays; positions past a
-    warp's length hold garbage and are sliced off by the caller (their
-    deps are padded to -1, so they cannot perturb live positions).
+    Warps with equal ``pcs`` and ``deps`` rows (a *warp class*) get equal
+    stall and cause columns, so :func:`~repro.core.interval.issue_stalls`
+    runs once per class and its result is copied into every member,
+    causes lifted to the member's offset on the flat axis (garbage where
+    the cause is -1; the caller masks those out).
     """
-    n_warps, max_len = lat.shape
-    issue = np.zeros((n_warps, max_len), dtype=np.float64)
-    stall = np.zeros((n_warps, max_len), dtype=np.float64)
-    cause = np.full((n_warps, max_len), -1, dtype=np.int32)
-    rows = np.arange(n_warps)
-    prev = np.full(n_warps, -step, dtype=np.float64)
-    for k in range(max_len):
-        earliest = prev + step
-        ready = earliest.copy()
-        best = np.full(n_warps, -1, dtype=np.int32)
-        for j in range(MAX_DEPS):
-            dep = deps[:, k, j]
-            valid = dep >= 0
-            if not valid.any():
-                continue
-            clipped = np.where(valid, dep, 0)
-            done = issue[rows, clipped] + lat[rows, clipped]
-            # Strict > keeps the scalar first-wins tie-breaking.
-            update = valid & (done > ready)
-            ready = np.where(update, done, ready)
-            best = np.where(update, dep, best)
-        issue[:, k] = ready
-        stall[:, k] = ready - earliest
-        cause[:, k] = best
-        prev = ready
+    starts = trace.warp_offsets.tolist()
+    pcs, deps = trace.pcs, trace.deps
+    classes = {}
+    for w in range(trace.n_warps):
+        lo, hi = starts[w], starts[w + 1]
+        key = (pcs[lo:hi].tobytes(), deps[lo:hi].tobytes())
+        classes.setdefault(key, []).append(w)
+    stall = np.empty(starts[-1], dtype=np.float64)
+    cause = np.empty(starts[-1], dtype=np.int64)
+    for members in classes.values():
+        lo, hi = starts[members[0]], starts[members[0] + 1]
+        class_stall, class_cause = issue_stalls(
+            deps[lo:hi].tolist(), lat_by_pc[pcs[lo:hi]].tolist(), step
+        )
+        class_stall = np.array(class_stall, dtype=np.float64)
+        class_cause = np.array(class_cause, dtype=np.int64)
+        for w in members:
+            lo, hi = starts[w], starts[w + 1]
+            stall[lo:hi] = class_stall
+            cause[lo:hi] = class_cause + lo
     return stall, cause
 
 
@@ -95,39 +101,10 @@ def build_interval_profiles(
             issue_rate,
         )
 
-    lat_by_pc = latency_table.as_array
-    step = 1.0 / issue_rate
+    stall_flat, cause_flat = _issue_stalls_by_class(
+        trace, latency_table.as_array, 1.0 / issue_rate
+    )
     total = int(warp_starts[-1])
-
-    # Run the recurrence in warp chunks so the padded (chunk, max_len)
-    # working set stays cache/RAM friendly at large launches (warps are
-    # independent, so chunking cannot change any value).
-    chunk = max(1, 4_000_000 // max_len)
-    stall_parts = []
-    cause_parts = []
-    for lo in range(0, n_warps, chunk):
-        hi = min(lo + chunk, n_warps)
-        sub_len = lengths[lo:hi]
-        m = int(sub_len.max())
-        if not m:
-            continue
-        # The chunk's rows of the warp-major columns fill the padded
-        # block in row-major mask order.
-        valid_c = np.arange(m) < sub_len[:, None]
-        rows = slice(warp_starts[lo], warp_starts[hi])
-        deps = np.full((hi - lo, m, MAX_DEPS), -1, dtype=np.int32)
-        deps[valid_c] = trace.deps[rows]
-        lat = np.zeros((hi - lo, m), dtype=np.float64)
-        lat[valid_c] = lat_by_pc[trace.pcs[rows]]
-        stall_c, cause_c = _issue_clocks(deps, lat, step)
-        stall_parts.append(stall_c[valid_c])
-        # Stall causes are per-warp instruction indices; lift them to
-        # the flat axis (garbage where cause is -1, masked out below).
-        cause_parts.append(
-            (cause_c + warp_starts[lo:hi, None])[valid_c]
-        )
-    stall_flat = np.concatenate(stall_parts)
-    cause_flat = np.concatenate(cause_parts)
 
     # Per-load expected-footprint fractions, as plain Python floats so
     # the per-interval accumulation below is the scalar loop verbatim.

@@ -13,7 +13,7 @@ interval algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.config import GPUConfig
 from repro.core.contention import ContentionResult, model_contention
@@ -33,15 +33,41 @@ from repro.trace.memory_image import MemoryImage
 from repro.trace.trace_types import KernelTrace
 
 
-@dataclass
 class ModelInputs:
-    """Everything the multi-warp model needs, computed once per kernel."""
+    """Everything the multi-warp model needs, computed once per kernel.
 
-    trace: KernelTrace
-    cache_result: CacheSimResult
-    latency_table: LatencyTable
-    profiles: IntervalProfiles
-    selection: RepresentativeSelection
+    The trace and the representative selection are held; the other
+    artifacts come from ``load(stage)``, which the pipeline answers from
+    the walk that made the inputs: it reads each from the store, or
+    builds it, on first access only.  A prediction reads only the
+    latency table of them, and the baselines none, so a warm evaluation
+    never unpickles the cache result or the profiles.
+    """
+
+    def __init__(
+        self,
+        trace: KernelTrace,
+        selection: RepresentativeSelection,
+        load: Callable[[str], Any],
+    ):
+        self.trace = trace
+        self.selection = selection
+        self._load = load
+
+    @property
+    def cache_result(self) -> CacheSimResult:
+        """The functional cache replay (``cache_sim`` stage)."""
+        return self._load("cache_sim")
+
+    @property
+    def latency_table(self) -> LatencyTable:
+        """Per-PC latencies (``latency_table`` stage)."""
+        return self._load("latency_table")
+
+    @property
+    def profiles(self) -> IntervalProfiles:
+        """Every warp's interval profile (``interval_profiles`` stage)."""
+        return self._load("interval_profiles")
 
     @property
     def representative(self) -> IntervalProfile:

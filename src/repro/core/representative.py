@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.cpi_stack import CPIStack
-from repro.core.interval import IntervalProfile
+from repro.core.interval import IntervalProfile, IntervalProfiles
 from repro.core.kmeans import KMeansResult, kmeans
 
 
@@ -49,9 +49,38 @@ class RepresentativeSelection:
 
 
 def feature_vectors(profiles: Sequence[IntervalProfile]) -> np.ndarray:
-    """Eq. 6: per-warp (performance, instruction count), mean-normalised."""
-    perf = np.array([p.warp_perf for p in profiles], dtype=np.float64)
-    insts = np.array([p.n_insts for p in profiles], dtype=np.float64)
+    """Eq. 6: per-warp (performance, instruction count), mean-normalised.
+
+    Both features come from the launch-wide interval columns (a plain
+    list of profiles is packed into one :class:`IntervalProfiles`
+    first), so no per-warp view is built.  Each value is bitwise the
+    profile's own :attr:`~IntervalProfile.warp_perf` and
+    :attr:`~IntervalProfile.n_insts`: instruction counts are integer
+    sums, and each warp's stalls are added left to right, as
+    :func:`~repro.core.interval.ordered_sum` adds them, by a row-wise
+    ``np.add.accumulate`` over the stall column padded with zeros.
+    """
+    if not isinstance(profiles, IntervalProfiles):
+        profiles = IntervalProfiles.from_profiles(profiles)
+    columns, offsets = profiles.columns, profiles.offsets
+    counts = np.diff(offsets)
+    running = np.zeros(len(columns.n_insts) + 1, dtype=np.int64)
+    np.cumsum(columns.n_insts, out=running[1:])
+    n_insts = running[offsets[1:]] - running[offsets[:-1]]
+    width = int(counts.max(initial=0))
+    padded = np.zeros((len(counts), width))
+    padded[np.arange(width) < counts[:, None]] = columns.stall_cycles
+    # Trailing zeros leave a row's running sum as it was; the final
+    # + 0.0 is ordered_sum's (it only turns -0.0 into +0.0).
+    stalls = (
+        np.add.accumulate(padded, axis=1)[:, -1] + 0.0 if width
+        else np.zeros(len(counts))
+    )
+    cycles = n_insts / profiles.issue_rate + stalls
+    perf = np.divide(
+        n_insts, cycles, out=np.zeros(len(counts)), where=cycles != 0
+    )
+    insts = n_insts.astype(np.float64)
     avg_perf = perf.mean() if perf.mean() else 1.0
     avg_insts = insts.mean() if insts.mean() else 1.0
     return np.column_stack([perf / avg_perf, insts / avg_insts])

@@ -14,8 +14,14 @@
    (in-memory by default; memory-fronted disk with ``cache_dir``), so a
    hardware sweep automatically re-runs only the stages downstream of
    the fields it changes (``predict`` alone for MSHR, bandwidth or
-   scheduler points) and a repeated sweep re-runs nothing at all;
-3. *counted and timed* — every execution lands in the pipeline's
+   scheduler points) and a repeated sweep re-runs nothing at all.  A
+   call computes all its keys top-down first, looks up only the stages
+   it needs (``clustering``, and ``predict`` for a prediction), and
+   reads or builds an upstream artifact only when a miss below it needs
+   that artifact (:class:`_InputChain`), so a warm ``evaluate`` reads
+   just the trace, oracle, clustering and prediction;
+3. *counted and timed* — every execution, timed exclusive of the
+   upstream stages its inputs needed, lands in the pipeline's
    :class:`~repro.obs.metrics.MetricsRegistry` (stage execution/hit
    counters, wall-clock totals and latency histograms, cache-sim and
    oracle statistics); ``pipeline.counters[stage]`` /
@@ -29,9 +35,9 @@
 Independent (kernel × sweep-point) evaluations fan out over a
 ``ProcessPoolExecutor`` via :meth:`Pipeline.evaluate_many`; a single
 evaluation runs in one process (the interval-profile stage is one
-batched numpy pass over all warps).  Parallel execution is
-bitwise-deterministic: workers run the identical pure stage functions
-and results are collected in request order.  Each worker ships its
+pass over all warps that runs Eq. 4 once per warp class).  Parallel
+execution is bitwise-deterministic: workers run the identical pure
+stage functions and results are collected in request order.  Each worker ships its
 metric deltas and spans back with every result, so after a parallel
 sweep the parent's stage counters equal a serial run's (exact whenever
 requests do not share intermediate artifacts; shared artifacts may be
@@ -221,14 +227,18 @@ class Pipeline:
         return (self.scale.n_blocks, self.scale.block_size, self.scale.iters)
 
     def _execute(self, stage: str, key: str, config: GPUConfig,
-                 compute: Callable[[GPUConfig], Any]):
-        """Store lookup, else compute + record + put.
+                 compute: Callable[..., Any],
+                 load: Optional[Callable[[], Sequence[Any]]] = None):
+        """Store lookup, else load + compute + record + put.
 
         ``compute`` receives :func:`~repro.pipeline.stages.config_view`
-        of ``config``: only the fields ``key`` covers, so a read of any
-        other field raises before anything is stored.  ``config.arch``
-        labels the execution's span, so cross-arch sweeps show up
-        separated per machine.
+        of ``config`` (only the fields ``key`` covers, so a read of any
+        other field raises before anything is stored), then the upstream
+        artifacts ``load()`` returns.  ``load`` runs on a miss only, and
+        before the stage's span and timer start: an upstream stage it
+        reads or builds is never timed inside this one, so stage seconds
+        stay exclusive.  ``config.arch`` labels the execution's span, so
+        cross-arch sweeps show up separated per machine.
         """
         artifact = self.store.get(key)
         if artifact is not None:
@@ -239,6 +249,7 @@ class Pipeline:
                 )
             hits.inc()
             return artifact
+        upstream = load() if load is not None else ()
         span_args = {"key": key, "arch": config.arch}
         backend = None
         if stage in BACKEND_STAGES:
@@ -246,7 +257,7 @@ class Pipeline:
             span_args["trace.backend"] = backend
         with self.tracer.span(stage, category="stage", args=span_args):
             start = time.perf_counter()
-            artifact = compute(config_view(stage, config))
+            artifact = compute(config_view(stage, config), *upstream)
             elapsed = time.perf_counter() - start
         counters, stage_ms = self._run_metrics(stage, backend)
         for executions, seconds in counters:
@@ -376,18 +387,6 @@ class Pipeline:
         )
         return trace, key
 
-    def _cache_sim(self, trace, trace_key_, config, warps_per_core):
-        key = stage_key("cache_sim", config, trace_key_, warps_per_core)
-
-        def compute(config):
-            result = simulate_caches(
-                trace, config, warps_per_core=warps_per_core
-            )
-            self._record_cache_metrics(result)
-            return result
-
-        return self._execute("cache_sim", key, config, compute), key
-
     def _record_cache_metrics(self, result) -> None:
         """Absorb one cache simulation's hit/miss statistics (miss only:
         cached replays contribute nothing new)."""
@@ -402,75 +401,24 @@ class Pipeline:
             "cache_sim.l2_miss_rate", buckets=RATIO_BUCKETS
         ).observe(result.l2_miss_rate)
 
-    def _latency_table(self, trace, cache_result, cache_key, config):
-        key = stage_key("latency_table", config, cache_key)
-        return (
-            self._execute(
-                "latency_table", key, config,
-                lambda config: build_latency_table(
-                    trace, cache_result, config
-                ),
-            ),
-            key,
-        )
-
-    def _profiles(self, trace, latency_table, latency_key, config):
-        key = stage_key("interval_profiles", config, latency_key)
-        return (
-            self._execute(
-                "interval_profiles", key, config,
-                lambda config: build_interval_profiles(
-                    trace, latency_table, config.issue_rate
-                ),
-            ),
-            key,
-        )
-
-    def _clustering(self, profiles, latency_table, profiles_key, config,
-                    strategy):
-        # The profiles key hashes the latency key, so this key covers the
-        # representative's single-warp stack too.
-        key = stage_key("clustering", config, profiles_key, strategy)
-
-        def compute(config):
-            selection = select_representative(profiles, strategy)
-            selection.single_warp_stack = single_warp_stack(
-                selection.profile, latency_table
-            )
-            return selection
-
-        return self._execute("clustering", key, config, compute), key
-
     def _model_inputs(
         self, trace, trace_key_, config, selection_strategy, warps_per_core
     ):
-        """Fig. 5 left side: cache sim → ... → clustering.
+        """Fig. 5 left side: cache sim → ... → clustering, on demand.
 
         Returns the inputs and the clustering key, which covers every
-        config field any of them depends on.
+        config field any of them depends on.  The inputs hold the
+        representative selection; the cache result, latency table and
+        profiles are read from the store (or built) on first access.
         """
         from repro.core.model import ModelInputs  # circular at import time
 
-        cache_result, cache_key = self._cache_sim(
-            trace, trace_key_, config, warps_per_core
+        chain = _InputChain(
+            self, trace, trace_key_, config, selection_strategy,
+            warps_per_core,
         )
-        latency_table, latency_key = self._latency_table(
-            trace, cache_result, cache_key, config
-        )
-        profiles, profiles_key = self._profiles(
-            trace, latency_table, latency_key, config
-        )
-        selection, clustering_key = self._clustering(
-            profiles, latency_table, profiles_key, config, selection_strategy
-        )
-        inputs = ModelInputs(
-            trace=trace,
-            cache_result=cache_result,
-            latency_table=latency_table,
-            profiles=profiles,
-            selection=selection,
-        )
-        return inputs, clustering_key
+        inputs = ModelInputs(trace, chain["clustering"], chain.__getitem__)
+        return inputs, chain.keys["clustering"]
 
     # -- public products ----------------------------------------------------
 
@@ -599,9 +547,12 @@ class Pipeline:
         )
         prediction = self._execute(
             "predict", key, config,
-            lambda config: GPUMech(config, rr_mode=self.rr_mode).predict(
+            lambda config, _: GPUMech(config, rr_mode=self.rr_mode).predict(
                 inputs, n_warps=n_warps
             ),
+            # GPUMech.predict reads the trace, the selection and the
+            # latency table.
+            lambda: (inputs.latency_table,),
         )
         return inputs, n_warps, prediction
 
@@ -759,3 +710,75 @@ def _evaluate_with(pipeline: Pipeline, request: EvalRequest):
         warps_per_core=request.warps_per_core,
         selection_strategy=request.selection_strategy,
     )
+
+
+class _InputChain:
+    """One walk down the model-input chain of a trace under a config.
+
+    The four keys are computed top-down up front: a key needs only the
+    keys above it, never an artifact.  ``chain[stage]`` then reads the
+    stage's artifact from the store, at most once per walk; on a miss
+    the pipeline first materializes the upstream artifacts its compute
+    takes (:attr:`NEEDS`), each by the same rule, then executes it.  So
+    a walk reads an upstream artifact only when a miss below it needs
+    that artifact.
+    """
+
+    #: Upstream artifacts each stage's compute takes, in argument order.
+    NEEDS = {
+        "cache_sim": ("trace",),
+        "latency_table": ("trace", "cache_sim"),
+        "interval_profiles": ("trace", "latency_table"),
+        "clustering": ("interval_profiles", "latency_table"),
+    }
+
+    def __init__(self, pipeline, trace, trace_key, config, strategy,
+                 warps_per_core):
+        self.pipeline = pipeline
+        self.config = config
+        self.strategy = strategy
+        self.warps_per_core = warps_per_core
+        self.artifacts: Dict[str, Any] = {"trace": trace}
+        cache_key = stage_key("cache_sim", config, trace_key, warps_per_core)
+        latency_key = stage_key("latency_table", config, cache_key)
+        profiles_key = stage_key("interval_profiles", config, latency_key)
+        # The profiles key hashes the latency key, so the clustering key
+        # covers the representative's single-warp stack too.
+        self.keys = {
+            "cache_sim": cache_key,
+            "latency_table": latency_key,
+            "interval_profiles": profiles_key,
+            "clustering": stage_key(
+                "clustering", config, profiles_key, strategy
+            ),
+        }
+
+    def __getitem__(self, stage: str):
+        artifact = self.artifacts.get(stage)
+        if artifact is None:
+            artifact = self.artifacts[stage] = self.pipeline._execute(
+                stage, self.keys[stage], self.config,
+                getattr(self, "_" + stage),
+                lambda: [self[name] for name in self.NEEDS[stage]],
+            )
+        return artifact
+
+    def _cache_sim(self, config, trace):
+        result = simulate_caches(
+            trace, config, warps_per_core=self.warps_per_core
+        )
+        self.pipeline._record_cache_metrics(result)
+        return result
+
+    def _latency_table(self, config, trace, cache_result):
+        return build_latency_table(trace, cache_result, config)
+
+    def _interval_profiles(self, config, trace, latency_table):
+        return build_interval_profiles(trace, latency_table, config.issue_rate)
+
+    def _clustering(self, config, profiles, latency_table):
+        selection = select_representative(profiles, self.strategy)
+        selection.single_warp_stack = single_warp_stack(
+            selection.profile, latency_table
+        )
+        return selection

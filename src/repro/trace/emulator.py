@@ -266,7 +266,9 @@ def _run_warp(
             continue
 
         if opcode == "ld":
-            addrs = _addresses(fetch(inst.srcs[0]), inst.offset, mask)
+            addrs = _addresses(
+                fetch(inst.srcs[0]), inst.offset, mask, ctx.warp_id, pc
+            )
             lines = coalesce(addrs[mask], config.line_size)
             values = memory.read(addrs)
             index = builder.append(
@@ -278,7 +280,9 @@ def _run_warp(
             continue
 
         if opcode == "st":
-            addrs = _addresses(fetch(inst.srcs[0]), inst.offset, mask)
+            addrs = _addresses(
+                fetch(inst.srcs[0]), inst.offset, mask, ctx.warp_id, pc
+            )
             lines = coalesce(addrs[mask], config.line_size)
             values = np.broadcast_to(
                 np.asarray(fetch(inst.srcs[1]), dtype=np.float64),
@@ -290,7 +294,9 @@ def _run_warp(
             continue
 
         if opcode == "lds":
-            addrs = _addresses(fetch(inst.srcs[0]), inst.offset, mask)
+            addrs = _addresses(
+                fetch(inst.srcs[0]), inst.offset, mask, ctx.warp_id, pc
+            )
             degree = bank_conflict_degree(addrs, mask, config.smem_banks)
             values = _smem_read(ctx.smem, addrs)
             index = builder.append(
@@ -303,7 +309,9 @@ def _run_warp(
             continue
 
         if opcode == "sts":
-            addrs = _addresses(fetch(inst.srcs[0]), inst.offset, mask)
+            addrs = _addresses(
+                fetch(inst.srcs[0]), inst.offset, mask, ctx.warp_id, pc
+            )
             degree = bank_conflict_degree(addrs, mask, config.smem_banks)
             values = np.broadcast_to(
                 np.asarray(fetch(inst.srcs[1]), dtype=np.float64),
@@ -356,12 +364,45 @@ def bank_conflict_degree(
     return int(counts.max())
 
 
-def _addresses(base: np.ndarray, offset: int, mask: np.ndarray) -> np.ndarray:
-    """Per-lane byte addresses; inactive lanes pinned to a safe address."""
-    addrs = np.asarray(
-        np.broadcast_to(np.asarray(base, dtype=np.float64), mask.shape)
-    ).astype(np.int64) + offset
-    return np.where(mask, np.abs(addrs), 0)
+def _addresses(
+    base: np.ndarray, offset: int, mask: np.ndarray, warp_id: int, pc: int
+) -> np.ndarray:
+    """Per-lane byte addresses; inactive lanes pinned to a safe address.
+
+    An active lane whose base is not finite or whose address is negative
+    raises :class:`EmulatorError` rather than touching some other byte.
+    """
+    addrs, bad, base = lane_addresses(base, offset, mask)
+    if bad.any():
+        lane = int(np.flatnonzero(bad)[0])
+        raise EmulatorError(
+            _bad_address(warp_id, pc, lane, float(base[lane]), offset)
+        )
+    return addrs
+
+
+def lane_addresses(base, offset: int, mask: np.ndarray):
+    """``(addrs, bad, base)`` for lanes shaped like ``mask``: the int64
+    byte addresses ``base + offset`` (0 on inactive lanes), the active
+    lanes with a non-finite base or a negative address, and ``base`` as
+    a float64 block."""
+    base = np.broadcast_to(np.asarray(base, dtype=np.float64), mask.shape)
+    finite = np.isfinite(base)
+    # Casting a non-finite float to int64 gives an arbitrary integer.
+    whole = base if finite.all() else np.where(finite, base, 0.0)
+    addrs = whole.astype(np.int64) + offset
+    bad = (addrs < 0) | ~finite
+    bad &= mask
+    return np.where(mask, addrs, 0), bad, base
+
+
+def _bad_address(warp: int, pc: int, lane: int, base: float,
+                 offset: int) -> str:
+    """Message for an active lane with no usable byte address."""
+    return (
+        "warp %d, pc %d, lane %d: base %r + offset %d is not a byte address"
+        % (warp, pc, lane, base, offset)
+    )
 
 
 def _smem_read(smem: Dict[int, float], addrs: np.ndarray) -> np.ndarray:

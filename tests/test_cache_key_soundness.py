@@ -170,6 +170,15 @@ def _store_without(store, stage):
     return copy
 
 
+#: A warm evaluation reads no artifact it does not use, so these stages
+#: run only on a read of the ``ModelInputs`` field that needs them.
+FIELD_OF = {
+    "cache_sim": "cache_result",
+    "latency_table": "latency_table",
+    "interval_profiles": "profiles",
+}
+
+
 def _reads(stage, field, warm_stores, monkeypatch):
     """Whether ``stage`` reads ``field`` on any warm (arch, kernel)."""
     covered = key_coverage(STAGES)[stage] - {field}
@@ -180,6 +189,8 @@ def _reads(stage, field, warm_stores, monkeypatch):
         )
         try:
             exercise(pipeline, kernel)
+            if stage in FIELD_OF:
+                getattr(pipeline.model_inputs(kernel), FIELD_OF[stage])
         except UndeclaredConfigRead as exc:
             assert "config.%s," % field in str(exc)
             return True

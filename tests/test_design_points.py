@@ -53,6 +53,9 @@ REQUESTS = [(kernel, index) for kernel in KERNELS
 #: Input stages a point reuses from the store.
 INPUT_STAGES = ("trace", "cache_sim", "latency_table", "interval_profiles",
                 "clustering")
+#: Input stages a new point reads: ``GPUMech.predict`` takes the trace,
+#: the representative selection and the latency table.
+MISS_READS = ("trace", "latency_table", "clustering")
 #: Values cached on the first prediction of a kernel, never pickled.
 CACHED = {
     "representative": {"interval_dram_reqs", "interval_cycles",
@@ -146,7 +149,9 @@ def test_keying_work_per_point(monkeypatch):
     The first point keys all six stages; a later point only its own
     ``predict`` (the five upstream keys are memo hits), and a repeated
     point nothing.  Metrics are looked up once per stage: on its first
-    execution and on its first hit, never again.
+    execution and on its first hit, never again.  A later point's
+    ``predict`` misses and reads only what it needs from the store
+    (:data:`MISS_READS`); a repeated point hits ``predict`` as well.
     """
     monkeypatch.setattr(stages, "_KEY_MEMO", {})
     calls = {"key": 0, "lookup": 0}
@@ -169,9 +174,10 @@ def test_keying_work_per_point(monkeypatch):
         lookups.append(calls["lookup"] - before["lookup"])
     distinct = len(POINTS) - 1
     assert keys == [1 + len(INPUT_STAGES)] + [1] * distinct + [0, 0]
-    # Point 1 binds the five input stages' hit counters, the first
-    # repeat binds predict's; nothing else looks a metric up.
-    assert lookups[1:] == [len(INPUT_STAGES)] + [0] * (distinct - 1) + [1, 0]
+    # Point 1 binds the hit counters of the stages a predict miss
+    # reads, the first repeat binds predict's; nothing else looks a
+    # metric up.
+    assert lookups[1:] == [len(MISS_READS)] + [0] * (distinct - 1) + [1, 0]
     assert pipeline.counters["predict"] == len(POINTS)
     assert pipeline.hits["predict"] == 2
 

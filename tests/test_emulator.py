@@ -204,6 +204,56 @@ class TestControlFlow:
             emulate(kernel, GPUConfig(), max_warp_insts=1000)
 
 
+class TestUnusableAddresses:
+    """An active lane whose address base is not finite, or whose address
+    is negative, fails the emulation under either backend: it must not
+    touch the mirrored positive address or an arbitrary one."""
+
+    @pytest.mark.parametrize("scalar", ["1", "0"])
+    @pytest.mark.parametrize(
+        "base, offset, what",
+        [
+            (-64.0, 0, "negative base"),
+            (8.0, -64, "negative after the offset"),
+            (float("nan"), 0, "NaN"),
+            (float("inf"), 0, "infinite"),
+        ],
+    )
+    @pytest.mark.parametrize("op", ["ld", "st", "lds", "sts"])
+    def test_raises_naming_warp_pc_and_lane(
+        self, monkeypatch, scalar, base, offset, what, op
+    ):
+        monkeypatch.setenv("REPRO_SCALAR", scalar)
+        b = KernelBuilder("bad_address")
+        # Only lane 5 of warp 1 computes the bad base.
+        bad = b.setp_eq(b.tid(), 37)
+        addr = b.fadd(b.fmul(b.mov(1.0), 0.0), 128.0)
+        with b.if_(bad):
+            b.mov(base, dst=addr)
+        pc = b.pc
+        if op in ("ld", "lds"):
+            getattr(b, op)(addr, offset=offset)
+        else:
+            getattr(b, op)(addr, 1.0, offset=offset)
+        b.exit()
+        kernel = b.build(n_threads=64, block_size=64)
+        with pytest.raises(EmulatorError, match="warp 1, pc %d, lane 5" % pc):
+            emulate(kernel, GPUConfig())
+
+    @pytest.mark.parametrize("scalar", ["1", "0"])
+    def test_inactive_lanes_may_hold_anything(self, monkeypatch, scalar):
+        monkeypatch.setenv("REPRO_SCALAR", scalar)
+        b = KernelBuilder("masked_bad_address")
+        addr = b.imul(b.tid(), 4)
+        with b.if_(b.setp_eq(b.tid(), 37)):
+            b.mov(-64.0, dst=addr)
+        with b.if_(b.setp_ne(b.tid(), 37)):
+            b.ld(addr)
+        b.exit()
+        kernel = b.build(n_threads=64, block_size=64)
+        assert emulate(kernel, GPUConfig()).total_insts > 0
+
+
 class TestArithmetic:
     def test_division_by_zero_safe(self):
         def build(b):

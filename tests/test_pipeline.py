@@ -16,6 +16,7 @@ from repro.core.interval import Interval, IntervalProfiles
 from repro.core.model import resident_warps_per_core
 from repro.harness import experiments as ex
 from repro.harness.runner import KernelResult, nanmean
+from repro.obs.tracer import Tracer
 from repro.pipeline import (
     DiskStore,
     EvalRequest,
@@ -97,19 +98,52 @@ class TestInvalidation:
         assert pipeline.counters["predict"] == 2
 
     def test_warm_evaluate_hits_each_stage_once(self, pipeline):
-        """One evaluation gets the trace once and walks the model-input
-        chain once, for both the inputs and the prediction."""
+        """A warm evaluation reads each artifact it uses once, and no
+        other: the trace, the oracle, the prediction, and the
+        representative the baselines take."""
         pipeline.evaluate("vectoradd")
         executions, hits = pipeline.counters, pipeline.hits
         pipeline.evaluate("vectoradd")
         assert pipeline.counters == executions
         assert pipeline.hits - hits == Counter(
-            dict.fromkeys(
-                ("trace", "cache_sim", "latency_table", "interval_profiles",
-                 "clustering", "oracle", "predict"),
-                1,
-            )
+            dict.fromkeys(("trace", "oracle", "clustering", "predict"), 1)
         )
+
+    def test_warm_evaluate_from_disk_reads_only_what_it_uses(
+        self, config, tmp_path, monkeypatch
+    ):
+        """A fresh process on a filled disk store unpickles the trace,
+        the oracle, the prediction and the representative, once each;
+        never the cache result, the latency table or the profiles."""
+        cache_dir = str(tmp_path)
+        Pipeline(config, scale=Scale.tiny(), cache_dir=cache_dir).evaluate(
+            "vectoradd"
+        )
+        reads = []
+        get = DiskStore.get
+
+        def counted(store, key):
+            reads.append(key.partition(":")[0])
+            return get(store, key)
+
+        monkeypatch.setattr(DiskStore, "get", counted)
+        warm = Pipeline(config, scale=Scale.tiny(), cache_dir=cache_dir)
+        warm.evaluate("vectoradd")
+        assert sorted(reads) == ["clustering", "oracle", "predict", "trace"]
+        assert not warm.counters
+
+    def test_stage_spans_never_nest(self, config):
+        """A miss materializes its inputs before its span opens, so each
+        stage's span (and its seconds) covers its own compute alone."""
+        tracer = Tracer(enabled=True)
+        pipeline = Pipeline(config, scale=Scale.tiny(), tracer=tracer)
+        pipeline.evaluate("vectoradd")
+        stages = {s["id"]: s for s in tracer.drain() if s["cat"] == "stage"}
+        assert sorted(s["name"] for s in stages.values()) == sorted(
+            ("trace", "cache_sim", "latency_table", "interval_profiles",
+             "clustering", "predict", "oracle")
+        )
+        assert not [s for s in stages.values() if s["parent"] in stages]
 
     def test_cache_geometry_override_re_runs_cache_sim(self, pipeline):
         pipeline.evaluate("vectoradd")

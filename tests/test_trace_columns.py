@@ -4,7 +4,10 @@ A :class:`KernelTrace` stores a launch once, as warp-major columns with
 per-warp offsets.  Its :class:`WarpTrace` objects are views into those
 columns, made on first access for the consumers that walk one warp at a
 time.  The model stages read the columns, so a cold prediction builds
-no view at all, and a stored trace pickles as its columns alone.
+no view at all, and a stored trace pickles as its columns alone.  The
+interval profiles are columnar the same way: clustering reads their
+columns and builds the representative's :class:`IntervalProfile` view
+only.
 """
 
 import pickle
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config import GPUConfig
+from repro.core.interval import IntervalProfile
 from repro.pipeline import Pipeline
 from repro.trace.emulator import emulate
 from repro.trace.trace_types import KernelTrace, WarpTrace
@@ -93,3 +97,21 @@ class TestViewWorkGuard:
         assert pipeline.predict(kernel).cpi > 0
         assert pipeline.counters["trace"] == 1
         assert len(built) == 0
+
+    @pytest.mark.parametrize("kernel", ["sgemm_tile", "bfs_kernel1"])
+    def test_cold_clustering_builds_only_the_representative_view(
+        self, monkeypatch, kernel
+    ):
+        built = []
+        init = IntervalProfile.__init__
+
+        def counted(profile, *args, **kwargs):
+            built.append(1)
+            init(profile, *args, **kwargs)
+
+        monkeypatch.setattr(IntervalProfile, "__init__", counted)
+        pipeline = Pipeline(CONFIG, scale=Scale.tiny())
+        assert pipeline.predict(kernel).cpi > 0
+        assert pipeline.counters["clustering"] == 1
+        assert pipeline.trace(kernel).n_warps > 1
+        assert len(built) == 1
