@@ -20,11 +20,7 @@ from repro.core.contention import ContentionResult, model_contention
 from repro.core.cpi_stack import CPIStack, build_cpi_stack
 from repro.core.interval import IntervalProfile, IntervalProfiles
 from repro.core.latency import LatencyTable
-from repro.core.multithreading import (
-    MultithreadingResult,
-    kernel_alignment,
-    model_multithreading,
-)
+from repro.core.multithreading import MultithreadingResult, model_multithreading
 from repro.core.representative import RepresentativeSelection
 from repro.isa.kernel import Kernel
 from repro.memory.cache_simulator import CacheSimResult
@@ -163,22 +159,16 @@ class GPUMech:
     selection_strategy:
         Representative-warp strategy: ``"clustering"`` (paper),
         ``"max"``, ``"min"`` or ``"first"``.
-    rr_mode:
-        Round-robin non-overlap counting: ``"probabilistic"`` (Eq. 10-11,
-        the default), ``"lockstep"`` or ``"blended"`` — see
-        :func:`repro.core.multithreading.model_multithreading`.
     """
 
     def __init__(
         self,
         config: GPUConfig,
         selection_strategy: str = "clustering",
-        rr_mode: str = "probabilistic",
         pipeline=None,
     ):
         self.config = config
         self.selection_strategy = selection_strategy
-        self.rr_mode = rr_mode
         #: The staged pipeline backing :meth:`prepare` (lazily created;
         #: pass one explicitly to share its artifact store and counters).
         self._pipeline = pipeline
@@ -243,13 +233,8 @@ class GPUMech:
                 inputs.trace, self.config, warps_per_core
             )
         profile = inputs.representative
-        alignment = 1.0
-        if self.rr_mode == "blended" and policy == "rr":
-            rep_trace = inputs.trace.warps[inputs.selection.index]
-            alignment = kernel_alignment(rep_trace, inputs.latency_table)
         multithreading = model_multithreading(
-            profile, n_warps, policy, rr_mode=self.rr_mode,
-            alignment=alignment,
+            profile, n_warps, policy,
             n_schedulers=self.config.schedulers_per_core,
         )
         contention = model_contention(

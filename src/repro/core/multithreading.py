@@ -82,29 +82,6 @@ def nonoverlapped_rr(interval, issue_prob: float, n_warps: int):
     return issue_prob * (n_warps - 1) * waiting_slots
 
 
-def nonoverlapped_rr_lockstep(interval, n_warps: int):
-    """Non-overlapped instructions under RR with *aligned* warps.
-
-    Round-robin keeps homogeneous warps in lockstep: when the
-    representative warp has issued k instructions of an interval, so has
-    every other warp, so during the representative's stall the remaining
-    warps have only their final instruction of the round left — exactly
-    the counting of the paper's Fig. 8(a), where 4 aligned warps with a
-    (3 instructions, 6 stalls) interval incur **6** non-overlapped
-    instructions (the probabilistic Eq. 11 predicts 2 for that figure).
-
-    Derivation: the interval's duration with n aligned warps is
-    ``n * m_i + max(stall_i - (n - 1), 0)`` (all warps' issue rounds,
-    plus whatever stall the (n-1) trailing same-round instructions cannot
-    hide), so the extra cycles over the single-warp interval are
-    ``(n - 1) * m_i - min(stall_i, n - 1)``.  This also reproduces the
-    paper's Fig. 2 example exactly (interval of 1 instruction + 10
-    stalls, 3 warps -> core IPC 3/11).
-    """
-    trailing_overlap = np.minimum(float(n_warps - 1), interval.stall_cycles)
-    return (n_warps - 1) * interval.n_insts - trailing_overlap
-
-
 def nonoverlapped_gto(
     interval,
     issue_prob: float,
@@ -119,44 +96,10 @@ def nonoverlapped_gto(
     return np.maximum(0.0, issued_in_stall - interval.stall_cycles * issue_rate)
 
 
-def kernel_alignment(warp_trace, latency_table) -> float:
-    """Probability that two warps stay in lockstep for the whole kernel.
-
-    Round-robin keeps homogeneous warps aligned only while every stall
-    they take is identical: any load whose outcome *differs across warps
-    at the same point of execution* (independent cache luck on gathers,
-    first-toucher asymmetry on shared data) staggers the warps, and RR
-    never re-aligns them.  The kernel-level alignment is the product over
-    the distinct load PCs the representative warp executes of their
-    cross-warp same-occurrence collision probabilities (see
-    :meth:`~repro.memory.cache_simulator.PCStats.cross_warp_collision`):
-    1.0 for streaming kernels where every warp misses identically, ~0
-    once any frequently executed load behaves differently per warp.
-    """
-    from repro.trace.trace_types import OpCode
-
-    alignment = 1.0
-    pc_stats = latency_table.pc_stats
-    seen = set()
-    for pc, op in zip(warp_trace.pcs.tolist(), warp_trace.ops.tolist()):
-        if op != OpCode.LOAD or pc in seen:
-            continue
-        seen.add(pc)
-        stats = pc_stats.get(pc)
-        if stats is None or not stats.n_insts:
-            continue
-        alignment *= stats.cross_warp_collision()
-        if alignment < 1e-6:
-            return 0.0
-    return alignment
-
-
 def model_multithreading(
     profile: IntervalProfile,
     n_warps: int,
     policy: str,
-    rr_mode: str = "probabilistic",
-    alignment: float = 1.0,
     n_schedulers: int = 1,
 ) -> MultithreadingResult:
     """Predict multithreaded CPI from the representative warp's profile.
@@ -170,29 +113,11 @@ def model_multithreading(
     instructions over the busiest partition's span, and the CPI floor is
     ``1 / (S * issue_rate)``.  At ``S = 1`` (the paper's core) this is
     Eq. 7-16 as printed.
-
-    ``rr_mode`` selects the RR non-overlap counting:
-
-    * ``"probabilistic"`` (default) — the literal Eq. 10-11
-      random-interleave form; the paper's published model, and the best
-      single choice against our oracle across the whole suite.
-    * ``"lockstep"`` — aligned warps; matches the paper's Fig. 2/8 worked
-      examples and real RR behaviour on kernels whose stalls are
-      deterministic (streaming kernels, where it is substantially more
-      accurate than the probabilistic form), but overestimates kernels
-      whose variable memory latencies stagger the warps.
-    * ``"blended"`` — mixes the two per the kernel-level ``alignment``
-      probability (see :func:`kernel_alignment`), an experimental signal
-      derived from cross-warp miss-event agreement.
     """
     if n_warps < 1:
         raise ValueError("n_warps must be >= 1")
     if policy not in ("rr", "gto"):
         raise ValueError("policy must be 'rr' or 'gto'")
-    if rr_mode not in ("lockstep", "probabilistic", "blended"):
-        raise ValueError(
-            "rr_mode must be 'lockstep', 'probabilistic' or 'blended'"
-        )
 
     issue_rate = profile.issue_rate
     issue_prob = profile.issue_prob
@@ -204,14 +129,7 @@ def model_multithreading(
     if peers == 1:
         per_interval = np.zeros(profile.n_intervals)
     elif policy == "rr":
-        weight = {
-            "lockstep": 1.0,
-            "probabilistic": 0.0,
-            "blended": min(max(alignment, 0.0), 1.0),
-        }[rr_mode]
-        lockstep = nonoverlapped_rr_lockstep(intervals, peers)
-        random = nonoverlapped_rr(intervals, issue_prob, peers)
-        per_interval = weight * lockstep + (1.0 - weight) * random
+        per_interval = nonoverlapped_rr(intervals, issue_prob, peers)
     else:
         per_interval = nonoverlapped_gto(
             intervals, issue_prob, peers, avg_insts, issue_rate

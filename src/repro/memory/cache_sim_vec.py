@@ -22,9 +22,6 @@ Bitwise-compatibility notes (the contract is pickle-identical
 
 * ``per_pc`` dict insertion order must be the first-replay order of each
   PC (``avg_miss_latency`` sums floats in that order);
-* each ``occurrence_events`` slot dict must insert event keys in
-  first-occurrence order (``cross_warp_collision`` sums in dict order),
-  so that small loop stays in Python, in replay order;
 * every counter is cast back to a Python ``int`` — a stray ``np.int64``
   would change the pickle bytes.
 """
@@ -144,27 +141,10 @@ def simulate_caches_vectorized(
     stores_wm = ops[mem] == OpCode.STORE
     req_counts_wm = trace.req_offsets[mem + 1] - trace.req_offsets[mem]
 
-    # Per-warp-per-PC occurrence ordinals (the "j-th execution of this
-    # PC by this warp"), computed warp-major where within-warp order is
-    # program order — exactly the scalar cursor semantics.
-    pc_span = int(pcs_wm.max()) + 1 if pcs_wm.size else 1
-    group_key = inst_warp * pc_span + pcs_wm
-    order = np.argsort(group_key, kind="stable")
-    sorted_key = group_key[order]
-    group_start = np.flatnonzero(
-        np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
-    )
-    rank_sorted = np.arange(total_insts, dtype=np.int64) - np.repeat(
-        group_start, np.diff(np.append(group_start, total_insts))
-    )
-    occ_wm = np.empty(total_insts, dtype=np.int64)
-    occ_wm[order] = rank_sorted
-
     # Reorder instructions (and their request groups) into replay order.
     pcs_r = pcs_wm[perm]
     stores_r = stores_wm[perm]
     counts_r = req_counts_wm[perm]
-    occ_r = occ_wm[perm]
     cores_r = warp_core[inst_warp[perm]]
     lines_r = _gather_slices(
         trace.req_lines, trace.req_offsets[mem[perm]], counts_r
@@ -253,16 +233,6 @@ def simulate_caches_vectorized(
             inst_events=dict(zip(_EVENTS, ie)),
             req_events=dict(zip(_EVENTS, re)),
         )
-
-    # Occurrence slots: scalar inserts event keys as warps reach each
-    # (pc, occurrence) in replay order; replicate with one light loop.
-    for pc, j, ev in zip(pcs_r.tolist(), occ_r.tolist(), worst.tolist()):
-        slots = per_pc[pc].occurrence_events
-        if j >= len(slots):
-            slots.extend({} for _ in range(j + 1 - len(slots)))
-        slot = slots[j]
-        event = _EVENTS[ev]
-        slot[event] = slot.get(event, 0) + 1
 
     n_requests = len(blocks_r)
     l2_accesses = len(l2_blocks)

@@ -43,11 +43,6 @@ class PCStats:
     req_events: Dict[MissEvent, int] = field(
         default_factory=lambda: {e: 0 for e in MissEvent}
     )
-    #: Per dynamic *occurrence* (the j-th execution of this PC within a
-    #: warp), the distribution of instruction events across warps.  Used
-    #: to measure whether warps agree at the same point of execution —
-    #: the alignment signal for the round-robin lockstep model.
-    occurrence_events: List[Dict[MissEvent, int]] = field(default_factory=list)
 
     def inst_event_fraction(self, event: MissEvent) -> float:
         """Fraction of dynamic instructions whose worst request hit ``event``."""
@@ -71,29 +66,6 @@ class PCStats:
     def avg_requests_per_inst(self) -> float:
         """Mean memory-divergence degree of this PC."""
         return self.n_requests / self.n_insts if self.n_insts else 0.0
-
-    def cross_warp_collision(self) -> float:
-        """Probability two warps see the same event at the same occurrence.
-
-        Averaged over this PC's dynamic occurrences (weighted by how many
-        warps reached each): 1.0 when every warp always experiences the
-        same miss event at the same point of execution (warps can stay in
-        lockstep under round-robin), lower when outcomes differ across
-        warps (warps stagger).  Occurrences reached by fewer than two
-        warps carry no cross-warp information and are skipped.
-        """
-        weighted = 0.0
-        weight = 0.0
-        for events in self.occurrence_events:
-            total = sum(events.values())
-            if total < 2:
-                continue
-            collision = sum(
-                (count / total) ** 2 for count in events.values() if count
-            )
-            weighted += collision * total
-            weight += total
-        return weighted / weight if weight else 1.0
 
     def amat(self, config: GPUConfig) -> float:
         """Average memory access time of the PC (Sec. V-B example)."""
@@ -221,9 +193,6 @@ def simulate_caches(
         )
 
     cursors = [0] * len(trace.warps)
-    # Per-warp, per-PC occurrence counters for the cross-warp agreement
-    # statistics.
-    occurrence: List[Dict[int, int]] = [dict() for _ in trace.warps]
     waves = _resident_waves(trace, config, warps_per_core)
     wave_cursor = [0] * config.n_cores
 
@@ -251,12 +220,6 @@ def simulate_caches(
         stats.n_insts += 1
         stats.n_requests += len(lines)
         stats.inst_events[worst] += 1
-        j = occurrence[w].get(pc, 0)
-        occurrence[w][pc] = j + 1
-        slots = stats.occurrence_events
-        if j >= len(slots):
-            slots.extend({} for _ in range(j + 1 - len(slots)))
-        slots[j][worst] = slots[j].get(worst, 0) + 1
         return True
 
     while True:

@@ -150,7 +150,6 @@ class Pipeline:
         store: Optional[ArtifactStore] = None,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        rr_mode: str = "probabilistic",
         lint: bool = False,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -163,7 +162,6 @@ class Pipeline:
         self.scale = scale if scale is not None else Scale.small()
         self.store = store if store is not None else open_store(cache_dir)
         self.jobs = max(1, int(jobs))
-        self.rr_mode = rr_mode
         #: Opt-in static verification gating the trace stage: when set,
         #: every kernel is linted (cached + counted like any stage)
         #: before its first emulation, and lint errors abort the run
@@ -542,14 +540,10 @@ class Pipeline:
         )
         if n_warps is None:
             n_warps = resident_warps_per_core(trace, config, warps_per_core)
-        key = stage_key(
-            "predict", config, clustering_key, n_warps, self.rr_mode
-        )
+        key = stage_key("predict", config, clustering_key, n_warps)
         prediction = self._execute(
             "predict", key, config,
-            lambda config, _: GPUMech(config, rr_mode=self.rr_mode).predict(
-                inputs, n_warps=n_warps
-            ),
+            lambda config, _: GPUMech(config).predict(inputs, n_warps=n_warps),
             # GPUMech.predict reads the trace, the selection and the
             # latency table.
             lambda: (inputs.latency_table,),

@@ -137,12 +137,13 @@ class StageSpec:
     config_fields: FrozenSet[str]
     description: str = ""
     #: Version of the artifact's pickled layout, folded into the key
-    #: from 2 on.  Bump it whenever the artifact type changes shape: a
-    #: disk store written by older code then misses on this stage instead
-    #: of handing old objects to new code, while stages still at layout
-    #: 1 keep their keys and their cached artifacts.  A stage whose key
-    #: hashes a bumped upstream key (``clustering`` over
-    #: ``interval_profiles``) misses already and needs no bump of its own.
+    #: from 2 on.  Bump it whenever the artifact type changes shape, or
+    #: the same inputs compute different contents: a disk store written
+    #: by older code then misses on this stage instead of handing old
+    #: objects to new code, while stages still at layout 1 keep their
+    #: keys and their cached artifacts.  A stage whose key hashes a
+    #: bumped upstream key (``clustering`` over ``interval_profiles``)
+    #: misses already and needs no bump of its own.
     layout: int = 1
 
 
@@ -168,6 +169,7 @@ STAGES = {
             inputs=(),
             config_fields=COSTMODEL_FIELDS,
             description="static cost model (abstract interpretation)",
+            layout=2,  # DRAM floor prices store traffic only
         ),
         StageSpec(
             "xcheck",
@@ -180,6 +182,7 @@ STAGES = {
             inputs=("trace",),
             config_fields=CACHE_SIM_FIELDS,
             description="functional cache replay, per-PC miss distributions",
+            layout=2,  # PCStats without per-occurrence events
         ),
         StageSpec(
             "latency_table",

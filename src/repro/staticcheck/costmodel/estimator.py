@@ -15,9 +15,10 @@ interpreter and the access classifier, then folds their facts into one
   GPUMech builds from dynamic traces;
 * **static occupancy** (resident blocks/warps per core against the
   hardware limits) and a **CPI lower bound**: the issue-width floor or
-  the DRAM-bandwidth floor (predicted line traffic priced at
-  ``dram_service_cycles``), whichever binds.  The CPI convention matches
-  the oracle's ``total_cycles · n_cores_used / total_insts``.
+  the DRAM-bandwidth floor (predicted store line traffic, which always
+  reaches DRAM, priced at ``dram_service_cycles``), whichever binds.
+  The CPI convention matches the oracle's
+  ``total_cycles · n_cores_used / total_insts``.
 
 Entry points: :func:`analyze_kernel` for validated kernels and
 :func:`analyze_program` for raw instruction sequences (degenerate inputs
@@ -306,9 +307,13 @@ def analyze_program(
     for count in counts.values():
         insts = insts + count
     transactions = Interval.exact(0)
+    store_transactions = Interval.exact(0)
     for access in accesses:
         if access.space == "global":
-            transactions = transactions + counts[access.pc] * access.transactions
+            traffic = counts[access.pc] * access.transactions
+            transactions = transactions + traffic
+            if access.is_store:
+                store_transactions = store_transactions + traffic
 
     # Static occupancy against the core's residency limits.
     warps_per_block = (block_size + config.warp_size - 1) // config.warp_size
@@ -320,13 +325,15 @@ def analyze_program(
 
     # CPI lower bound (oracle convention: cycles · n_cores_used / insts).
     # Issue floor always holds; the DRAM floor needs a finite instruction
-    # upper bound to be sound.
+    # upper bound to be sound.  It prices store traffic only: a load can
+    # hit in L1 or L2, but stores are write-through and no-write-allocate,
+    # so every store transaction reaches DRAM.
     cpi_lb = 1.0 / config.issue_width
     n_blocks = max(1, n_threads // max(1, block_size))
     n_cores_used = min(config.n_cores, n_blocks)
     if insts.hi is not None and insts.hi > 0:
         mem_floor = (
-            n_cores_used * transactions.lo * config.dram_service_cycles
+            n_cores_used * store_transactions.lo * config.dram_service_cycles
             / insts.hi
         )
         cpi_lb = max(cpi_lb, mem_floor)

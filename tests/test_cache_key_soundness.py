@@ -228,12 +228,10 @@ class TestArchDispatchPin:
         profile = inputs.representative
         n_warps = resident_warps_per_core(inputs.trace, SUBCORE)
         subcore = model_multithreading(
-            profile, n_warps, SUBCORE.scheduler, rr_mode=pipeline.rr_mode,
+            profile, n_warps, SUBCORE.scheduler,
             n_schedulers=SUBCORE.schedulers_per_core,
         )
-        paper = model_multithreading(
-            profile, n_warps, SUBCORE.scheduler, rr_mode=pipeline.rr_mode
-        )
+        paper = model_multithreading(profile, n_warps, SUBCORE.scheduler)
         assert SUBCORE.schedulers_per_core == SUBCORE.n_schedulers > 1
         assert prediction.cpi_multithreading == subcore.cpi
         assert prediction.cpi_multithreading != paper.cpi

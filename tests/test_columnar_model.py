@@ -202,11 +202,6 @@ def ref_nonoverlapped_rr(interval, issue_prob, n_warps):
     return issue_prob * (n_warps - 1) * waiting_slots
 
 
-def ref_nonoverlapped_rr_lockstep(interval, n_warps):
-    trailing_overlap = min(interval.stall_cycles, float(n_warps - 1))
-    return (n_warps - 1) * interval.n_insts - trailing_overlap
-
-
 def ref_nonoverlapped_gto(
     interval, issue_prob, n_warps, avg_interval_insts, issue_rate
 ):
@@ -216,9 +211,7 @@ def ref_nonoverlapped_gto(
     return max(issued_in_stall - interval.stall_cycles * issue_rate, 0.0)
 
 
-def ref_model_multithreading(
-    profile, n_warps, policy, rr_mode="probabilistic", alignment=1.0
-):
+def ref_model_multithreading(profile, n_warps, policy):
     """(cpi, total_nonoverlapped, per_interval, rep_total_cycles)."""
     issue_rate = profile.issue_rate
     issue_prob = profile.issue_prob
@@ -228,15 +221,10 @@ def ref_model_multithreading(
     if n_warps == 1:
         per_interval = [0.0] * profile.n_intervals
     elif policy == "rr":
-        weight = {
-            "lockstep": 1.0,
-            "probabilistic": 0.0,
-            "blended": min(max(alignment, 0.0), 1.0),
-        }[rr_mode]
-        for interval in profile.intervals:
-            lockstep = ref_nonoverlapped_rr_lockstep(interval, n_warps)
-            random = ref_nonoverlapped_rr(interval, issue_prob, n_warps)
-            per_interval.append(weight * lockstep + (1.0 - weight) * random)
+        per_interval = [
+            ref_nonoverlapped_rr(i, issue_prob, n_warps)
+            for i in profile.intervals
+        ]
     else:
         per_interval = [
             ref_nonoverlapped_gto(
@@ -428,21 +416,17 @@ def check_contention(rows, issue_rate, n_warps, config, avg_miss_latency):
         )
 
 
-def check_multithreading(rows, issue_rate, n_warps, alignment):
+def check_multithreading(rows, issue_rate, n_warps):
     profile, ref = both(rows, issue_rate)
-    runs = [("rr", mode) for mode in ("probabilistic", "lockstep", "blended")]
-    for policy, rr_mode in runs + [("gto", "probabilistic")]:
-        got = model_multithreading(
-            profile, n_warps, policy, rr_mode=rr_mode, alignment=alignment
-        )
+    for policy in ("rr", "gto"):
+        got = model_multithreading(profile, n_warps, policy)
         cpi, total, per_interval, rep_cycles = ref_model_multithreading(
-            ref, n_warps, policy, rr_mode=rr_mode, alignment=alignment
+            ref, n_warps, policy
         )
-        what = (policy, rr_mode)
-        assert_same_bits(got.cpi, cpi, what)
-        assert_same_bits(got.total_nonoverlapped, total, what)
-        assert_same_bits(got.per_interval_nonoverlapped, per_interval, what)
-        assert_same_bits(got.rep_total_cycles, rep_cycles, what)
+        assert_same_bits(got.cpi, cpi, policy)
+        assert_same_bits(got.total_nonoverlapped, total, policy)
+        assert_same_bits(got.per_interval_nonoverlapped, per_interval, policy)
+        assert_same_bits(got.rep_total_cycles, rep_cycles, policy)
         assert got.rep_insts == ref.n_insts
 
 
@@ -483,10 +467,10 @@ def test_contention_matches_reference(profile, n_warps, config, latency):
 
 
 @settings(deadline=None, max_examples=50)
-@given(profiles, st.integers(1, 64), st.floats(-0.5, 1.5))
-def test_multithreading_matches_reference(profile, n_warps, alignment):
+@given(profiles, st.integers(1, 64))
+def test_multithreading_matches_reference(profile, n_warps):
     rows, issue_rate = profile
-    check_multithreading(rows, issue_rate, n_warps, alignment)
+    check_multithreading(rows, issue_rate, n_warps)
 
 
 @settings(deadline=None, max_examples=50)
@@ -560,7 +544,7 @@ def test_edge_profiles_match_reference(name, n_warps):
     config = GPUConfig()
     table = LatencyTable(np.ones(8), {}, 420.0)
     check_contention(rows, 1.0, n_warps, config, 420.0)
-    check_multithreading(rows, 1.0, n_warps, 0.5)
+    check_multithreading(rows, 1.0, n_warps)
     check_baselines(rows, 1.0, n_warps)
     check_aggregates(rows, 1.0)
     got, ref = both(rows)

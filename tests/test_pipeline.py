@@ -16,6 +16,7 @@ from repro.core.interval import Interval, IntervalProfiles
 from repro.core.model import resident_warps_per_core
 from repro.harness import experiments as ex
 from repro.harness.runner import KernelResult, nanmean
+from repro.memory.hierarchy import MissEvent
 from repro.obs.tracer import Tracer
 from repro.pipeline import (
     DiskStore,
@@ -294,7 +295,7 @@ class TestArtifactLayout:
         # key is never read: predict now keys on the clustering key.
         n_warps = resident_warps_per_core(inputs.trace, config)
         predict_key = legacy_key("predict", config, pipeline.trace_key(kernel),
-                                 None, n_warps, "clustering", pipeline.rr_mode)
+                                 None, n_warps, "clustering", "probabilistic")
         disk.put(predict_key, SimpleNamespace(cpi=-1.0))
         assert pipeline.predict(kernel).cpi > 0
         assert pipeline.counters["predict"] == 1
@@ -323,6 +324,44 @@ class TestArtifactLayout:
         assert pipeline.counters["latency_table"] == 1
         assert pipeline.counters["clustering"] == 1
         assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_legacy_cache_sim_on_disk_is_recomputed(self, config, tmp_path):
+        """A cache replay stored before layout 2 sits under the layout-1
+        key, its per-PC stats also holding per-occurrence miss events; it
+        must be recomputed, never served."""
+        kernel = "vectoradd"
+        fresh = Pipeline(config, scale=Scale.tiny())
+        want = fresh.predict(kernel)
+        legacy = copy.deepcopy(fresh.model_inputs(kernel).cache_result)
+        for stats in legacy.per_pc.values():
+            # Served, these counts would move the prediction.
+            stats.inst_events = {event: 0 for event in stats.inst_events}
+            stats.inst_events[MissEvent.L1_HIT] = stats.n_insts
+            stats.occurrence_events = [{MissEvent.L1_HIT: stats.n_insts}]
+        pipeline = Pipeline(config, scale=Scale.tiny(), cache_dir=str(tmp_path))
+        DiskStore(str(tmp_path)).put(
+            legacy_key("cache_sim", config, pipeline.trace_key(kernel), None),
+            legacy,
+        )
+        got = pipeline.predict(kernel)
+        assert pipeline.counters["cache_sim"] == 1
+        assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_legacy_cost_model_on_disk_is_recomputed(self, config, tmp_path):
+        """A cost model stored while the DRAM floor priced load traffic
+        sits under the layout-1 key; its bound must not be served."""
+        kernel = "vectoradd"
+        scale = Scale.tiny()
+        pipeline = Pipeline(config, scale=scale, cache_dir=str(tmp_path))
+        cost_key = legacy_key(
+            "costmodel", config, kernel,
+            (scale.n_blocks, scale.block_size, scale.iters),
+        )
+        DiskStore(str(tmp_path)).put(
+            cost_key, SimpleNamespace(cpi_lower_bound=-1.0)
+        )
+        assert pipeline.analyze(kernel).cpi_lower_bound > 0
+        assert pipeline.counters["costmodel"] == 1
 
     def test_legacy_oracle_stats_on_disk_are_recomputed(self, config,
                                                          tmp_path):
