@@ -1,7 +1,10 @@
 """Unit tests for the functional cache simulator (per-PC distributions)."""
 
+import pickle
+
 import pytest
 
+from repro.backend import SCALAR_ENV
 from repro.config import GPUConfig
 from repro.isa import KernelBuilder
 from repro.memory import MissEvent, simulate_caches
@@ -18,6 +21,34 @@ def run(build_fn, n_threads=256, block_size=64, config=None):
     kernel = b.build(n_threads=n_threads, block_size=block_size)
     trace = emulate(kernel, config)
     return simulate_caches(trace, config), config
+
+
+def streaming_load(b):
+    """Every warp loads its own line once."""
+    b.fadd(b.ld(b.iadd(b.imul(b.tid(), 4), 0x100000)), 1.0)
+
+
+def shared_line_load(b):
+    """Every warp loads the same line."""
+    b.fadd(b.ld(b.mov(0x100000)), 1.0)
+
+
+def uneven_trip_loads(b):
+    """Warp ``w`` of a block reaches the loop's load ``w + 1`` times, at a
+    new line each trip."""
+    base = b.iadd(b.imul(b.tid(), 4), 0x100000)
+    trips = b.iadd(b.warpid(), 1)
+    counter = b.mov(0)
+    head = b.loop_begin()
+    b.ld(b.iadd(base, b.imul(counter, 0x10000)))
+    counter = b.iadd(counter, 1, dst=counter)
+    b.loop_end(head, b.setp_lt(counter, trips))
+
+
+def compute_only(b):
+    acc = b.mov(1.0)
+    for _ in range(4):
+        acc = b.fmul(acc, 1.5, dst=acc)
 
 
 class TestHierarchy:
@@ -119,6 +150,25 @@ class TestPerPCStats:
         assert result.load_pcs() == []
         assert len(result.store_pcs()) == 1
 
+    def test_shared_line_missed_once_per_core(self):
+        # Two cores: each core's first warp to reach the line misses its
+        # own L1 (core 0 then also misses the shared L2, core 1 hits it);
+        # the other six warps hit their core's L1.
+        result, _ = run(shared_line_load)
+        (pc,) = result.load_pcs()
+        stats = result.stats_for(pc)
+        assert stats.n_insts == 8
+        assert stats.inst_events == {
+            MissEvent.L1_HIT: 6, MissEvent.L2_HIT: 1, MissEvent.L2_MISS: 1,
+        }
+        assert result.l1_miss_rate == 2 / 8
+        assert result.l2_miss_rate == 1 / 2
+
+    def test_compute_only_kernel_records_no_pcs(self):
+        result, _ = run(compute_only)
+        assert result.per_pc == {}
+        assert result.l1_miss_rate == result.l2_miss_rate == 0.0
+
     def test_requests_per_inst_tracks_divergence(self):
         def build(b):
             b.ld(b.imul(b.tid(), 512))
@@ -142,3 +192,21 @@ class TestAvgMissLatency:
 
         result, config = run(build)
         assert result.avg_miss_latency(config) == config.l2_miss_latency
+
+
+class TestReplayBackends:
+    """The batched replay and the ``REPRO_SCALAR=1`` loop nest record the
+    same per-PC counters, also when warps reach a PC a different number
+    of times."""
+
+    @pytest.mark.parametrize(
+        "build_fn",
+        [streaming_load, shared_line_load, uneven_trip_loads, compute_only],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_backends_agree(self, build_fn, monkeypatch):
+        monkeypatch.setenv(SCALAR_ENV, "0")
+        batched, _ = run(build_fn)
+        monkeypatch.setenv(SCALAR_ENV, "1")
+        scalar, _ = run(build_fn)
+        assert pickle.dumps(batched) == pickle.dumps(scalar)
