@@ -1,8 +1,8 @@
 """Bench: static cost analysis must stay interactive-fast.
 
-The cost model runs inside the pipeline ahead of every cross-check and
-inside ``repro lint --cost`` / ``repro analyze``, so it has to be cheap
-enough to run eagerly over the whole suite.  This bench analyzes the
+The cost model runs ahead of every cross-check and inside ``repro lint
+--cost`` / ``repro analyze``, recomputed on each call, so it has to be
+cheap enough to run eagerly over the whole suite.  This bench analyzes the
 *largest* suite kernel (by static program length at the large scale)
 end to end — CFG, loop finding, affine fixpoint, trip counts, access
 classification, occupancy — and asserts the min-of-N time stays under

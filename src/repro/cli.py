@@ -145,9 +145,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent content-addressed artifact store; "
                         "reruns skip every already-computed stage")
-    parser.add_argument("--lint", action="store_true",
-                        help="statically verify each kernel before tracing "
-                        "(abort on error-severity diagnostics)")
     _add_obs_args(parser)
 
 
@@ -170,7 +167,6 @@ def _pipeline(args) -> Pipeline:
         _SCALES[args.scale](),
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        lint=args.lint,
         tracer=getattr(args, "obs_tracer", None),
         metrics=getattr(args, "obs_metrics", None),
         timeline_interval=getattr(args, "timeline_interval", None),
@@ -276,7 +272,7 @@ def _cmd_lint(args) -> int:
 def _cmd_analyze(args) -> int:
     import json
 
-    from repro.pipeline import Pipeline
+    from repro.staticcheck import analyze_kernel, crosscheck_kernel
 
     scale = _SCALES[args.scale]()
     if args.suite or args.kernel in (None, "all"):
@@ -297,10 +293,14 @@ def _cmd_analyze(args) -> int:
     entries = []
     n_errors = 0
     for name in names:
-        cost = pipeline.analyze(name)
+        kernel, _ = get_kernel(name, scale)
+        cost = analyze_kernel(kernel, pipeline.config)
         report = None
         if not args.static_only:
-            report = pipeline.crosscheck(name)
+            report = crosscheck_kernel(
+                kernel, pipeline.trace(name), cost=cost,
+                config=pipeline.config,
+            )
             n_errors += len(report.errors)
         entries.append((name, cost, report))
     if args.format == "json":
@@ -560,11 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--scale", choices=sorted(_SCALES),
                          default="small", help="workload scale preset")
     analyze.add_argument("--static-only", action="store_true",
-                         help="skip emulation and the xcheck stage "
-                         "(pure static analysis)")
+                         help="skip emulation and the xcheck "
+                         "cross-validation (pure static analysis)")
     analyze.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="persistent content-addressed artifact "
-                         "store; reruns skip every already-computed stage")
+                         help="persistent content-addressed trace store; "
+                         "reruns skip emulation")
     _add_obs_args(analyze)
 
     profile = sub.add_parser(

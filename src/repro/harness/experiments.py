@@ -372,22 +372,3 @@ def run_figure16(
         )
         data[name] = kernel_data
     return ExperimentResult("figure16", "\n\n".join(sections), data=data)
-
-
-# ---------------------------------------------------------------------------
-# Everything
-# ---------------------------------------------------------------------------
-
-
-def run_all(pipeline: Pipeline) -> List[ExperimentResult]:
-    """Run every figure driver; returns results in paper order."""
-    return [
-        run_figure4(pipeline),
-        run_figure7(pipeline),
-        run_figure11(pipeline),
-        run_figure12(pipeline),
-        run_figure13(pipeline),
-        run_figure14(pipeline),
-        run_figure15(pipeline),
-        run_figure16(pipeline),
-    ]

@@ -32,6 +32,10 @@
    enabled, each real execution is a span in the exported timeline
    (disabled tracing allocates nothing).
 
+Static analysis is not a stage: ``repro lint``, ``repro analyze`` and
+``characterize`` call :mod:`repro.staticcheck` directly, and none of its
+results is ever stored.
+
 Independent (kernel × sweep-point) evaluations fan out over a
 ``ProcessPoolExecutor`` via :meth:`Pipeline.evaluate_many`; a single
 evaluation runs in one process (the interval-profile stage is one
@@ -65,17 +69,14 @@ from repro.memory.cache_simulator import simulate_caches
 from repro.obs.metrics import CounterMetric, MetricsRegistry, diff_snapshots
 from repro.obs.tracer import Tracer, get_tracer
 from repro.pipeline.stages import (
-    compute_costmodel,
-    compute_lint,
+    STAGES,
     compute_oracle,
     compute_trace,
-    compute_xcheck,
     config_view,
     stage_key,
     trace_digest,
 )
 from repro.pipeline.store import ArtifactStore, open_store
-from repro.staticcheck.report import StaticCheckError
 from repro.workloads.generators import Scale
 
 _LOG = logging.getLogger(__name__)
@@ -150,7 +151,6 @@ class Pipeline:
         store: Optional[ArtifactStore] = None,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        lint: bool = False,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         timeline_interval: Optional[float] = None,
@@ -162,11 +162,6 @@ class Pipeline:
         self.scale = scale if scale is not None else Scale.small()
         self.store = store if store is not None else open_store(cache_dir)
         self.jobs = max(1, int(jobs))
-        #: Opt-in static verification gating the trace stage: when set,
-        #: every kernel is linted (cached + counted like any stage)
-        #: before its first emulation, and lint errors abort the run
-        #: before any artifact is built from the invalid kernel.
-        self.lint = lint
         #: Span tracer; defaults to the process-wide one (disabled
         #: unless something installed an enabled tracer).
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -306,78 +301,11 @@ class Pipeline:
         config = self._effective_config(config)
         return stage_key("trace", config, kernel_name, self._scale_part())
 
-    def verify(self, kernel_name: str):
-        """Statically verify a suite kernel (cached, counted, timed like
-        any other stage); raises :class:`StaticCheckError` on errors."""
-        key = stage_key("lint", self.config, kernel_name, self._scale_part())
-        report = self._execute(
-            "lint", key, self.config,
-            lambda config: compute_lint(kernel_name, self.scale),
-        )
-        if report.has_errors:
-            raise StaticCheckError(report)
-        return report
-
-    def analyze(self, kernel_name: str, config: Optional[GPUConfig] = None):
-        """The (cached) static cost model of a suite kernel.
-
-        Pure static analysis — no emulation: abstract interpretation
-        over the kernel's CFG yields loop trip counts, memory-access
-        coalescing classes, divergence regions, occupancy and CPI
-        bounds (:class:`~repro.staticcheck.costmodel.KernelCostModel`).
-        """
-        config = self._effective_config(config)
-        key = stage_key(
-            "costmodel", config, kernel_name, self._scale_part()
-        )
-        return self._execute(
-            "costmodel", key, config,
-            lambda config: compute_costmodel(kernel_name, self.scale, config),
-        )
-
-    def crosscheck(
-        self, kernel_name: str, config: Optional[GPUConfig] = None
-    ):
-        """Cross-validate a suite kernel's dynamic trace against its
-        static cost model (the xcheck sanitizer stage).
-
-        Returns the resulting :class:`~repro.staticcheck.LintReport`;
-        every error counts into the ``xcheck.mismatches`` metric so
-        sweeps surface collector drift without parsing reports.
-        """
-        config = self._effective_config(config)
-        cost = self.analyze(kernel_name, config)
-        trace, trace_key_ = self._trace(kernel_name, config)
-        cost_key = stage_key(
-            "costmodel", config, kernel_name, self._scale_part()
-        )
-        key = stage_key("xcheck", config, trace_key_, cost_key)
-
-        def compute(config):
-            report = compute_xcheck(
-                kernel_name, self.scale, trace, cost, config
-            )
-            self.metrics.counter("xcheck.runs").inc()
-            if report.errors:
-                self.metrics.counter("xcheck.mismatches").inc(
-                    len(report.errors)
-                )
-            return report
-
-        return self._execute("xcheck", key, config, compute)
-
     def trace(self, kernel_name: str, config: Optional[GPUConfig] = None):
-        """The (cached) functional trace of a suite kernel.
-
-        With ``lint=True`` the kernel is statically verified first, so
-        no trace artifact is ever built — or cached — from a kernel
-        that fails verification.
-        """
+        """The (cached) functional trace of a suite kernel."""
         return self._trace(kernel_name, self._effective_config(config))[0]
 
     def _trace(self, kernel_name: str, config: GPUConfig):
-        if self.lint:
-            self.verify(kernel_name)
         key = self.trace_key(kernel_name, config)
         trace = self._execute(
             "trace", key, config,
@@ -713,18 +641,10 @@ class _InputChain:
     keys above it, never an artifact.  ``chain[stage]`` then reads the
     stage's artifact from the store, at most once per walk; on a miss
     the pipeline first materializes the upstream artifacts its compute
-    takes (:attr:`NEEDS`), each by the same rule, then executes it.  So
-    a walk reads an upstream artifact only when a miss below it needs
-    that artifact.
+    takes (the stage's declared ``inputs``), each by the same rule, then
+    executes it.  So a walk reads an upstream artifact only when a miss
+    below it needs that artifact.
     """
-
-    #: Upstream artifacts each stage's compute takes, in argument order.
-    NEEDS = {
-        "cache_sim": ("trace",),
-        "latency_table": ("trace", "cache_sim"),
-        "interval_profiles": ("trace", "latency_table"),
-        "clustering": ("interval_profiles", "latency_table"),
-    }
 
     def __init__(self, pipeline, trace, trace_key, config, strategy,
                  warps_per_core):
@@ -753,7 +673,7 @@ class _InputChain:
             artifact = self.artifacts[stage] = self.pipeline._execute(
                 stage, self.keys[stage], self.config,
                 getattr(self, "_" + stage),
-                lambda: [self[name] for name in self.NEEDS[stage]],
+                lambda: [self[name] for name in STAGES[stage].inputs],
             )
         return artifact
 

@@ -1,18 +1,16 @@
 """Typed stage definitions: the Fig. 5 dataflow as a declarative DAG.
 
-Each :class:`StageSpec` names its upstream stages and the
-:class:`~repro.config.GPUConfig` fields it reads beyond what those
-upstream stages already cover.  A stage's cache key folds in the
-fingerprint of its own fields and the keys of all its inputs, so the
-key *covers* its ``config_fields`` plus, transitively, everything its
-inputs' keys cover.  That is how the pipeline knows structurally which
-artifacts a configuration override invalidates:
+Each :class:`StageSpec` names the upstream artifacts its compute takes
+and the :class:`~repro.config.GPUConfig` fields it reads beyond what
+those upstream stages already cover.  A stage's cache key folds in the
+fingerprint of its own fields and, directly or through one another, the
+keys of all its inputs, so the key *covers* its ``config_fields`` plus,
+transitively, everything its inputs' keys cover.  That is how the
+pipeline knows structurally which artifacts a configuration override
+invalidates:
 
 ====================  =====================================================
-``lint``              static kernel verification (no config dependence)
 ``trace``             functional emulation (config: trace fields only)
-``costmodel``         static cost model (warp/line geometry + cost params)
-``xcheck``            dynamic-vs-static cross-validation (trace fields)
 ``cache_sim``         functional cache replay (cache geometry + residency)
 ``latency_table``     per-PC AMAT + avg miss latency (latency parameters)
 ``interval_profiles`` per-warp Eq. 4 scan (issue bandwidth)
@@ -20,6 +18,10 @@ artifacts a configuration override invalidates:
 ``predict``           multi-warp analytical model (scheduling, contention)
 ``oracle``            cycle-level timing simulation (full config)
 ====================  =====================================================
+
+Static analysis (``repro.staticcheck``: the verifier, the cost model,
+the cross-checker) is not a stage: it costs milliseconds a kernel, so
+its callers run it directly and nothing of it is ever stored.
 
 Coverage is enforced, not just declared: a stage computes on a
 :func:`config_view` that holds exactly the fields its key covers, and
@@ -73,27 +75,6 @@ LATENCY_FIELDS: FrozenSet[str] = frozenset(
 #: profile key folds in the trace key.)
 PROFILE_FIELDS: FrozenSet[str] = frozenset({"issue_width"})
 
-#: Static cost-model config dependencies: warp/line geometry for the
-#: access classifier, residency limits for occupancy, issue width and
-#: DRAM service rate for the CPI lower bound.
-COSTMODEL_FIELDS: FrozenSet[str] = frozenset(
-    {
-        "warp_size",
-        "line_size",
-        "smem_banks",
-        "issue_width",
-        "n_cores",
-        "max_threads_per_core",
-        "dram_bandwidth_gbps",
-        "core_clock_ghz",
-    }
-)
-
-#: Cross-check config dependencies beyond what the trace and costmodel
-#: keys (both folded into the xcheck key) already cover: the collector
-#: comparisons themselves read only the warp width.
-XCHECK_FIELDS: FrozenSet[str] = frozenset({"warp_size"})
-
 #: Analytical-model config dependencies beyond the clustering key's
 #: coverage (which already brings in cache geometry, residency,
 #: latencies and issue width): the scheduler policy, the issue slots per
@@ -126,7 +107,8 @@ class StageSpec:
     """One node of the pipeline DAG."""
 
     name: str
-    #: Upstream stage names this stage consumes artifacts from.
+    #: Upstream artifacts this stage's compute takes, in argument order.
+    #: Its key hashes the key of one of them, which covers the others.
     inputs: Tuple[str, ...]
     #: GPUConfig fields this stage reads *beyond* what its inputs' keys
     #: already cover; the key includes only their fingerprint (plus the
@@ -136,14 +118,12 @@ class StageSpec:
     #: :class:`UndeclaredConfigRead`.
     config_fields: FrozenSet[str]
     description: str = ""
-    #: Version of the artifact's pickled layout, folded into the key
-    #: from 2 on.  Bump it whenever the artifact type changes shape, or
-    #: the same inputs compute different contents: a disk store written
-    #: by older code then misses on this stage instead of handing old
-    #: objects to new code, while stages still at layout 1 keep their
-    #: keys and their cached artifacts.  A stage whose key hashes a
-    #: bumped upstream key (``clustering`` over ``interval_profiles``)
-    #: misses already and needs no bump of its own.
+    #: Version of the artifact's pickled layout, folded into the key.
+    #: Bump it whenever the artifact type changes shape, or the same
+    #: inputs compute different contents: a disk store written by older
+    #: code then misses on this stage instead of handing old objects to
+    #: new code.  A stage whose key hashes a bumped upstream key misses
+    #: already and needs no bump of its own.
     layout: int = 1
 
 
@@ -152,30 +132,11 @@ STAGES = {
     spec.name: spec
     for spec in (
         StageSpec(
-            "lint",
-            inputs=(),
-            config_fields=frozenset(),
-            description="static kernel verification (CFG + dataflow checks)",
-        ),
-        StageSpec(
             "trace",
             inputs=(),
             config_fields=TRACE_FIELDS,
             description="functional SIMT emulation (machine-independent)",
             layout=2,  # launch-wide trace columns
-        ),
-        StageSpec(
-            "costmodel",
-            inputs=(),
-            config_fields=COSTMODEL_FIELDS,
-            description="static cost model (abstract interpretation)",
-            layout=2,  # DRAM floor prices store traffic only
-        ),
-        StageSpec(
-            "xcheck",
-            inputs=("trace", "costmodel"),
-            config_fields=XCHECK_FIELDS,
-            description="cross-validation of dynamic trace vs static facts",
         ),
         StageSpec(
             "cache_sim",
@@ -186,21 +147,21 @@ STAGES = {
         ),
         StageSpec(
             "latency_table",
-            inputs=("cache_sim",),
+            inputs=("trace", "cache_sim"),
             config_fields=LATENCY_FIELDS,
             description="per-PC average memory access times",
             layout=2,  # carries avg_miss_latency
         ),
         StageSpec(
             "interval_profiles",
-            inputs=("latency_table",),
+            inputs=("trace", "latency_table"),
             config_fields=PROFILE_FIELDS,
             description="per-warp interval profiles (Eq. 4)",
             layout=2,  # launch-wide interval columns
         ),
         StageSpec(
             "clustering",
-            inputs=("interval_profiles",),
+            inputs=("interval_profiles", "latency_table"),
             config_fields=frozenset(),
             description="representative-warp selection (k-means, Eq. 5/6)",
             layout=2,  # carries the single-warp CPI stack
@@ -361,9 +322,7 @@ def stage_key(stage: str, config: GPUConfig, *parts: object) -> str:
 def hash_stage_key(stage: str, config: GPUConfig, *parts: object) -> str:
     """:func:`stage_key` computed from scratch, without the memo."""
     spec = STAGES[stage]
-    head = (config.fingerprint(spec.config_fields),)
-    if spec.layout > 1:
-        head += (("layout", spec.layout),)
+    head = (config.fingerprint(spec.config_fields), ("layout", spec.layout))
     payload = repr(head + parts).encode("utf-8")
     return "%s:%s" % (stage, hashlib.sha256(payload).hexdigest()[:24])
 
@@ -403,33 +362,6 @@ def compute_trace(kernel_name: str, scale, config: GPUConfig) -> KernelTrace:
 
     kernel, memory = SUITE[kernel_name].build(scale)
     return emulate(kernel, config, memory=memory)
-
-
-def compute_lint(kernel_name: str, scale):
-    """Build a suite kernel at ``scale`` and statically verify it."""
-    from repro.staticcheck import lint_kernel
-    from repro.workloads.suite import SUITE  # deferred: suite is heavy
-
-    kernel, _ = SUITE[kernel_name].build(scale)
-    return lint_kernel(kernel)
-
-
-def compute_costmodel(kernel_name: str, scale, config: GPUConfig):
-    """Build a suite kernel at ``scale`` and statically cost it."""
-    from repro.staticcheck import analyze_kernel
-    from repro.workloads.suite import SUITE  # deferred: suite is heavy
-
-    kernel, _ = SUITE[kernel_name].build(scale)
-    return analyze_kernel(kernel, config)
-
-
-def compute_xcheck(kernel_name: str, scale, trace, cost, config: GPUConfig):
-    """Cross-validate a suite kernel's trace against its cost model."""
-    from repro.staticcheck import crosscheck_kernel
-    from repro.workloads.suite import SUITE  # deferred: suite is heavy
-
-    kernel, _ = SUITE[kernel_name].build(scale)
-    return crosscheck_kernel(kernel, trace, cost=cost, config=config)
 
 
 def compute_oracle(

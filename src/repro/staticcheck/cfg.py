@@ -121,11 +121,6 @@ class ControlFlowGraph:
         self._idom: Optional[Dict[int, Optional[int]]] = None
         self._ipdom: Optional[Dict[int, Optional[int]]] = None
 
-    @classmethod
-    def from_program(cls, program: Sequence[Instruction]) -> "ControlFlowGraph":
-        """Build the CFG of ``program`` (alias of the constructor)."""
-        return cls(program)
-
     # -- structure ----------------------------------------------------------
 
     def _build_blocks(self) -> List[BasicBlock]:

@@ -92,9 +92,6 @@ class Affine:
     def mentions(self, symbol: str) -> bool:
         return any(name == symbol for name, _ in self.coeffs)
 
-    def mentions_iter(self) -> bool:
-        return any(name.startswith(ITER_PREFIX) for name, _ in self.coeffs)
-
     @property
     def symbols(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.coeffs)

@@ -116,12 +116,6 @@ class KernelCostModel:
     def divergent_branches(self) -> Tuple[BranchSummary, ...]:
         return tuple(b for b in self.branches if b.divergent)
 
-    def access_at(self, pc: int) -> Optional[MemoryAccess]:
-        for access in self.accesses:
-            if access.pc == pc:
-                return access
-        return None
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "kernel": self.kernel,
@@ -200,7 +194,9 @@ def _empty_model(name: str, n_threads: int, block_size: int,
         resident_blocks_per_core=0,
         resident_warps_per_core=0,
         occupancy=0.0,
-        cpi_lower_bound=1.0 / config.issue_width,
+        cpi_lower_bound=1.0 / (
+            config.issue_width * config.schedulers_per_core
+        ),
         counts={},
     )
 
@@ -327,8 +323,9 @@ def analyze_program(
     # Issue floor always holds; the DRAM floor needs a finite instruction
     # upper bound to be sound.  It prices store traffic only: a load can
     # hit in L1 or L2, but stores are write-through and no-write-allocate,
-    # so every store transaction reaches DRAM.
-    cpi_lb = 1.0 / config.issue_width
+    # so every store transaction reaches DRAM.  A core issues from one
+    # slot per scheduler.
+    cpi_lb = 1.0 / (config.issue_width * config.schedulers_per_core)
     n_blocks = max(1, n_threads // max(1, block_size))
     n_cores_used = min(config.n_cores, n_blocks)
     if insts.hi is not None and insts.hi > 0:

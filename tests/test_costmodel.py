@@ -456,12 +456,26 @@ class TestKernelCostModel:
         classes = {entry.stall_class for entry in cost.skeleton}
         assert classes <= {"ialu", "falu", "sfu", "mem", "smem", "sync"}
 
+    def test_line_size_changes_the_transactions(self):
+        kernel, _ = SUITE["vectoradd"].build(Scale.tiny())
+        base = analyze_kernel(kernel, GPUConfig())
+        narrow = analyze_kernel(kernel, GPUConfig(line_size=32))
+        assert (base.accesses[0].transactions
+                != narrow.accesses[0].transactions)
+
 
 @pytest.fixture(scope="module")
 def tiny_pipeline():
     from repro.pipeline import Pipeline
 
     return Pipeline(GPUConfig(n_cores=2), scale=Scale.tiny())
+
+
+@pytest.fixture(scope="module")
+def subcore_pipeline():
+    from repro.pipeline import Pipeline
+
+    return Pipeline(GPUConfig(n_cores=2, arch="subcore"), scale=Scale.small())
 
 
 class TestCPILowerBound:
@@ -505,20 +519,46 @@ class TestCPILowerBound:
         assert cost.transactions_per_warp == Interval.exact(2)
         assert cost.cpi_lower_bound == self.store_floor(cost, 1)
 
+    def test_issue_floor_counts_every_scheduler(self):
+        b = KernelBuilder("k")
+        b.fmul(b.fadd(b.mov(1.0), 2.0), 3.0)
+        b.exit()
+        kernel = b.build(n_threads=256, block_size=64)
+        subcore = GPUConfig(arch="subcore", n_schedulers=4)
+        assert analyze_kernel(kernel, subcore).cpi_lower_bound == 0.25
+        assert analyze_kernel(kernel, GPUConfig()).cpi_lower_bound == 1.0
+
+    #: The kernels whose model CPI under ``subcore`` at ``Scale.small``
+    #: lies below 1.0 (0.25-0.83), where a one-slot issue floor would
+    #: exceed it.  The whole suite costs ~60 s of sub-core emulation.
+    SUBCORE_KERNELS = (
+        "binomial_options", "blackscholes", "convolution_sep",
+        "heartwall_track", "leukocyte_find", "quasirandom",
+    )
+
     @pytest.mark.parametrize("policy", ["rr", "gto"])
     @pytest.mark.parametrize(
-        "pipeline_fixture", ["tiny_pipeline", "paper_pipeline"]
+        "pipeline_fixture",
+        ["tiny_pipeline", "paper_pipeline", "subcore_pipeline"],
     )
     def test_bound_never_exceeds_predicted_cpi(
         self, pipeline_fixture, policy, request
     ):
         """The DRAM floor prices store traffic only: a load can hit in L1
         or L2, and pricing loads too puts the bound above the model on
-        write-heavy kernels such as ``kmeans_invert_mapping``."""
+        write-heavy kernels such as ``kmeans_invert_mapping``.  A
+        sub-core SM issues from one slot per scheduler, so its issue
+        floor is ``1 / (issue_width * schedulers_per_core)``;
+        ``quasirandom`` sits on it."""
         pipeline = request.getfixturevalue(pipeline_fixture)
+        names = (
+            self.SUBCORE_KERNELS if pipeline.config.arch == "subcore"
+            else kernel_names()
+        )
         over = {}
-        for name in kernel_names():
-            bound = pipeline.analyze(name).cpi_lower_bound
+        for name in names:
+            kernel, _ = SUITE[name].build(pipeline.scale)
+            bound = analyze_kernel(kernel, pipeline.config).cpi_lower_bound
             cpi = pipeline.predict(name, policy=policy).cpi
             if bound > cpi:
                 over[name] = (bound, cpi)

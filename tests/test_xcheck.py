@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.config import GPUConfig
-from repro.pipeline import Pipeline
 from repro.staticcheck import analyze_kernel, crosscheck_kernel
 from repro.trace.emulator import emulate
 from repro.trace.trace_types import OpCode
@@ -184,39 +183,3 @@ class TestFaultInjection:
         corrupted.warps[0].active[1] -= 1
         assert not crosscheck_kernel(kernel, trace).has_errors
         assert crosscheck_kernel(kernel, corrupted).has_errors
-
-
-class TestPipelineIntegration:
-    def test_crosscheck_stage_caches_and_counts(self):
-        pipeline = Pipeline(GPUConfig(), scale=Scale.tiny())
-        report = pipeline.crosscheck("vectoradd")
-        assert not report.has_errors
-        assert pipeline.metrics.counter("xcheck.runs").value == 1
-
-        again = pipeline.crosscheck("vectoradd")
-        assert not again.has_errors
-        # Cached: the compute (and its counter) must not run twice.
-        assert pipeline.metrics.counter("xcheck.runs").value == 1
-        hits = pipeline.metrics.labeled_values(
-            "pipeline.stage_hits", "stage"
-        )
-        assert hits.get("xcheck", 0) >= 1
-
-    def test_analyze_stage_caches(self):
-        pipeline = Pipeline(GPUConfig(), scale=Scale.tiny())
-        first = pipeline.analyze("strided_deg8")
-        second = pipeline.analyze("strided_deg8")
-        assert first is second or first.to_dict() == second.to_dict()
-        hits = pipeline.metrics.labeled_values(
-            "pipeline.stage_hits", "stage"
-        )
-        assert hits.get("costmodel", 0) >= 1
-
-    def test_costmodel_key_tracks_its_config_fields(self):
-        pipeline = Pipeline(GPUConfig(), scale=Scale.tiny())
-        base = pipeline.analyze("vectoradd")
-        # line_size is a costmodel field: overriding it must recompute.
-        other = pipeline.analyze(
-            "vectoradd", config=GPUConfig().with_(line_size=32)
-        )
-        assert base.accesses[0].transactions != other.accesses[0].transactions
