@@ -442,6 +442,17 @@ class TestDegenerateCFGs:
         assert cost.n_static_insts == 0
         assert cost.skeleton == ()
 
+    def test_empty_program_floor_counts_every_scheduler(self):
+        from repro.staticcheck import analyze_program
+
+        for config, floor in (
+            (GPUConfig(), 1.0),
+            (GPUConfig(arch="subcore", n_schedulers=2), 0.5),
+            (GPUConfig(arch="subcore", n_schedulers=4), 0.25),
+        ):
+            cost = analyze_program((), config=config)
+            assert cost.cpi_lower_bound == floor, config.arch
+
 
 class TestReportRoundTrip:
     """JSON serialisation must round-trip losslessly in both directions
