@@ -32,23 +32,28 @@ from repro.trace.trace_types import KernelTrace
 class ModelInputs:
     """Everything the multi-warp model needs, computed once per kernel.
 
-    The trace and the representative selection are held; the other
-    artifacts come from ``load(stage)``, which the pipeline answers from
-    the walk that made the inputs: it reads each from the store, or
-    builds it, on first access only.  A prediction reads only the
-    latency table of them, and the baselines none, so a warm evaluation
-    never unpickles the cache result or the profiles.
+    The representative selection is held: it carries all a prediction
+    reads (the representative's profile and single-warp stack, the
+    average miss latency, the kernel name and launch geometry).  The
+    other artifacts, the trace included, come from ``load(stage)``,
+    which the pipeline answers from the walk that made the inputs: it
+    reads each from the store, or builds it, on first access only.
+    Neither a prediction nor the baselines read any of them, so a warm
+    evaluation unpickles none.
     """
 
     def __init__(
         self,
-        trace: KernelTrace,
         selection: RepresentativeSelection,
         load: Callable[[str], Any],
     ):
-        self.trace = trace
         self.selection = selection
         self._load = load
+
+    @property
+    def trace(self) -> KernelTrace:
+        """The functional trace (``trace`` stage)."""
+        return self._load("trace")
 
     @property
     def cache_result(self) -> CacheSimResult:
@@ -127,22 +132,24 @@ class Prediction:
 
 
 def resident_warps_per_core(
-    trace: KernelTrace,
+    launch,
     config: GPUConfig,
     warps_per_core: Optional[int] = None,
 ) -> int:
     """Concurrently resident warps on one core (block-granular residency).
 
     This is the ``#warps`` the multi-warp model plugs into Eq. 7/18 —
-    the same residency the timing oracle enforces.
+    the same residency the timing oracle enforces.  ``launch`` is the
+    :class:`KernelTrace`, or the :class:`RepresentativeSelection` that
+    copies its ``n_blocks`` and ``warps_per_block``.
     """
     limit = warps_per_core if warps_per_core is not None else (
         config.max_warps_per_core
     )
-    blocks = trace.n_blocks
+    blocks = launch.n_blocks
     if not blocks:
         return 1
-    warps_per_block = max(trace.warps_per_block, 1)
+    warps_per_block = max(launch.warps_per_block, 1)
     blocks_per_core = -(-blocks // config.n_cores)  # ceil division
     resident_blocks = min(max(limit // warps_per_block, 1), blocks_per_core)
     return resident_blocks * warps_per_block
@@ -223,26 +230,27 @@ class GPUMech:
     ) -> Prediction:
         """Predict CPI under multithreading and contention (Fig. 5, right).
 
-        The only arch-specific step is the issue-slot count the
-        multithreading model runs with (``schedulers_per_core``);
+        Reads ``inputs.selection`` alone, never the trace or another
+        upstream artifact.  The only arch-specific step is the issue-slot
+        count the multithreading model runs with (``schedulers_per_core``);
         contention and the CPI stack are per-core under every arch.
         """
         policy = policy if policy is not None else self.config.scheduler
+        selection = inputs.selection
         if n_warps is None:
             n_warps = resident_warps_per_core(
-                inputs.trace, self.config, warps_per_core
+                selection, self.config, warps_per_core
             )
-        profile = inputs.representative
+        profile = selection.profile
         multithreading = model_multithreading(
             profile, n_warps, policy,
             n_schedulers=self.config.schedulers_per_core,
         )
         contention = model_contention(
-            profile, n_warps, self.config,
-            inputs.latency_table.avg_miss_latency,
+            profile, n_warps, self.config, selection.avg_miss_latency,
         )
         stack = build_cpi_stack(
-            inputs.selection.single_warp_stack, multithreading, contention
+            selection.single_warp_stack, multithreading, contention
         )
         cpi_mshr, cpi_sfu, cpi_smem, cpi_queue = (
             contention.effective_components(multithreading.cpi)
@@ -251,7 +259,7 @@ class GPUMech:
             multithreading.cpi + cpi_mshr + cpi_sfu + cpi_smem + cpi_queue
         )  # Eq. 3
         return Prediction(
-            kernel_name=inputs.trace.kernel_name,
+            kernel_name=selection.kernel_name,
             policy=policy,
             n_warps=n_warps,
             cpi=cpi,
@@ -262,7 +270,7 @@ class GPUMech:
             cpi_smem=cpi_smem,
             single_warp_cpi=profile.single_warp_cpi,
             rep_warp_id=profile.warp_id,
-            selection_strategy=inputs.selection.strategy,
+            selection_strategy=selection.strategy,
             cpi_stack=stack,
             multithreading=multithreading,
             contention=contention,

@@ -15,7 +15,7 @@ lowest single-warp IPC) are provided for the comparison experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,10 +29,17 @@ from repro.core.kmeans import KMeansResult, kmeans
 class RepresentativeSelection:
     """Outcome of representative-warp selection.
 
-    The ``clustering`` stage artifact also carries the representative's
-    :func:`~repro.core.cpi_stack.single_warp_stack`: it depends only on
+    The ``clustering`` stage artifact also carries everything else a
+    prediction reads from upstream, so a prediction reads this artifact
+    alone: the representative's
+    :func:`~repro.core.cpi_stack.single_warp_stack` (it depends only on
     the profile and the latency table, so every prediction of the kernel
-    scales this one stack.
+    scales this one stack), the latency table's average miss latency,
+    and the kernel's name and launch geometry, from which
+    :func:`~repro.core.model.resident_warps_per_core` derives the
+    resident warps.  The stage sets the last four after selection; they
+    have no defaults, so reading one from a selection that lacks it
+    raises instead of predicting for a default launch.
     """
 
     index: int  # index into the profile list
@@ -41,6 +48,10 @@ class RepresentativeSelection:
     features: np.ndarray  # (n_warps, 2) normalised feature vectors
     clustering: KMeansResult = None
     single_warp_stack: Optional[CPIStack] = None
+    kernel_name: str = field(init=False)
+    n_blocks: int = field(init=False)
+    warps_per_block: int = field(init=False)
+    avg_miss_latency: float = field(init=False)
 
     @property
     def warp_id(self) -> int:

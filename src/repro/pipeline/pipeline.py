@@ -15,11 +15,15 @@
    hardware sweep automatically re-runs only the stages downstream of
    the fields it changes (``predict`` alone for MSHR, bandwidth or
    scheduler points) and a repeated sweep re-runs nothing at all.  A
-   call computes all its keys top-down first, looks up only the stages
-   it needs (``clustering``, and ``predict`` for a prediction), and
-   reads or builds an upstream artifact only when a miss below it needs
-   that artifact (:class:`_InputChain`), so a warm ``evaluate`` reads
-   just the trace, oracle, clustering and prediction;
+   call computes all its keys top-down first (the trace key names the
+   kernel, so no key reads an artifact), looks up only the stages it
+   needs (``clustering``, ``predict`` for a prediction, ``oracle`` for
+   a simulation), and reads or builds an upstream artifact, the trace
+   included, only when a miss below it needs that artifact
+   (:class:`_InputChain`).  The ``clustering`` artifact carries all a
+   prediction reads from upstream, so a new design point reads just
+   ``clustering``, and a warm ``evaluate`` just the oracle, clustering
+   and prediction;
 3. *counted and timed* — every execution, timed exclusive of the
    upstream stages its inputs needed, lands in the pipeline's
    :class:`~repro.obs.metrics.MetricsRegistry` (stage execution/hit
@@ -303,15 +307,21 @@ class Pipeline:
 
     def trace(self, kernel_name: str, config: Optional[GPUConfig] = None):
         """The (cached) functional trace of a suite kernel."""
-        return self._trace(kernel_name, self._effective_config(config))[0]
-
-    def _trace(self, kernel_name: str, config: GPUConfig):
-        key = self.trace_key(kernel_name, config)
-        trace = self._execute(
-            "trace", key, config,
+        config = self._effective_config(config)
+        return self._execute(
+            "trace", self.trace_key(kernel_name, config), config,
             lambda config: compute_trace(kernel_name, self.scale, config),
         )
-        return trace, key
+
+    def _chain(self, kernel_name: str, config: GPUConfig,
+               selection_strategy: str = "clustering",
+               warps_per_core: Optional[int] = None) -> "_InputChain":
+        """The input walk of a suite kernel; it builds the trace on a
+        miss that needs it."""
+        return _InputChain(
+            self, config, self.trace_key(kernel_name, config),
+            selection_strategy, warps_per_core, kernel_name=kernel_name,
+        )
 
     def _record_cache_metrics(self, result) -> None:
         """Absorb one cache simulation's hit/miss statistics (miss only:
@@ -327,25 +337,6 @@ class Pipeline:
             "cache_sim.l2_miss_rate", buckets=RATIO_BUCKETS
         ).observe(result.l2_miss_rate)
 
-    def _model_inputs(
-        self, trace, trace_key_, config, selection_strategy, warps_per_core
-    ):
-        """Fig. 5 left side: cache sim → ... → clustering, on demand.
-
-        Returns the inputs and the clustering key, which covers every
-        config field any of them depends on.  The inputs hold the
-        representative selection; the cache result, latency table and
-        profiles are read from the store (or built) on first access.
-        """
-        from repro.core.model import ModelInputs  # circular at import time
-
-        chain = _InputChain(
-            self, trace, trace_key_, config, selection_strategy,
-            warps_per_core,
-        )
-        inputs = ModelInputs(trace, chain["clustering"], chain.__getitem__)
-        return inputs, chain.keys["clustering"]
-
     # -- public products ----------------------------------------------------
 
     def model_inputs(
@@ -357,10 +348,9 @@ class Pipeline:
     ):
         """Fig. 5 left side for a suite kernel: trace → ... → clustering."""
         config = self._effective_config(config)
-        trace, trace_key_ = self._trace(kernel_name, config)
-        return self._model_inputs(
-            trace, trace_key_, config, selection_strategy, warps_per_core
-        )[0]
+        return self._chain(
+            kernel_name, config, selection_strategy, warps_per_core
+        ).inputs()
 
     def model_inputs_from_trace(
         self,
@@ -374,9 +364,10 @@ class Pipeline:
         config = self._effective_config(config)
         if trace_key_ is None:
             trace_key_ = "trace:" + trace_digest(trace)
-        return self._model_inputs(
-            trace, trace_key_, config, selection_strategy, warps_per_core
-        )[0]
+        return _InputChain(
+            self, config, trace_key_, selection_strategy, warps_per_core,
+            trace=trace,
+        ).inputs()
 
     def simulate(
         self,
@@ -386,12 +377,16 @@ class Pipeline:
     ):
         """Run the cycle-level timing oracle (cached on the full config)."""
         config = self._effective_config(config)
-        trace, trace_key_ = self._trace(kernel_name, config)
-        return self._simulate(trace, trace_key_, config, warps_per_core)
+        return self._simulate(
+            self._chain(kernel_name, config, warps_per_core=warps_per_core)
+        )
 
-    def _simulate(self, trace, trace_key_, config, warps_per_core):
+    def _simulate(self, chain: "_InputChain"):
+        """The oracle of ``chain``'s kernel; it reads the trace on a miss
+        only."""
+        config, warps_per_core = chain.config, chain.warps_per_core
         interval = self.timeline_interval
-        parts: tuple = (trace_key_, warps_per_core)
+        parts: tuple = (chain.keys["trace"], warps_per_core)
         if interval is not None:
             # Timeline-bearing artifacts are keyed apart so a cached
             # no-timeline run never satisfies a sampling request (and
@@ -399,14 +394,16 @@ class Pipeline:
             parts += (("timeline", interval),)
         key = stage_key("oracle", config, *parts)
 
-        def compute(config):
+        def compute(config, trace):
             stats = compute_oracle(
                 trace, config, warps_per_core, timeline_interval=interval
             )
             self._record_oracle_metrics(stats)
             return stats
 
-        return self._execute("oracle", key, config, compute)
+        return self._execute(
+            "oracle", key, config, compute, lambda: (chain["trace"],)
+        )
 
     def _record_oracle_metrics(self, stats) -> None:
         """Absorb one oracle run's counters (miss only, like any stage)."""
@@ -452,29 +449,29 @@ class Pipeline:
     ):
         """GPUMech prediction through the cached stage chain."""
         config = self._effective_config(config, policy)
-        trace, trace_key_ = self._trace(kernel_name, config)
         return self._predict(
-            trace, trace_key_, config, selection_strategy, warps_per_core,
+            self._chain(kernel_name, config, selection_strategy,
+                        warps_per_core),
             n_warps,
         )[2]
 
-    def _predict(self, trace, trace_key_, config, selection_strategy,
-                 warps_per_core, n_warps=None):
-        """Fig. 5 from a trace: ``(inputs, n_warps, prediction)``."""
+    def _predict(self, chain: "_InputChain", n_warps=None):
+        """Fig. 5 down one input walk: ``(inputs, n_warps, prediction)``.
+
+        The resident warps and the prediction come from the selection
+        alone, so a new design point reads only ``clustering``.
+        """
         from repro.core.model import GPUMech, resident_warps_per_core
 
-        inputs, clustering_key = self._model_inputs(
-            trace, trace_key_, config, selection_strategy, warps_per_core
-        )
+        inputs, config = chain.inputs(), chain.config
         if n_warps is None:
-            n_warps = resident_warps_per_core(trace, config, warps_per_core)
-        key = stage_key("predict", config, clustering_key, n_warps)
+            n_warps = resident_warps_per_core(
+                inputs.selection, config, chain.warps_per_core
+            )
+        key = stage_key("predict", config, chain.keys["clustering"], n_warps)
         prediction = self._execute(
             "predict", key, config,
-            lambda config, _: GPUMech(config).predict(inputs, n_warps=n_warps),
-            # GPUMech.predict reads the trace, the selection and the
-            # latency table.
-            lambda: (inputs.latency_table,),
+            lambda config: GPUMech(config).predict(inputs, n_warps=n_warps),
         )
         return inputs, n_warps, prediction
 
@@ -506,11 +503,11 @@ class Pipeline:
 
         started = time.perf_counter()
         timings_before = dict(self.timings) if self.ledger else {}
-        trace, trace_key_ = self._trace(kernel_name, config)
-        oracle = self._simulate(trace, trace_key_, config, warps_per_core)
-        inputs, n_warps, prediction = self._predict(
-            trace, trace_key_, config, selection_strategy, warps_per_core
+        chain = self._chain(
+            kernel_name, config, selection_strategy, warps_per_core
         )
+        oracle = self._simulate(chain)
+        inputs, n_warps, prediction = self._predict(chain)
         representative = inputs.representative
         mt_cpi = prediction.cpi_multithreading
         model_cpis = {
@@ -635,30 +632,37 @@ def _evaluate_with(pipeline: Pipeline, request: EvalRequest):
 
 
 class _InputChain:
-    """One walk down the model-input chain of a trace under a config.
+    """One walk down the model-input chain of a kernel under a config.
 
-    The four keys are computed top-down up front: a key needs only the
-    keys above it, never an artifact.  ``chain[stage]`` then reads the
-    stage's artifact from the store, at most once per walk; on a miss
-    the pipeline first materializes the upstream artifacts its compute
-    takes (the stage's declared ``inputs``), each by the same rule, then
-    executes it.  So a walk reads an upstream artifact only when a miss
-    below it needs that artifact.
+    The five keys are computed top-down up front: a key needs only the
+    keys above it, never an artifact (a suite kernel's trace key names
+    the kernel and the scale; a supplied trace's is its digest).
+    ``chain[stage]`` then reads the stage's artifact from the store, at
+    most once per walk; on a miss the pipeline first materializes the
+    upstream artifacts its compute takes (the stage's declared
+    ``inputs``), each by the same rule, then executes it.  So a walk
+    reads an upstream artifact, the trace included, only when a miss
+    below it needs that artifact.  A walk over a supplied trace holds it
+    from the start; one over a suite kernel builds it on a trace miss.
     """
 
-    def __init__(self, pipeline, trace, trace_key, config, strategy,
-                 warps_per_core):
+    def __init__(self, pipeline, config, trace_key, strategy,
+                 warps_per_core, kernel_name=None, trace=None):
         self.pipeline = pipeline
         self.config = config
         self.strategy = strategy
         self.warps_per_core = warps_per_core
-        self.artifacts: Dict[str, Any] = {"trace": trace}
+        self.kernel_name = kernel_name
+        self.artifacts: Dict[str, Any] = (
+            {} if trace is None else {"trace": trace}
+        )
         cache_key = stage_key("cache_sim", config, trace_key, warps_per_core)
         latency_key = stage_key("latency_table", config, cache_key)
         profiles_key = stage_key("interval_profiles", config, latency_key)
-        # The profiles key hashes the latency key, so the clustering key
-        # covers the representative's single-warp stack too.
+        # The profiles key hashes the latency key, which hashes the trace
+        # key, so the clustering key covers all the selection copies.
         self.keys = {
+            "trace": trace_key,
             "cache_sim": cache_key,
             "latency_table": latency_key,
             "interval_profiles": profiles_key,
@@ -677,6 +681,15 @@ class _InputChain:
             )
         return artifact
 
+    def inputs(self):
+        """The model inputs: the selection, the rest loaded on access."""
+        from repro.core.model import ModelInputs  # circular at import time
+
+        return ModelInputs(self["clustering"], self.__getitem__)
+
+    def _trace(self, config):
+        return compute_trace(self.kernel_name, self.pipeline.scale, config)
+
     def _cache_sim(self, config, trace):
         result = simulate_caches(
             trace, config, warps_per_core=self.warps_per_core
@@ -690,9 +703,14 @@ class _InputChain:
     def _interval_profiles(self, config, trace, latency_table):
         return build_interval_profiles(trace, latency_table, config.issue_rate)
 
-    def _clustering(self, config, profiles, latency_table):
+    def _clustering(self, config, trace, profiles, latency_table):
         selection = select_representative(profiles, self.strategy)
         selection.single_warp_stack = single_warp_stack(
             selection.profile, latency_table
         )
+        # The rest of what a prediction reads, so it reads nothing else.
+        selection.kernel_name = trace.kernel_name
+        selection.n_blocks = trace.n_blocks
+        selection.warps_per_block = trace.warps_per_block
+        selection.avg_miss_latency = latency_table.avg_miss_latency
         return selection

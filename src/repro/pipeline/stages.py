@@ -14,7 +14,7 @@ invalidates:
 ``cache_sim``         functional cache replay (cache geometry + residency)
 ``latency_table``     per-PC AMAT + avg miss latency (latency parameters)
 ``interval_profiles`` per-warp Eq. 4 scan (issue bandwidth)
-``clustering``        representative warp + its single-warp CPI stack
+``clustering``        representative warp + all a prediction reads upstream
 ``predict``           multi-warp analytical model (scheduling, contention)
 ``oracle``            cycle-level timing simulation (full config)
 ====================  =====================================================
@@ -161,10 +161,12 @@ STAGES = {
         ),
         StageSpec(
             "clustering",
-            inputs=("interval_profiles", "latency_table"),
+            inputs=("trace", "interval_profiles", "latency_table"),
             config_fields=frozenset(),
             description="representative-warp selection (k-means, Eq. 5/6)",
-            layout=2,  # carries the single-warp CPI stack
+            # 2: carries the single-warp CPI stack; 3: also the kernel
+            # name, launch geometry and average miss latency
+            layout=3,
         ),
         StageSpec(
             "predict",

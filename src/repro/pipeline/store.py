@@ -37,9 +37,6 @@ class ArtifactStore:
     def put(self, key: str, value: Any) -> None:
         raise NotImplementedError
 
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
 
 def _split_key(key: str) -> tuple:
     stage, _, digest = key.partition(":")

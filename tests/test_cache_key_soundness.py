@@ -172,6 +172,7 @@ def _store_without(store, stage):
 #: A warm evaluation reads no artifact it does not use, so these stages
 #: run only on a read of the ``ModelInputs`` field that needs them.
 FIELD_OF = {
+    "trace": "trace",
     "cache_sim": "cache_result",
     "latency_table": "latency_table",
     "interval_profiles": "profiles",

@@ -53,9 +53,10 @@ REQUESTS = [(kernel, index) for kernel in KERNELS
 #: Input stages a point reuses from the store.
 INPUT_STAGES = ("trace", "cache_sim", "latency_table", "interval_profiles",
                 "clustering")
-#: Input stages a new point reads: ``GPUMech.predict`` takes the trace,
-#: the representative selection and the latency table.
-MISS_READS = ("trace", "latency_table", "clustering")
+#: Input stages a new point reads: ``GPUMech.predict`` takes the
+#: representative selection alone, which carries the launch geometry
+#: and the average miss latency.
+MISS_READS = ("clustering",)
 #: Values cached on the first prediction of a kernel, never pickled.
 CACHED = {
     "representative": {"interval_dram_reqs", "interval_cycles",

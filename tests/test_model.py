@@ -5,7 +5,10 @@ import pytest
 from repro.config import GPUConfig
 from repro.core.model import GPUMech, resident_warps_per_core
 from repro.core.cpi_stack import StallType
+from repro.pipeline import Pipeline
 from repro.trace import emulate
+from repro.workloads import Scale
+from repro.workloads.suite import SUITE
 
 from tests.conftest import build_divergent_load, build_fp_chain, build_saxpy
 
@@ -129,3 +132,79 @@ class TestResidentWarps:
         # 3-warp blocks with an 8-slot core: only 2 blocks (6 warps) fit.
         trace = emulate(build_saxpy(n_threads=576, block_size=96), config)
         assert resident_warps_per_core(trace, config) == 6
+
+
+#: Machines and residency limits the residency property crosses.
+N_CORES = (1, 2, 16)
+WARPS_PER_CORE = (None, 1, 4, 8, 48)
+#: Sub-core kernels checked at ``Scale.small``: all 40 cost ~40 s of
+#: per-warp emulation there, and every suite kernel shares one launch
+#: geometry per scale, so the cheapest few stand for the suite.
+SUBCORE_SMALL = ("saxpy", "strided_deg8", "transpose_naive", "vectoradd")
+
+
+class TestResidencyFromSelection:
+    """A prediction derives its resident warps from the ``clustering``
+    artifact, which copies the trace's launch geometry; the count must be
+    the trace's on every kernel, machine and residency limit."""
+
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    @pytest.mark.parametrize("arch", ["gpumech2014", "subcore"])
+    def test_selections_carry_the_trace_residency(
+        self, scale, arch, request
+    ):
+        """One selection per kernel: its launch fields depend neither on
+        the cores nor on the limit (the cache replay the selection also
+        rests on does)."""
+        kernels = sorted(SUITE)
+        if (scale, arch) == ("small", "gpumech2014"):
+            pipeline = request.getfixturevalue("paper_pipeline")
+        else:
+            pipeline = Pipeline(GPUConfig(n_cores=2, arch=arch),
+                                scale=getattr(Scale, scale)())
+            if scale == "small":
+                kernels = SUBCORE_SMALL
+        wrong = []
+        for kernel in kernels:
+            inputs = pipeline.model_inputs(kernel)
+            selection, trace = inputs.selection, inputs.trace
+            assert selection.kernel_name == trace.kernel_name == kernel
+            for n_cores in N_CORES:
+                config = pipeline.config.with_(n_cores=n_cores)
+                for limit in WARPS_PER_CORE:
+                    got = resident_warps_per_core(selection, config, limit)
+                    want = resident_warps_per_core(trace, config, limit)
+                    if got != want:
+                        wrong.append((kernel, n_cores, limit, got, want))
+        assert wrong == []
+
+    @pytest.mark.parametrize("arch", ["gpumech2014", "subcore"])
+    def test_pipeline_predictions_use_the_trace_residency(self, arch):
+        """Through ``Pipeline.predict``, each (cores, limit) point on its
+        own artifact."""
+        pipeline = Pipeline(GPUConfig(n_cores=2, arch=arch),
+                            scale=Scale.tiny())
+        trace = pipeline.trace("vectoradd")
+        for n_cores in N_CORES:
+            config = pipeline.config.with_(n_cores=n_cores)
+            for limit in WARPS_PER_CORE:
+                got = pipeline.predict(
+                    "vectoradd", config, warps_per_core=limit
+                )
+                assert got.n_warps == resident_warps_per_core(
+                    trace, config, limit
+                ), (n_cores, limit)
+
+    @pytest.mark.parametrize(
+        "n_threads, block_size", [(512, 64), (128, 64), (576, 96)]
+    )
+    def test_hand_built_launches(self, config, n_threads, block_size):
+        """Launch shapes the suite does not have: few blocks, 3-warp
+        blocks."""
+        trace = emulate(build_saxpy(n_threads, block_size), config)
+        model = GPUMech(config)
+        inputs = model.prepare(trace=trace)
+        for limit in WARPS_PER_CORE:
+            assert model.predict(inputs, warps_per_core=limit).n_warps == (
+                resident_warps_per_core(trace, config, limit)
+            )

@@ -49,7 +49,8 @@ class TestStageMetrics:
         assert pipeline.timings["oracle"] > 0.0
         # Second evaluation is served from the store.
         pipeline.evaluate("vectoradd", warps_per_core=4)
-        assert pipeline.hits["trace"] >= 1
+        assert pipeline.hits["predict"] >= 1
+        assert pipeline.hits["oracle"] >= 1
         assert pipeline.counters["trace"] == 1
 
     def test_cache_and_oracle_metrics_recorded(self, config):

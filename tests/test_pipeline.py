@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import ALL_FIELDS, HARDWARE_FIELDS, TRACE_FIELDS, GPUConfig
 from repro.core.interval import Interval, IntervalProfiles
-from repro.core.model import resident_warps_per_core
+from repro.core.model import GPUMech, ModelInputs, resident_warps_per_core
 from repro.harness import experiments as ex
 from repro.harness.runner import KernelResult, nanmean
 from repro.memory.hierarchy import MissEvent
@@ -40,6 +40,18 @@ def config():
 @pytest.fixture
 def pipeline(config):
     return Pipeline(config, scale=Scale.tiny())
+
+
+class RecordingStore(MemoryStore):
+    """A memory store that records the stage of every key read."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def get(self, key):
+        self.reads.append(key.partition(":")[0])
+        return super().get(key)
 
 
 class TestFingerprint:
@@ -134,22 +146,23 @@ class TestInvalidation:
 
     def test_warm_evaluate_hits_each_stage_once(self, pipeline):
         """A warm evaluation reads each artifact it uses once, and no
-        other: the trace, the oracle, the prediction, and the
-        representative the baselines take."""
+        other: the oracle, the prediction, and the selection, which
+        carries the launch geometry and the representative the
+        baselines take.  It never reads the trace."""
         pipeline.evaluate("vectoradd")
         executions, hits = pipeline.counters, pipeline.hits
         pipeline.evaluate("vectoradd")
         assert pipeline.counters == executions
         assert pipeline.hits - hits == Counter(
-            dict.fromkeys(("trace", "oracle", "clustering", "predict"), 1)
+            dict.fromkeys(("oracle", "clustering", "predict"), 1)
         )
 
     def test_warm_evaluate_from_disk_reads_only_what_it_uses(
         self, config, tmp_path, monkeypatch
     ):
-        """A fresh process on a filled disk store unpickles the trace,
-        the oracle, the prediction and the representative, once each;
-        never the cache result, the latency table or the profiles."""
+        """A fresh process on a filled disk store unpickles the oracle,
+        the prediction and the selection, once each; never the trace,
+        the cache result, the latency table or the profiles."""
         cache_dir = str(tmp_path)
         Pipeline(config, scale=Scale.tiny(), cache_dir=cache_dir).evaluate(
             "vectoradd"
@@ -164,8 +177,44 @@ class TestInvalidation:
         monkeypatch.setattr(DiskStore, "get", counted)
         warm = Pipeline(config, scale=Scale.tiny(), cache_dir=cache_dir)
         warm.evaluate("vectoradd")
-        assert sorted(reads) == ["clustering", "oracle", "predict", "trace"]
+        assert sorted(reads) == ["clustering", "oracle", "predict"]
         assert not warm.counters
+
+    def test_warm_predict_reads_clustering_and_predict(self, config):
+        """A repeated design point reads the selection, for its resident
+        warps, and its prediction: never the trace."""
+        store = RecordingStore()
+        pipeline = Pipeline(config, scale=Scale.tiny(), store=store)
+        want = pickle.dumps(pipeline.predict("vectoradd"))
+        store.reads.clear()
+        assert pickle.dumps(pipeline.predict("vectoradd")) == want
+        assert sorted(store.reads) == ["clustering", "predict"]
+
+    def test_warm_simulate_reads_the_oracle_alone(self, config):
+        store = RecordingStore()
+        pipeline = Pipeline(config, scale=Scale.tiny(), store=store)
+        want = pickle.dumps(pipeline.simulate("vectoradd"))
+        store.reads.clear()
+        assert pickle.dumps(pipeline.simulate("vectoradd")) == want
+        assert store.reads == ["oracle"]
+
+    def test_model_predict_never_loads_the_trace(self, config):
+        """``GPUMech.predict`` with ``n_warps=None`` takes the resident
+        warps, like everything else, from the selection: it loads no
+        artifact, the trace included."""
+        store = RecordingStore()
+        want = Pipeline(config, scale=Scale.tiny(), store=store).predict(
+            "vectoradd"
+        )
+        # A fresh pipeline's walk holds no artifact but the selection.
+        inputs = Pipeline(config, scale=Scale.tiny(), store=store
+                          ).model_inputs("vectoradd")
+        store.reads.clear()
+        got = GPUMech(config).predict(inputs)
+        assert store.reads == []
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert got.n_warps == resident_warps_per_core(inputs.trace, config)
+        assert store.reads == ["trace"]
 
     def test_stage_spans_never_nest(self, config):
         """A miss materializes its inputs before its span opens, so each
@@ -288,6 +337,19 @@ def legacy_key(stage, config, *parts):
     return "%s:%s" % (stage, hashlib.sha256(payload).hexdigest()[:24])
 
 
+def layout_key(stage, layout, config, *parts):
+    """``stage_key`` as it was at artifact layout ``layout``."""
+    head = (config.fingerprint(STAGES[stage].config_fields),
+            ("layout", layout))
+    payload = repr(head + parts).encode("utf-8")
+    return "%s:%s" % (stage, hashlib.sha256(payload).hexdigest()[:24])
+
+
+#: What a layout-3 selection carries beyond a layout-2 one.
+LAUNCH_FIELDS = ("kernel_name", "n_blocks", "warps_per_block",
+                 "avg_miss_latency")
+
+
 class TestArtifactLayout:
     def test_every_key_is_versioned(self, config):
         for stage in STAGES:
@@ -357,6 +419,49 @@ class TestArtifactLayout:
         assert pipeline.counters["latency_table"] == 1
         assert pipeline.counters["clustering"] == 1
         assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_layout_2_clustering_on_disk_is_recomputed(self, config,
+                                                        tmp_path):
+        """A selection stored at layout 2 lacks the kernel name, the
+        launch geometry and the average miss latency; it sits under the
+        layout-2 key and must be recomputed, never served."""
+        kernel = "vectoradd"
+        fresh = Pipeline(config, scale=Scale.tiny())
+        want = fresh.predict(kernel)
+        old = copy.deepcopy(fresh.model_inputs(kernel).selection)
+        for name in LAUNCH_FIELDS:
+            delattr(old, name)
+        pipeline = Pipeline(config, scale=Scale.tiny(), cache_dir=str(tmp_path))
+        cache_key = stage_key("cache_sim", config, pipeline.trace_key(kernel),
+                              None)
+        parts = (
+            stage_key("interval_profiles", config,
+                      stage_key("latency_table", config, cache_key)),
+            "clustering",
+        )
+        assert stage_key("clustering", config, *parts) == layout_key(
+            "clustering", STAGES["clustering"].layout, config, *parts
+        )
+        DiskStore(str(tmp_path)).put(
+            layout_key("clustering", 2, config, *parts), old
+        )
+        got = pipeline.predict(kernel)
+        assert pipeline.counters["clustering"] == 1
+        assert pickle.dumps(got) == pickle.dumps(want)
+
+    @pytest.mark.parametrize("field", LAUNCH_FIELDS)
+    def test_selection_without_a_launch_field_raises(self, pipeline, field):
+        """A selection missing a field has no default to fall back on:
+        without ``n_blocks`` the resident warps would silently be 1."""
+        inputs = pipeline.model_inputs("vectoradd")
+        old = pickle.loads(pickle.dumps(inputs.selection))
+        delattr(old, field)
+
+        def load(stage):
+            pytest.fail("predict loaded %s" % stage)
+
+        with pytest.raises(AttributeError, match=field):
+            GPUMech(pipeline.config).predict(ModelInputs(old, load))
 
     def test_legacy_cache_sim_on_disk_is_recomputed(self, config, tmp_path):
         """A cache replay stored before layout 2 sits under the layout-1
