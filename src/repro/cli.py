@@ -192,7 +192,8 @@ def _cmd_predict(args) -> int:
     kernel, _ = get_kernel(args.kernel, _SCALES[args.scale]())
     emit(kernel.describe())
     inputs = pipeline.model_inputs(
-        args.kernel, selection_strategy=args.strategy
+        args.kernel, selection_strategy=args.strategy,
+        warps_per_core=args.warps,
     )
     model = GPUMech(pipeline.config, selection_strategy=args.strategy,
                     pipeline=pipeline)

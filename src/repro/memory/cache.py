@@ -9,7 +9,7 @@ the same reason: no timing, no data).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 
 class Cache:
@@ -78,6 +78,63 @@ class Cache:
                 evicted.append(victim << self._offset_bits)
         lines[tag] = None
         return False
+
+    # The group methods apply access's rule to a whole request group, in
+    # line order, in one call: the timing oracle walks each memory
+    # instruction's coalesced lines through them.  The counters are
+    # added once per group; the sets end as after one access per line.
+
+    def read_group(self, line_addrs: Sequence[int],
+                   evicted: List[int]) -> List[bool]:
+        """Read each line in order, as ``access(line, evicted=evicted)``.
+
+        Misses install their line, and each victim evicted to make room
+        is appended to ``evicted``.  Returns the per-line hit flags.
+        """
+        shift = self._offset_bits
+        sets = self._sets
+        n_sets = self.n_sets
+        assoc = self.assoc
+        hits = []
+        misses = 0
+        for line_addr in line_addrs:
+            tag = line_addr >> shift
+            lines = sets[tag % n_sets]
+            if tag in lines:
+                lines.move_to_end(tag)
+                hits.append(True)
+                continue
+            misses += 1
+            if len(lines) >= assoc:
+                evicted.append(lines.popitem(last=False)[0] << shift)
+            lines[tag] = None
+            hits.append(False)
+        self.n_accesses += len(line_addrs)
+        self.n_misses += misses
+        return hits
+
+    def write_group(self, line_addrs: Sequence[int]) -> None:
+        """Write each line in order, as ``access(line, True)``.
+
+        Hits refresh their line's recency; without ``allocate_on_write``
+        a miss allocates nothing.
+        """
+        if self.allocate_on_write:
+            self.read_group(line_addrs, [])
+            return
+        shift = self._offset_bits
+        sets = self._sets
+        n_sets = self.n_sets
+        misses = 0
+        for line_addr in line_addrs:
+            tag = line_addr >> shift
+            lines = sets[tag % n_sets]
+            if tag in lines:
+                lines.move_to_end(tag)
+            else:
+                misses += 1
+        self.n_accesses += len(line_addrs)
+        self.n_misses += misses
 
     def probe(self, line_addr: int) -> bool:
         """Check residency without touching LRU state or counters."""

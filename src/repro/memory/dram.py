@@ -10,6 +10,8 @@ approximation (Sec. IV-B2) is validated.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 
 class DRAMQueue:
     """FCFS single-server queue with deterministic service time."""
@@ -23,23 +25,31 @@ class DRAMQueue:
         self.busy_cycles = 0.0
         self.total_queue_delay = 0.0
 
-    def enqueue(self, arrival: float) -> float:
-        """Enqueue a transfer arriving at ``arrival``.
+    def enqueue(self, arrival: float, count: int = 1) -> float:
+        """Enqueue ``count`` transfers arriving together at ``arrival``.
 
-        Returns the cycle at which the transfer completes (queue wait +
-        service).  The DRAM array access latency is *not* included — the
-        caller adds the configured ``dram_latency`` on top.
+        Returns the cycle at which the last transfer completes (queue
+        wait + service).  The DRAM array access latency is *not*
+        included — the caller adds the configured ``dram_latency`` on
+        top.  The float sums grow one transfer at a time, exactly as
+        ``count`` single enqueues would grow them.
         """
         arrival = float(arrival)
+        service = self.service_cycles
         free_at = self._free_at
-        # max(arrival, free_at) without the call: the same value.
-        start = free_at if free_at > arrival else arrival
-        completion = start + self.service_cycles
-        self.total_queue_delay += start - arrival
-        self.busy_cycles += self.service_cycles
-        self._free_at = completion
-        self.n_requests += 1
-        return completion
+        queue_delay = self.total_queue_delay
+        busy = self.busy_cycles
+        for _ in range(count):
+            # max(arrival, free_at) without the call: the same value.
+            start = free_at if free_at > arrival else arrival
+            free_at = start + service
+            queue_delay += start - arrival
+            busy += service
+        self._free_at = free_at
+        self.total_queue_delay = queue_delay
+        self.busy_cycles = busy
+        self.n_requests += count
+        return free_at
 
     @property
     def free_at(self) -> float:
@@ -91,6 +101,25 @@ class DRAMSystem:
         # channel_of, inline: the timing oracle calls this per transfer.
         channel = (line_addr >> self._shift) % self.n_channels
         return self.channels[channel].enqueue(arrival)
+
+    def enqueue_group(self, arrival: float, line_addrs: Sequence[int]) -> None:
+        """Enqueue one transfer per line, all arriving at ``arrival``.
+
+        Each channel serves its lines in group order, so its state ends
+        as after one ``enqueue`` per line.
+        """
+        channels = self.channels
+        if len(channels) == 1:
+            channels[0].enqueue(arrival, len(line_addrs))
+            return
+        counts = [0] * len(channels)
+        shift = self._shift
+        n_channels = self.n_channels
+        for line_addr in line_addrs:
+            counts[(line_addr >> shift) % n_channels] += 1
+        for channel, count in zip(channels, counts):
+            if count:
+                channel.enqueue(arrival, count)
 
     # Aggregate statistics ----------------------------------------------------
 

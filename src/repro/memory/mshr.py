@@ -34,6 +34,11 @@ class MSHRFile:
         #: re-derived on every allocation and release.
         self.free_entries = n_entries
         self._inflight: Dict[int, float] = {}  # line -> completion cycle
+        #: ``lookup(line)``: completion cycle of an in-flight line, or
+        #: None.  It is the in-flight dict's own ``get`` (the dict is
+        #: only ever mutated in place), so the timing oracle's per-line
+        #: walk makes no Python-level call for it.
+        self.lookup = self._inflight.get
         #: Earliest in-flight completion (inf when empty): nothing can be
         #: released before it, so callers and release_completed skip the
         #: scan of in-flight entries until then.
@@ -44,10 +49,6 @@ class MSHRFile:
 
     def __len__(self) -> int:
         return len(self._inflight)
-
-    def lookup(self, line: int) -> Optional[float]:
-        """Completion cycle of an in-flight line, or None."""
-        return self._inflight.get(line)
 
     def allocate(self, line: int, completion: float) -> float:
         """Allocate (or merge into) an entry; returns the completion cycle.

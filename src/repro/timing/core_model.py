@@ -34,7 +34,7 @@ from repro.memory.cache import Cache
 from repro.memory.dram import DRAMSystem
 from repro.memory.mshr import MSHRError, MSHRFile
 from repro.timing.stats import CoreStats
-from repro.trace.trace_types import MAX_DEPS, NO_DEP, OpCode, WarpTrace
+from repro.trace.trace_types import MAX_DEPS, NO_DEP, KernelTrace, OpCode
 
 
 class StallKind(enum.Enum):
@@ -55,25 +55,28 @@ _SMEM_LOAD = int(OpCode.SMEM_LOAD)
 _SMEM_STORE = int(OpCode.SMEM_STORE)
 _BARRIER = int(OpCode.BARRIER)
 _INF = float("inf")
+# CoreModel.step unrolls the producer slots of an instruction.
+assert MAX_DEPS == 3
 
 
 class _WarpRun:
     """Runtime state of one resident warp.
 
-    Trace columns are converted to native Python lists on activation:
-    the issue loop touches them once per instruction per scheduler scan,
-    where numpy scalar boxing would dominate the simulation time.
+    The warp's rows of the launch columns are converted to native Python
+    lists on activation: the issue loop touches them once per
+    instruction per scheduler scan, where numpy scalar boxing would
+    dominate the simulation time.
     """
 
     __slots__ = (
-        "trace",
+        "warp_id",
+        "start",
         "age",
         "next_idx",
         "done",
         "ready_at",
         "n_insts",
         "ops",
-        "pcs",
         "deps",
         "req_lines",
         "req_offsets",
@@ -84,19 +87,24 @@ class _WarpRun:
         "need_idx",
     )
 
-    def __init__(self, trace: WarpTrace, age: int):
-        self.trace = trace
+    def __init__(self, trace: KernelTrace, warp: int, age: int):
+        self.warp_id = int(trace.warp_ids[warp])
+        # The warp owns launch rows start:stop.
+        start, stop = trace.warp_offsets[warp:warp + 2].tolist()
+        self.start = start
         self.age = age
         self.next_idx = 0
-        self.n_insts = len(trace)
-        self.ops = trace.ops.tolist()
-        self.pcs = trace.pcs.tolist()
+        self.n_insts = stop - start
+        self.ops = trace.ops[start:stop].tolist()
         # Producer indices, MAX_DEPS per instruction (flat: one list
         # instead of one per instruction).
-        self.deps = trace.deps.ravel().tolist()
-        self.req_lines = trace.req_lines.tolist()
-        self.req_offsets = trace.req_offsets.tolist()
-        self.conflict = trace.conflict.tolist()
+        self.deps = trace.deps[start:stop].ravel().tolist()
+        # Request offsets rebased to the warp's own lines.
+        offsets = trace.req_offsets[start:stop + 1]
+        first = offsets[0]
+        self.req_lines = trace.req_lines[first:offsets[-1]].tolist()
+        self.req_offsets = (offsets - first).tolist()
+        self.conflict = trace.conflict[start:stop].tolist()
         self.bar_count = 0
         self.block_runs: List["_WarpRun"] = []
         # MSHR entries the load at instruction need_idx needs (-1: no
@@ -153,9 +161,12 @@ class CoreModel:
         config: GPUConfig,
         l2: Cache,
         dram: DRAMSystem,
-        blocks: Sequence[Sequence[WarpTrace]],
+        trace: KernelTrace,
+        blocks: Sequence[Sequence[int]],
         warps_per_core: Optional[int] = None,
     ):
+        """``blocks`` lists this core's thread blocks in dispatch order,
+        each as the launch indices of its warps in ``trace``."""
         self.core_id = core_id
         self.config = config
         self.l1 = Cache(config.l1_size, config.l1_assoc, config.line_size)
@@ -168,7 +179,7 @@ class CoreModel:
         )
         self.stats = CoreStats(core_id)
         # Fixed latency of each pipeline op, indexed by opcode (None for
-        # the memory, scratchpad and barrier ops _issue handles apart).
+        # the memory, scratchpad and barrier ops step handles apart).
         self._latency: List[Optional[float]] = [None] * len(OpCode)
         for op in (OpCode.IALU, OpCode.FALU, OpCode.SFU):
             self._latency[op] = float(config.op_latencies[op.latency_class])
@@ -177,7 +188,8 @@ class CoreModel:
         self._latency[OpCode.BRANCH] = 1.0
         self._latency[OpCode.EXIT] = 1.0
 
-        self._block_queue: List[List[WarpTrace]] = [list(b) for b in blocks]
+        self._trace = trace
+        self._block_queue: List[List[int]] = [list(b) for b in blocks]
         self._resident_blocks: List[List[_WarpRun]] = []
         self._resident: List[_WarpRun] = []
         self._age_counter = 0
@@ -218,8 +230,8 @@ class CoreModel:
         # its conflict degree, blocking other scratchpad accesses.
         self._smem_free_at = 0.0
         self._smem_latency = float(config.smem_latency)
-        # Hoisted per-cycle/per-request config reads (step and the issue
-        # helpers run once per cycle / memory instruction).
+        # Hoisted per-cycle/per-request config reads (step runs once per
+        # cycle, _issue_load once per load).
         self._l1_latency = float(config.l1_latency)
         self._l2_latency = float(config.l2_latency)
         self._dram_latency = float(config.dram_latency)
@@ -243,8 +255,8 @@ class CoreModel:
                 break
             self._block_queue.pop(0)
             runs = []
-            for trace in block:
-                run = _WarpRun(trace, self._age_counter)
+            for warp in block:
+                run = _WarpRun(self._trace, warp, self._age_counter)
                 self._age_counter += 1
                 runs.append(run)
             for run in runs:
@@ -333,7 +345,8 @@ class CoreModel:
             raise MSHRError(
                 "load at pc %d needs %d MSHR entries but the file "
                 "only has %d; configure n_mshrs >= warp_size"
-                % (run.pcs[index], needed, mshr.n_entries)
+                % (self._trace.pcs[run.start + index], needed,
+                   mshr.n_entries)
             )
         run.need = needed
         run.need_idx = index
@@ -371,63 +384,29 @@ class CoreModel:
                 return False
         return True
 
-    def _issue(self, run: _WarpRun, now: float) -> None:
-        index = run.next_idx
-        op = run.ops[index]
-        latency = self._latency[op]
-        if latency is not None:
-            completion = now + latency
-            if op == _SFU and self._sfu_limited:
-                self._sfu_free_at = now + self._sfu_service_cycles
-        elif op == _LOAD:
-            completion = self._issue_load(run, index, now)
-        elif op == _STORE:
-            self._issue_store(run, index, now)
-            completion = now + 1.0
-        elif op == _SMEM_LOAD:
-            degree = max(run.conflict[index], 1)
-            completion = now + self._smem_latency + (degree - 1)
-            self._smem_free_at = now + degree
-        elif op == _SMEM_STORE:
-            degree = max(run.conflict[index], 1)
-            completion = now + 1.0
-            self._smem_free_at = now + degree
-        else:  # _BARRIER
-            completion = now + 1.0
-            run.bar_count += 1
-        done = run.done
-        done[index] = completion
-        index += 1
-        run.next_idx = index
-        self.stats.insts_issued += 1
-        if index < run.n_insts:
-            # The next instruction may issue once its producers completed.
-            ready = 0.0
-            base = index * MAX_DEPS
-            for dep in run.deps[base:base + MAX_DEPS]:
-                if dep != NO_DEP:
-                    t = done[dep]
-                    if t > ready:
-                        ready = t
-            run.ready_at = ready
-        else:
-            run.ready_at = _INF
-            self._retire_blocks()
-
     def _issue_load(self, run: _WarpRun, index: int, now: float) -> float:
-        """Walk every coalesced request through L1/MSHR/L2/DRAM."""
+        """Walk every coalesced request through L1/MSHR/L2/DRAM.
+
+        The L1 takes the whole request group in one call, then the MSHR,
+        L2 and DRAM walk follows in line order.  Splitting the walk by
+        level is exact even when the group repeats a line: no L1
+        operation reads MSHR, L2 or DRAM state, and the rest of the walk
+        never reads the L1.
+        """
+        offsets = run.req_offsets
+        lines = run.req_lines[offsets[index]:offsets[index + 1]]
+        # Lines whose L1 residency this load changes: each victim evicted
+        # to make room (appended by the L1) and each line it installs.
+        changed: List[int] = []
+        hits = self.l1.read_group(lines, changed)
         completion = 0.0
-        l1_access = self.l1.access
         l2_access = self.l2.access
         mshr = self.mshr
         mshr_lookup = mshr.lookup
         l1_hit_at = now + self._l1_latency
         l2_hit_at = now + self._l2_latency
-        # Lines whose L1 residency this load changes: each line it
-        # installs and each victim evicted to make room.
-        changed: List[int] = []
-        for line in run.requests(index):
-            if l1_access(line, evicted=changed):
+        for line, hit in zip(lines, hits):
+            if hit:
                 # Tag hit; if the line's fill is still in flight this is a
                 # pending hit and completes when the original miss returns.
                 t = l1_hit_at
@@ -468,21 +447,6 @@ class CoreModel:
             self._invalidate(changed)
         return completion
 
-    def _issue_store(self, run: _WarpRun, index: int, now: float) -> None:
-        """Write-through store: probes caches, always consumes DRAM bus.
-
-        The L1 does not allocate on writes, so a store never changes L1
-        residency (or any MSHR-need memo).
-        """
-        l1_access = self.l1.access
-        l2_access = self.l2.access
-        enqueue = self.dram.enqueue
-        arrival = now + self._l2_latency
-        for line in run.requests(index):
-            l1_access(line, True)
-            l2_access(line, True)
-            enqueue(arrival, line)
-
     # Scheduling --------------------------------------------------------------
 
     def step(self, now: float) -> bool:
@@ -492,6 +456,11 @@ class CoreModel:
         (``gpumech2014`` has a single partition, so at most one per core
         — the paper's machine).  Returns True if anything issued;
         updates stall statistics otherwise.
+
+        Each partition's scheduler picks the issuing warp with its own
+        in-place scan, and one inline copy of the issue body issues it:
+        the loop runs once per issued instruction, so it makes no call
+        it can avoid.
         """
         if self.finished:
             return False
@@ -506,11 +475,146 @@ class CoreModel:
                 self._invalidate(released)
         self._mshr_need = 0
         self._scan_sfu_stall = False
-        issue_from = self._issue_rr if self._rr else self._issue_gto
+        rr = self._rr
+        checked = self._checked_ops
         issued_any = False
         for partition in self._partitions:
-            if issue_from(partition, now):
-                issued_any = True
+            resident = partition.resident
+            n = len(resident)
+            # Both scans run one candidate test, kept inline because it
+            # runs for every ready warp of every scan: a warp not ready
+            # yet (which covers finished warps) is skipped first; a load
+            # whose memoized MSHR need exceeds the free entries is
+            # skipped (its need noted for next_event_after) without
+            # calling _issue_check, a memo within the free entries
+            # issues, and only the ops in _checked_ops go to _issue_check
+            # at all.  A scan that finds no warp leaves the partition
+            # idle (for-else).
+            if rr:
+                # Round-robin: the first ready warp in rotation order.
+                start = partition.rr_next % n if n else 0
+                for pos in range(start, start + n):
+                    if pos >= n:
+                        pos -= n
+                    run = resident[pos]
+                    if run.ready_at > now:
+                        continue
+                    index = run.next_idx
+                    if run.need_idx == index:
+                        need = run.need
+                        if need > mshr.free_entries:
+                            if not self._mshr_need or need < self._mshr_need:
+                                self._mshr_need = need
+                            continue
+                    elif run.ops[index] in checked and not self._issue_check(
+                        run, now
+                    ):
+                        continue
+                    break
+                else:
+                    continue
+            else:
+                # Greedy-then-oldest: the current warp if ready, else the
+                # oldest ready one (position -1 tries the current warp).
+                current = partition.gto_current
+                for pos in range(0 if current is None else -1, n):
+                    if pos < 0:
+                        run = current
+                    else:
+                        run = resident[pos]
+                        if run is current:
+                            continue  # tried first
+                    if run.ready_at > now:
+                        continue
+                    index = run.next_idx
+                    if run.need_idx == index:
+                        need = run.need
+                        if need > mshr.free_entries:
+                            if not self._mshr_need or need < self._mshr_need:
+                                self._mshr_need = need
+                            continue
+                    elif run.ops[index] in checked and not self._issue_check(
+                        run, now
+                    ):
+                        continue
+                    break
+                else:
+                    continue
+
+            # Issue instruction ``index`` of ``run``.
+            op = run.ops[index]
+            latency = self._latency[op]
+            if latency is not None:
+                completion = now + latency
+                if op == _SFU and self._sfu_limited:
+                    self._sfu_free_at = now + self._sfu_service_cycles
+            elif op == _LOAD:
+                completion = self._issue_load(run, index, now)
+            elif op == _STORE:
+                # Write-through store: probes both caches and always
+                # consumes DRAM bus time, but never blocks the warp.  The
+                # caches do not allocate on writes, so a store never
+                # changes L1 residency (or any MSHR-need memo).
+                offsets = run.req_offsets
+                lines = run.req_lines[offsets[index]:offsets[index + 1]]
+                self.l1.write_group(lines)
+                self.l2.write_group(lines)
+                self.dram.enqueue_group(now + self._l2_latency, lines)
+                completion = now + 1.0
+            elif op == _SMEM_LOAD:
+                degree = max(run.conflict[index], 1)
+                completion = now + self._smem_latency + (degree - 1)
+                self._smem_free_at = now + degree
+            elif op == _SMEM_STORE:
+                degree = max(run.conflict[index], 1)
+                completion = now + 1.0
+                self._smem_free_at = now + degree
+            else:  # _BARRIER
+                completion = now + 1.0
+                run.bar_count += 1
+            done = run.done
+            done[index] = completion
+            index += 1
+            run.next_idx = index
+            self.stats.insts_issued += 1
+            if index < run.n_insts:
+                # The next instruction may issue once its producers
+                # completed: the latest of its producer slots, unrolled.
+                deps = run.deps
+                base = index * MAX_DEPS
+                ready = 0.0
+                dep = deps[base]
+                if dep != NO_DEP:
+                    t = done[dep]
+                    if t > ready:
+                        ready = t
+                dep = deps[base + 1]
+                if dep != NO_DEP:
+                    t = done[dep]
+                    if t > ready:
+                        ready = t
+                dep = deps[base + 2]
+                if dep != NO_DEP:
+                    t = done[dep]
+                    if t > ready:
+                        ready = t
+                run.ready_at = ready
+                if rr:
+                    partition.rr_next = (pos + 1) % n
+                else:
+                    partition.gto_current = run
+            else:
+                run.ready_at = _INF
+                self._retire_blocks()
+                if not rr:
+                    partition.gto_current = None
+                elif run in resident:
+                    # The warp finished, which may have retired blocks
+                    # and so reshuffled resident.
+                    partition.rr_next = (resident.index(run) + 1) % len(
+                        resident
+                    )
+            issued_any = True
         if issued_any:
             stats = self.stats
             stats.active_cycles += 1
@@ -525,76 +629,6 @@ class CoreModel:
             self._sleep_kind = StallKind.DEP
         self.charge_sleep(1)
         self.sleep_until = self.next_event_after(now)
-        return False
-
-    # The RR and GTO scans below share one candidate test, kept inline in
-    # both because it runs for every ready warp of every scan: a load
-    # whose memoized MSHR need exceeds the free entries is skipped (its
-    # need noted for next_event_after) without calling _issue_check, a
-    # memo within the free entries issues, and only the ops in
-    # _checked_ops go to _issue_check at all.
-
-    def _issue_rr(self, partition: _SchedulerPartition, now: float) -> bool:
-        """Issue the first ready warp in rotation order, if any."""
-        resident = partition.resident
-        n = len(resident)
-        start = partition.rr_next % n if n else 0
-        checked = self._checked_ops
-        for pos in range(start, start + n):
-            if pos >= n:
-                pos -= n
-            run = resident[pos]
-            if run.ready_at > now:
-                continue
-            index = run.next_idx
-            if run.need_idx == index:
-                need = run.need
-                if need > self.mshr.free_entries:
-                    if not self._mshr_need or need < self._mshr_need:
-                        self._mshr_need = need
-                    continue
-            elif run.ops[index] in checked and not self._issue_check(run, now):
-                continue
-            self._issue(run, now)
-            if run.next_idx < run.n_insts:
-                partition.rr_next = (pos + 1) % n
-            elif run in resident:
-                # The warp finished, which may have retired blocks and
-                # so reshuffled resident.
-                partition.rr_next = (resident.index(run) + 1) % len(resident)
-            return True
-        return False
-
-    def _issue_gto(self, partition: _SchedulerPartition, now: float) -> bool:
-        """Issue the current warp if ready, else the oldest ready one."""
-        current = partition.gto_current
-        candidates = partition.resident
-        if current is not None:
-            candidates = [current, *candidates]
-        tried_current = False
-        checked = self._checked_ops
-        for run in candidates:
-            if run is current:
-                # Tried first; skip its place in age order.
-                if tried_current:
-                    continue
-                tried_current = True
-            if run.ready_at > now:
-                continue
-            index = run.next_idx
-            if run.need_idx == index:
-                need = run.need
-                if need > self.mshr.free_entries:
-                    if not self._mshr_need or need < self._mshr_need:
-                        self._mshr_need = need
-                    continue
-            elif run.ops[index] in checked and not self._issue_check(run, now):
-                continue
-            self._issue(run, now)
-            partition.gto_current = (
-                run if run.next_idx < run.n_insts else None
-            )
-            return True
         return False
 
     def charge_sleep(self, cycles: int) -> None:

@@ -25,7 +25,7 @@ from repro.memory.dram import DRAMSystem
 from repro.obs.timeline import Timeline
 from repro.timing.core_model import CoreModel
 from repro.timing.stats import SimStats
-from repro.trace.trace_types import KernelTrace, WarpTrace
+from repro.trace.trace_types import KernelTrace
 
 
 class SimulationError(RuntimeError):
@@ -71,10 +71,12 @@ class TimingSimulator:
     def run(self, trace: KernelTrace) -> SimStats:
         """Simulate the kernel launch; returns aggregate statistics."""
         config = self.config
-        blocks: Dict[int, List[WarpTrace]] = defaultdict(list)
-        for warp in trace.warps:
-            blocks[warp.block_id].append(warp)
-        per_core_blocks: List[List[List[WarpTrace]]] = [
+        # Each block's warps, as launch indices: the cores read the
+        # launch columns, so the oracle builds no per-warp view.
+        blocks: Dict[int, List[int]] = defaultdict(list)
+        for warp, block_id in enumerate(trace.block_ids.tolist()):
+            blocks[block_id].append(warp)
+        per_core_blocks: List[List[List[int]]] = [
             [] for _ in range(config.n_cores)
         ]
         for block_id in sorted(blocks):
@@ -93,6 +95,7 @@ class TimingSimulator:
                 config,
                 l2,
                 dram,
+                trace,
                 per_core_blocks[core_id],
                 warps_per_core=self.warps_per_core,
             )

@@ -12,8 +12,7 @@ interval algorithm and the timing simulator cache-friendly.  A
 :class:`KernelTrace` stores the whole launch once, as warp-major columns
 with per-warp offsets; its per-warp :class:`WarpTrace` objects are views
 into those columns, built only for the consumers that walk one warp at a
-time (the timing oracle, the scalar reference loops, ``xcheck``,
-``characterize``).
+time (the scalar reference loops, ``xcheck``, ``characterize``).
 """
 
 from __future__ import annotations

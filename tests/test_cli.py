@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import GPUConfig
+from repro.pipeline import Pipeline
+from repro.workloads import Scale
 
 
 class TestParser:
@@ -62,6 +65,19 @@ class TestCommands:
              "--bandwidth", "96", "--warps", "4"]
         ) == 0
         assert "CPI" in capsys.readouterr().out
+
+    def test_predict_warps_reaches_the_cache_replay(self, capsys):
+        """``--warps`` sets the residency of the whole model-input chain,
+        the cache replay included, as ``Pipeline.predict`` does."""
+        assert main(
+            ["predict", "streamcluster_dist", "--scale", "small",
+             "--cores", "2", "--warps", "4"]
+        ) == 0
+        out = capsys.readouterr().out
+        expected = Pipeline(GPUConfig(n_cores=2), Scale.small()).predict(
+            "streamcluster_dist", warps_per_core=4
+        )
+        assert ": CPI %.3f = " % expected.cpi in out
 
     def test_jobs_and_cache_dir_flags(self, capsys, tmp_path):
         cache = str(tmp_path / "artifacts")

@@ -109,17 +109,38 @@ def test_interval_profile_invariants(kernel):
         assert 0.0 < profile.warp_perf <= profile.issue_rate
 
 
-@settings(deadline=None, max_examples=15)
-@given(random_kernels())
-def test_oracle_invariants(kernel):
-    trace = emulate(kernel, CONFIG)
-    stats = TimingSimulator(CONFIG).run(trace)
-    assert stats.total_insts == trace.total_insts
-    # Issue bandwidth bound: cycles >= insts / (cores * issue width).
-    assert stats.total_cycles >= trace.total_insts / (
-        stats.n_cores_used * CONFIG.issue_width
+#: The oracle's machines: the paper's one scheduler per core, and
+#: sub-core dispatch with 2 and 4 schedulers, each under RR and GTO.
+ORACLE_MACHINES = {
+    "%s-%s" % (name, policy): config.with_(scheduler=policy)
+    for name, config in (
+        ("gpumech2014", CONFIG),
+        ("subcore2", CONFIG.with_(arch="subcore", n_schedulers=2)),
+        ("subcore4", CONFIG.with_(arch="subcore", n_schedulers=4)),
     )
-    assert stats.cpi >= 1.0
+    for policy in ("rr", "gto")
+}
+
+
+@pytest.mark.parametrize("machine", sorted(ORACLE_MACHINES))
+@settings(deadline=None, max_examples=15)
+@given(kernel=random_kernels())
+def test_oracle_invariants(machine, kernel):
+    config = ORACLE_MACHINES[machine]
+    slots = config.schedulers_per_core
+    trace = emulate(kernel, config)
+    stats = TimingSimulator(config).run(trace)
+    assert stats.total_insts == trace.total_insts
+    # Issue bandwidth bound: cycles >= insts / (cores * issue slots).
+    assert stats.total_cycles >= trace.total_insts / (
+        stats.n_cores_used * config.issue_width * slots
+    )
+    assert stats.cpi >= 1.0 / slots
+    # Each issue cycle issues at least one instruction and at most one
+    # per scheduler: insts_issued counts issues, not cycles.
+    for core in stats.cores:
+        assert core.issue_cycles <= core.insts_issued
+        assert core.insts_issued <= core.issue_cycles * slots
 
 
 @settings(deadline=None, max_examples=8)

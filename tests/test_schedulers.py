@@ -8,7 +8,13 @@ from repro.trace import emulate
 
 
 def run_with_issue_log(kernel, config):
-    """Run the oracle while recording (cycle, warp_id) issue order."""
+    """Run core 0 of the oracle while recording (cycle, warp_id) issue order.
+
+    A step issues at most one instruction per scheduler partition, in
+    partition order, so the log diffs every warp's ``next_idx`` around
+    each step and lists the warps that advanced by partition.
+    """
+    import math
     from collections import defaultdict
 
     from repro.memory.cache import Cache
@@ -17,28 +23,33 @@ def run_with_issue_log(kernel, config):
 
     trace = emulate(kernel, config)
     blocks = defaultdict(list)
-    for warp in trace.warps:
-        blocks[warp.block_id].append(warp)
+    for warp, block_id in enumerate(trace.block_ids.tolist()):
+        blocks[block_id].append(warp)
     per_core = [[] for _ in range(config.n_cores)]
     for block_id in sorted(blocks):
         per_core[block_id % config.n_cores].append(blocks[block_id])
     l2 = Cache(config.l2_size, config.l2_assoc, config.line_size)
     dram = DRAMSystem(config.dram_service_cycles, 1, config.line_size)
-    core = CoreModel(0, config, l2, dram, per_core[0])
+    core = CoreModel(0, config, l2, dram, trace, per_core[0])
+    n_partitions = config.schedulers_per_core
 
     issue_log = []
-    original_issue = core._issue
-
-    def logging_issue(run, now):
-        issue_log.append((now, run.trace.warp_id))
-        original_issue(run, now)
-
-    core._issue = logging_issue
     now = 0.0
-    import math
-
     while not core.finished:
-        if not core.step(now):
+        before = {run: run.next_idx for run in core._resident}
+        issued = core.step(now)
+        # A warp activated during the step (its block replaced a retired
+        # one) may issue in a later partition of the same step.
+        runs = list(before) + [
+            run for run in core._resident if run not in before
+        ]
+        advanced = sorted(
+            (run for run in runs if run.next_idx > before.get(run, 0)),
+            key=lambda run: run.age % n_partitions,
+        )
+        assert issued == bool(advanced)
+        issue_log.extend((now, run.warp_id) for run in advanced)
+        if not issued:
             wake = core.next_event_after(now)
             now = max(now + 1.0, math.ceil(wake))
         else:

@@ -338,6 +338,62 @@ class TestMSHRNeedMemo:
         assert counts["_issue_check"] <= checks
 
 
+#: Upper bounds on the Python-level calls into ``repro`` of one oracle
+#: run at ``Scale.small`` on ``GPUConfig(n_cores=2)``, RR.  The counts are
+#: deterministic, so any increase is new per-instruction or per-request
+#: call overhead, guarded with zero tolerance.
+CALL_BOUNDS = {
+    "histo_main": 301_678,
+    "mri_q": 215_466,
+}
+
+
+def count_repro_calls(fn):
+    """Call ``fn()``, counting the calls of named functions whose code
+    lives in the ``repro`` package.
+
+    Comprehension and generator-expression frames are not counted
+    (nor lambdas): Python 3.12 inlines comprehensions, so without them
+    the count is the same on every supported Python.
+    """
+    import os
+    import sys
+
+    import repro
+
+    root = os.path.dirname(repro.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            code = frame.f_code
+            if (code.co_filename.startswith(root)
+                    and not code.co_name.startswith("<")):
+                calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+class TestOracleCallWork:
+    """The oracle's cost is Python calls, so count them: ``step`` picks
+    and issues inline, and each memory level takes a request group in
+    one call."""
+
+    @pytest.mark.parametrize("kernel", sorted(CALL_BOUNDS))
+    def test_calls_per_oracle_run_bounded(self, paper_pipeline, kernel):
+        trace = paper_pipeline.trace(kernel)
+        simulator = TimingSimulator(paper_pipeline.config)
+        stats, calls = count_repro_calls(lambda: simulator.run(trace))
+        assert stats.total_insts == trace.total_insts
+        assert calls <= CALL_BOUNDS[kernel]
+
+
 class TestStats:
     def test_cpi_definition(self):
         kernel = build_saxpy(128, 64)

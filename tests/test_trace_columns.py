@@ -3,8 +3,9 @@
 A :class:`KernelTrace` stores a launch once, as warp-major columns with
 per-warp offsets.  Its :class:`WarpTrace` objects are views into those
 columns, made on first access for the consumers that walk one warp at a
-time.  The model stages read the columns, so a cold prediction builds
-no view at all, and a stored trace pickles as its columns alone.  The
+time.  The model stages and the timing oracle read the columns, so a
+cold prediction or evaluation builds no view at all, and a stored trace
+pickles as its columns alone.  The
 interval profiles are columnar the same way: clustering reads their
 columns and builds the representative's :class:`IntervalProfile` view
 only.
@@ -80,8 +81,9 @@ class TestTraceArtifact:
 
 
 class TestViewWorkGuard:
-    """Views are for per-warp consumers only: a cold prediction reads
-    the columns and constructs no WarpTrace (zero tolerance)."""
+    """Views are for per-warp consumers only: a cold prediction, a cold
+    oracle run and a cold evaluation read the columns and construct no
+    WarpTrace (zero tolerance)."""
 
     @pytest.mark.parametrize("kernel", ["sgemm_tile", "bfs_kernel1"])
     def test_cold_predict_builds_no_warp_trace(self, monkeypatch, kernel):
@@ -96,6 +98,27 @@ class TestViewWorkGuard:
         pipeline = Pipeline(CONFIG, scale=Scale.tiny())
         assert pipeline.predict(kernel).cpi > 0
         assert pipeline.counters["trace"] == 1
+        assert len(built) == 0
+
+    @pytest.mark.parametrize("kernel", ["vectoradd", "sgemm_tile",
+                                        "bfs_kernel1"])
+    @pytest.mark.parametrize("call", ["simulate", "evaluate"])
+    def test_cold_oracle_builds_no_warp_trace(self, monkeypatch, call,
+                                              kernel):
+        built = []
+        init = WarpTrace.__init__
+
+        def counted(warp, *args, **kwargs):
+            built.append(1)
+            init(warp, *args, **kwargs)
+
+        monkeypatch.setattr(WarpTrace, "__init__", counted)
+        pipeline = Pipeline(CONFIG, scale=Scale.tiny())
+        result = getattr(pipeline, call)(kernel)
+        cpi = result.cpi if call == "simulate" else result.oracle_cpi
+        assert cpi > 0
+        assert pipeline.counters["trace"] == 1
+        assert pipeline.counters["oracle"] == 1
         assert len(built) == 0
 
     @pytest.mark.parametrize("kernel", ["sgemm_tile", "bfs_kernel1"])
