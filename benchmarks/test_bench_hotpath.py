@@ -68,7 +68,7 @@ def _stage_times(scalar):
             )
             table = build_latency_table(trace, cache, config)
             start = time.perf_counter()
-            build_interval_profiles(trace, table, config.issue_rate)
+            build_interval_profiles(trace, table)
             best["interval_profiles"] = min(
                 best["interval_profiles"], time.perf_counter() - start
             )

@@ -67,7 +67,7 @@ RESULTS_PATH = os.path.join(
 
 
 def _config():
-    return GPUConfig.small(n_cores=2, warps_per_core=16)
+    return GPUConfig.small(n_cores=2, warps_per_core=WARPS)
 
 
 def _baseline():
@@ -75,7 +75,7 @@ def _baseline():
     config = _config()
     kernel, memory = SUITE[KERNEL].build(SCALE())
     trace = emulate(kernel, config, memory=memory)
-    return simulate_kernel(trace, config, warps_per_core=WARPS)
+    return simulate_kernel(trace, config)
 
 
 def _pipeline_run(tracer=None, timeline_interval=None):
@@ -83,12 +83,12 @@ def _pipeline_run(tracer=None, timeline_interval=None):
         _config(), scale=SCALE(), tracer=tracer,
         timeline_interval=timeline_interval,
     )
-    return pipeline.simulate(KERNEL, warps_per_core=WARPS)
+    return pipeline.simulate(KERNEL)
 
 
 def _evaluate_run(ledger=None):
     pipeline = Pipeline(_config(), scale=SCALE(), ledger=ledger)
-    return pipeline.evaluate(KERNEL, warps_per_core=WARPS)
+    return pipeline.evaluate(KERNEL)
 
 
 def _measure(fn, context=contextlib.nullcontext):

@@ -36,12 +36,12 @@ def main() -> None:
     set_tracer(tracer)
     try:
         pipeline = Pipeline(
-            GPUConfig(n_cores=2),
+            GPUConfig.small(n_cores=2, warps_per_core=8),
             Scale.tiny(),
             tracer=tracer,
             timeline_interval=500.0,  # oracle sampling period (cycles)
         )
-        result = pipeline.evaluate(name, warps_per_core=8)
+        result = pipeline.evaluate(name)
     finally:
         set_tracer(None)
 

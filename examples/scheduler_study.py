@@ -40,7 +40,9 @@ def main() -> None:
     for name in kernels:
         cells = [name]
         for policy in ("rr", "gto"):
-            result = pipeline.evaluate(name, policy=policy)
+            result = pipeline.evaluate(
+                name, config=pipeline.config.with_(scheduler=policy)
+            )
             error = result.error("mt_mshr_band")
             errors[policy].append(error)
             cells.extend(

@@ -51,9 +51,9 @@ def markov_chain_cpi(profile: IntervalProfile, n_warps: int) -> float:
         np.count_nonzero(profile.columns.stall_cycles > 0.0)
     )
     if not stalling_intervals or stall <= 0.0:
-        return 1.0 / profile.issue_rate  # never stalls: issue-bound
+        return 1.0  # never stalls: issue-bound
     p = stalling_intervals / n_insts
     m = stall / stalling_intervals
     activation = markov_warp_activation(p, m)
-    ipc = (1.0 - (1.0 - activation) ** n_warps) * profile.issue_rate
+    ipc = 1.0 - (1.0 - activation) ** n_warps
     return 1.0 / ipc

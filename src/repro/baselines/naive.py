@@ -15,22 +15,15 @@ from __future__ import annotations
 from repro.core.interval import IntervalProfile
 
 
-def naive_interval_cpi(
-    profile: IntervalProfile,
-    n_warps: int,
-    cap_at_issue_rate: bool = True,
-) -> float:
+def naive_interval_cpi(profile: IntervalProfile, n_warps: int) -> float:
     """Eq. 1, returned as CPI per core-instruction.
 
-    ``cap_at_issue_rate`` bounds the predicted IPC at the core's issue
-    bandwidth (a core cannot retire more than ``issue_rate``
-    instructions/cycle); disable it for the literal uncapped Eq. 1.
+    The predicted IPC is capped at the core's issue bandwidth: a
+    single-issue core retires at most one instruction per cycle, so the
+    CPI is at least 1.0.
     """
     if n_warps < 1:
         raise ValueError("n_warps must be >= 1")
     if not profile.n_insts:
         return 0.0
-    cpi = profile.total_cycles / (n_warps * profile.n_insts)
-    if cap_at_issue_rate:
-        cpi = max(cpi, 1.0 / profile.issue_rate)
-    return cpi
+    return max(profile.total_cycles / (n_warps * profile.n_insts), 1.0)

@@ -52,7 +52,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.config import KNOWN_ARCHES, GPUConfig
+from repro.config import KNOWN_ARCHES, ConfigError, GPUConfig
 from repro.core.model import GPUMech
 from repro.harness import experiments as ex
 from repro.harness.reporting import (
@@ -149,7 +149,9 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _machine(args) -> GPUConfig:
-    return GPUConfig(
+    """The machine the flags describe; raises ``ConfigError`` on flags
+    that fail validation."""
+    fields = dict(
         n_cores=args.cores,
         n_mshrs=args.mshrs,
         dram_bandwidth_gbps=args.bandwidth,
@@ -157,13 +159,17 @@ def _machine(args) -> GPUConfig:
         arch=args.arch,
         n_schedulers=args.schedulers,
     )
+    if args.warps is not None:
+        fields["max_threads_per_core"] = args.warps * GPUConfig.warp_size
+    return GPUConfig(**fields)
 
 
 def _pipeline(args) -> Pipeline:
-    """A pipeline honouring ``--jobs``/``--cache-dir`` plus the session
-    tracer/metrics installed by :func:`main`."""
+    """A pipeline on :func:`main`'s machine, honouring
+    ``--jobs``/``--cache-dir`` plus the session tracer/metrics installed
+    by :func:`main`."""
     return Pipeline(
-        _machine(args),
+        args.machine,
         _SCALES[args.scale](),
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -192,12 +198,11 @@ def _cmd_predict(args) -> int:
     kernel, _ = get_kernel(args.kernel, _SCALES[args.scale]())
     emit(kernel.describe())
     inputs = pipeline.model_inputs(
-        args.kernel, selection_strategy=args.strategy,
-        warps_per_core=args.warps,
+        args.kernel, selection_strategy=args.strategy
     )
     model = GPUMech(pipeline.config, selection_strategy=args.strategy,
                     pipeline=pipeline)
-    prediction = model.predict(inputs, warps_per_core=args.warps)
+    prediction = model.predict(inputs)
     emit(prediction.summary())
     emit(prediction.cpi_stack.render())
     return 0
@@ -205,14 +210,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_simulate(args) -> int:
     pipeline = _pipeline(args)
-    stats = pipeline.simulate(args.kernel, warps_per_core=args.warps)
+    stats = pipeline.simulate(args.kernel)
     emit(stats.summary())
     return 0
 
 
 def _cmd_validate(args) -> int:
     pipeline = _pipeline(args)
-    result = pipeline.evaluate(args.kernel, warps_per_core=args.warps)
+    result = pipeline.evaluate(args.kernel)
     rows = [
         (MODEL_LABELS[m], "%.3f" % result.model_cpis[m],
          "%.1f%%" % (100 * result.error(m)))
@@ -344,9 +349,13 @@ def _cmd_characterize(args) -> int:
     scale = _SCALES[args.scale]()
     if args.compare_arch:
         kernels = None if args.kernel == "all" else [args.kernel]
-        results = compare_architectures(
-            scale=scale, kernels=kernels, config=_machine(args)
-        )
+        try:
+            results = compare_architectures(
+                scale=scale, kernels=kernels, config=args.machine
+            )
+        except ConfigError as exc:  # the machine under another arch
+            _LOG.error("invalid machine: %s", exc)
+            return 2
         emit(render_arch_comparison(results))
         return 0
     if args.kernel == "all":
@@ -355,7 +364,7 @@ def _cmd_characterize(args) -> int:
                           pipeline=pipeline))
         return 0
     kernel, memory = get_kernel(args.kernel, scale)
-    trace = emulate(kernel, _machine(args), memory=memory)
+    trace = emulate(kernel, args.machine, memory=memory)
     emit(render_characterization(characterize(trace, kernel=kernel)))
     return 0
 
@@ -373,8 +382,7 @@ def _cmd_profile(args) -> int:
         _LOG.error("unknown kernel(s): %s", ", ".join(unknown))
         return 2
     pipeline = _pipeline(args)
-    requests = [{"kernel": name, "warps_per_core": args.warps}
-                for name in names]
+    requests = [{"kernel": name} for name in names]
     profiler = None
     if args.sample:
         from repro.obs.sampler import SamplingProfiler
@@ -658,6 +666,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs.ledger import PredictionLedger
 
         args.obs_ledger = PredictionLedger(args.ledger)
+    if hasattr(args, "cores"):  # a command with machine flags
+        try:
+            args.machine = _machine(args)
+        except ConfigError as exc:
+            _LOG.error("invalid machine: %s", exc)
+            return 2
     set_tracer(tracer)
 
     handlers = {

@@ -45,10 +45,7 @@ KNOWN_ARCHES = ("gpumech2014", "subcore")
 #: (``repro.pipeline``).  ``arch`` is here because independent-thread-
 #: scheduling reconvergence reorders divergent warps' dynamic streams;
 #: the scalar/vector *compute* backend (``repro.backend``) by contrast
-#: never changes the trace and is deliberately absent.  ``simt_width``
-#: is absent too: validation pins it to ``warp_size``, so the emulator
-#: never reads it and keying on it would only double-count warp width
-#: (the trace stage's config view, which hides it, enforces that).
+#: never changes the trace and is deliberately absent.
 TRACE_FIELDS: FrozenSet[str] = frozenset(
     {"warp_size", "line_size", "smem_banks", "arch"}
 )
@@ -79,10 +76,12 @@ class GPUConfig:
     # Core organisation ----------------------------------------------------
     n_cores: int = 4
     core_clock_ghz: float = 1.0
-    simt_width: int = 32
+    #: Threads per warp; a warp issues in one cycle (the SIMT width).
     warp_size: int = 32
+    #: Resident threads per core; ``max_warps_per_core`` warps is the
+    #: one residency limit of the cache replay, the model and the
+    #: oracle.
     max_threads_per_core: int = 1024
-    issue_width: int = 1  # warp-instructions per cycle
 
     # Scheduling -----------------------------------------------------------
     scheduler: str = "rr"  # "rr" (round-robin) or "gto" (greedy-then-oldest)
@@ -105,8 +104,8 @@ class GPUConfig:
     n_dram_channels: int = 1
 
     # Software-managed (shared) memory ---------------------------------------
-    #: Scratchpad size per core (Table I: "16 KB software managed cache").
-    smem_size: int = 16 * 1024
+    # Table I's 16 KB scratchpad: its latency and bank conflicts are
+    # modeled, its capacity is not (it bounds no kernel's residency).
     #: Scratchpad access latency in cycles (conflict-free).
     smem_latency: int = 30
     #: Scratchpad banks; lanes hitting the same bank (different words)
@@ -171,12 +170,6 @@ class GPUConfig:
             raise ConfigError("n_cores must be >= 1")
         if self.warp_size < 1:
             raise ConfigError("warp_size must be >= 1")
-        if self.simt_width != self.warp_size:
-            raise ConfigError(
-                "this model assumes simt_width == warp_size (a warp issues "
-                "in one cycle); got simt_width=%d warp_size=%d"
-                % (self.simt_width, self.warp_size)
-            )
         if self.max_threads_per_core < self.warp_size:
             raise ConfigError(
                 "max_threads_per_core must hold at least one warp (%d "
@@ -186,8 +179,6 @@ class GPUConfig:
             raise ConfigError("max_threads_per_core must be a multiple of warp_size")
         if self.scheduler not in ("rr", "gto"):
             raise ConfigError("scheduler must be 'rr' or 'gto'")
-        if self.issue_width != 1:
-            raise ConfigError("only issue_width == 1 is supported (Table I)")
         if self.line_size < 1 or self.line_size & (self.line_size - 1):
             raise ConfigError(
                 "line_size must be a positive power of two; got %d"
@@ -241,8 +232,8 @@ class GPUConfig:
             )
         if self.n_dram_channels < 1:
             raise ConfigError("n_dram_channels must be >= 1")
-        if self.smem_size < 0 or self.smem_latency < 1:
-            raise ConfigError("invalid shared-memory parameters")
+        if self.smem_latency < 1:
+            raise ConfigError("smem_latency must be >= 1")
         if self.smem_banks < 1:
             raise ConfigError("smem_banks must be >= 1")
         if self.arch not in KNOWN_ARCHES:
@@ -257,7 +248,7 @@ class GPUConfig:
             and self.max_warps_per_core % self.n_schedulers != 0
         ):
             raise ConfigError(
-                "n_schedulers=%d must divide warps_per_core=%d under "
+                "n_schedulers=%d must divide max_warps_per_core=%d under "
                 "arch='subcore' (warps are statically partitioned across "
                 "the sub-core schedulers)"
                 % (self.n_schedulers, self.max_warps_per_core)
@@ -280,11 +271,6 @@ class GPUConfig:
         multithreading model runs per partition.
         """
         return self.n_schedulers if self.arch == "subcore" else 1
-
-    @property
-    def issue_rate(self) -> float:
-        """Sustained issue rate in warp-instructions per cycle."""
-        return float(self.issue_width)
 
     @property
     def dram_service_cycles(self) -> float:

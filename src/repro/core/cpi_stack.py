@@ -6,7 +6,7 @@ can see *what* limits performance:
 ====================  =====================================================
 Category              Cycles attributed to it
 ====================  =====================================================
-BASE                  instruction issue (1/issue_rate per instruction)
+BASE                  instruction issue (one cycle per instruction)
 DEP                   stalls on compute-instruction dependencies
 L1                    stalls on loads served by the L1
 L2                    stalls on loads served by the L2
@@ -164,7 +164,7 @@ def single_warp_stack(
     if not n_insts:
         return stack
     components = stack.components
-    components[StallType.BASE] = 1.0 / profile.issue_rate
+    components[StallType.BASE] = 1.0
     intervals = profile.columns
     # Split of a stall over (DEP, L1, L2, DRAM): row 0 for compute
     # causes, one row per memory cause PC.

@@ -127,9 +127,11 @@ class _IntervalQuantities:
         """Expected DRAM bus transfers: write-through stores + L2 misses."""
         return self.store_reqs + self.exp_dram_read_reqs
 
-    def cycles(self, issue_rate: float):
-        """Total cycles of the interval (issue + stall)."""
-        return self.n_insts / issue_rate + self.stall_cycles
+    @property
+    def cycles(self):
+        """Total cycles of the interval (one issue cycle per instruction
+        plus the stall)."""
+        return self.n_insts + self.stall_cycles
 
 
 @dataclass
@@ -241,32 +243,28 @@ class IntervalProfile:
         self,
         warp_id: int,
         columns: Optional[IntervalColumns] = None,
-        issue_rate: float = 1.0,
     ):
         self.warp_id = warp_id
         self.columns = (
             columns if columns is not None else IntervalColumns.from_rows(())
         )
-        self.issue_rate = issue_rate
 
     @classmethod
     def from_intervals(
-        cls, warp_id: int, intervals: Iterable[Interval],
-        issue_rate: float = 1.0,
+        cls, warp_id: int, intervals: Iterable[Interval]
     ) -> "IntervalProfile":
         """A profile holding ``intervals`` (rows packed into columns)."""
-        return cls(warp_id, IntervalColumns.from_rows(intervals), issue_rate)
+        return cls(warp_id, IntervalColumns.from_rows(intervals))
 
     def __reduce__(self):
         # Only the warp's own rows travel; cached aggregates do not.
-        return (IntervalProfile, (self.warp_id, self.columns, self.issue_rate))
+        return (IntervalProfile, (self.warp_id, self.columns))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalProfile):
             return NotImplemented
         return (
             self.warp_id == other.warp_id
-            and self.issue_rate == other.issue_rate
             and all(
                 mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
                 for mine, theirs in zip(self.columns, other.columns)
@@ -276,8 +274,8 @@ class IntervalProfile:
     __hash__ = None  # mutable-looking value type, like the dataclass was
 
     def __repr__(self) -> str:
-        return "IntervalProfile(warp_id=%r, n_intervals=%d, issue_rate=%r)" % (
-            self.warp_id, self.n_intervals, self.issue_rate,
+        return "IntervalProfile(warp_id=%r, n_intervals=%d)" % (
+            self.warp_id, self.n_intervals,
         )
 
     @cached_property
@@ -315,8 +313,8 @@ class IntervalProfile:
 
     @cached_property
     def interval_cycles(self) -> np.ndarray:
-        """Per-interval cycles (issue + stall) at :attr:`issue_rate`."""
-        return self.columns.cycles(self.issue_rate)
+        """Per-interval cycles (issue + stall)."""
+        return self.columns.cycles
 
     @cached_property
     def total_mshr_reqs(self) -> float:
@@ -341,7 +339,7 @@ class IntervalProfile:
     @property
     def total_cycles(self) -> float:
         """Single-warp execution time (issue cycles + stalls)."""
-        return self.n_insts / self.issue_rate + self.total_stall_cycles
+        return self.n_insts + self.total_stall_cycles
 
     @property
     def warp_perf(self) -> float:
@@ -363,8 +361,8 @@ class IntervalProfile:
     def issue_prob(self) -> float:
         """Probability a lone warp can issue in a cycle (Eq. 9).
 
-        Identical to :attr:`warp_perf` for issue_rate 1; kept as its own
-        name to mirror the paper's equations.
+        Identical to :attr:`warp_perf` on a single-issue core; kept as
+        its own name to mirror the paper's equations.
         """
         return self.warp_perf
 
@@ -384,42 +382,30 @@ class IntervalProfiles(Sequence):
         columns: IntervalColumns,
         offsets: np.ndarray,
         warp_ids: np.ndarray,
-        issue_rate: float = 1.0,
     ):
         self.columns = columns
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.warp_ids = np.asarray(warp_ids, dtype=np.int64)
-        self.issue_rate = issue_rate
         self._views: List[Optional[IntervalProfile]] = (
             [None] * len(self.warp_ids)
         )
 
     @classmethod
     def from_profiles(
-        cls, profiles: Iterable[IntervalProfile],
-        issue_rate: Optional[float] = None,
+        cls, profiles: Iterable[IntervalProfile]
     ) -> "IntervalProfiles":
-        """Pack per-warp profiles (one shared issue rate) into one set."""
+        """Pack per-warp profiles into one set."""
         profiles = list(profiles)
-        rates = {p.issue_rate for p in profiles}
-        if issue_rate is not None:
-            rates.add(issue_rate)
-        if len(rates) > 1:
-            raise ValueError("profiles of one launch share one issue rate")
         offsets = np.zeros(len(profiles) + 1, dtype=np.int64)
         np.cumsum([p.n_intervals for p in profiles], out=offsets[1:])
         return cls(
             IntervalColumns.concatenate([p.columns for p in profiles]),
             offsets,
             np.array([p.warp_id for p in profiles], dtype=np.int64),
-            rates.pop() if rates else 1.0,
         )
 
     def __reduce__(self):
-        return (
-            IntervalProfiles,
-            (self.columns, self.offsets, self.warp_ids, self.issue_rate),
-        )
+        return (IntervalProfiles, (self.columns, self.offsets, self.warp_ids))
 
     def __len__(self) -> int:
         return len(self.warp_ids)
@@ -436,9 +422,7 @@ class IntervalProfiles(Sequence):
         if view is None:
             start, stop = self.offsets[index:index + 2].tolist()
             view = IntervalProfile(
-                int(self.warp_ids[index]),
-                self.columns.slice(start, stop),
-                self.issue_rate,
+                int(self.warp_ids[index]), self.columns.slice(start, stop)
             )
             self._views[index] = view
         return view
@@ -453,9 +437,7 @@ class IntervalProfiles(Sequence):
 
 
 def build_interval_profiles(
-    trace: KernelTrace,
-    latency_table: LatencyTable,
-    issue_rate: float = 1.0,
+    trace: KernelTrace, latency_table: LatencyTable
 ) -> IntervalProfiles:
     """Interval profiles of every warp of a launch, in launch order.
 
@@ -468,26 +450,22 @@ def build_interval_profiles(
 
     if use_scalar():
         return IntervalProfiles.from_profiles(
-            [
-                build_interval_profile(warp, latency_table, issue_rate)
-                for warp in trace.warps
-            ],
-            issue_rate,
+            build_interval_profile(warp, latency_table)
+            for warp in trace.warps
         )
     from repro.core.interval_vec import build_interval_profiles as vec
 
-    return vec(trace, latency_table, issue_rate)
+    return vec(trace, latency_table)
 
 
 def issue_stalls(
-    deps: List[List[int]], lat: List[float], step: float
+    deps: List[List[int]], lat: List[float]
 ) -> Tuple[List[float], List[int]]:
     """The Eq. 4 recurrence over one warp's instruction stream.
 
     ``deps`` are the trace's producer rows and ``lat`` the per-instruction
-    latencies, as Python lists; ``step`` is the issue interval
-    (``1 / issue_rate``).  Returns per-instruction ``(stall, cause)``:
-    the cycles instruction ``k`` waited past ``issue(k-1) + step``, and
+    latencies, as Python lists.  Returns per-instruction ``(stall, cause)``:
+    the cycles instruction ``k`` waited past ``issue(k-1) + 1``, and
     the producer that pushed it out (-1 if none).  A producer replaces
     the running ready time only when it completes strictly later, so the
     first of tied producers is the cause.
@@ -499,9 +477,9 @@ def issue_stalls(
     issue = [0.0] * n
     stall = [0.0] * n
     cause = [-1] * n
-    prev_issue = -step
+    prev_issue = -1.0
     for k in range(n):
-        earliest = prev_issue + step
+        earliest = prev_issue + 1.0
         ready = earliest
         best = -1
         for dep in deps[k]:
@@ -519,14 +497,12 @@ def issue_stalls(
 
 
 def build_interval_profile(
-    warp: WarpTrace,
-    latency_table: LatencyTable,
-    issue_rate: float = 1.0,
+    warp: WarpTrace, latency_table: LatencyTable
 ) -> IntervalProfile:
     """Run the interval algorithm (Eq. 4) over one warp trace."""
     n = len(warp)
     if not n:
-        return IntervalProfile(warp.warp_id, issue_rate=issue_rate)
+        return IntervalProfile(warp.warp_id)
 
     pcs = warp.pcs.tolist()
     ops = warp.ops.tolist()
@@ -534,9 +510,7 @@ def build_interval_profile(
     conflicts = warp.conflict.tolist()
     pc_stats = latency_table.pc_stats
     stalls, causes = issue_stalls(
-        warp.deps.tolist(),
-        latency_table.as_array[warp.pcs].tolist(),
-        1.0 / issue_rate,
+        warp.deps.tolist(), latency_table.as_array[warp.pcs].tolist()
     )
 
     current = Interval()
@@ -557,7 +531,7 @@ def build_interval_profile(
         current.n_insts += 1
 
     intervals.append(current)  # trailing interval with no stall
-    return IntervalProfile.from_intervals(warp.warp_id, intervals, issue_rate)
+    return IntervalProfile.from_intervals(warp.warp_id, intervals)
 
 
 def _account(interval, k, ops, pcs, nreqs, conflicts, pc_stats) -> None:

@@ -49,7 +49,7 @@ from repro.trace.trace_types import KernelTrace, OpCode
 
 
 def _issue_stalls_by_class(
-    trace: KernelTrace, lat_by_pc: np.ndarray, step: float
+    trace: KernelTrace, lat_by_pc: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Eq. 4 over the launch: flat per-instruction ``(stall, cause)``.
 
@@ -71,7 +71,7 @@ def _issue_stalls_by_class(
     for members in classes.values():
         lo, hi = starts[members[0]], starts[members[0] + 1]
         class_stall, class_cause = issue_stalls(
-            deps[lo:hi].tolist(), lat_by_pc[pcs[lo:hi]].tolist(), step
+            deps[lo:hi].tolist(), lat_by_pc[pcs[lo:hi]].tolist()
         )
         class_stall = np.array(class_stall, dtype=np.float64)
         class_cause = np.array(class_cause, dtype=np.int64)
@@ -83,9 +83,7 @@ def _issue_stalls_by_class(
 
 
 def build_interval_profiles(
-    trace: KernelTrace,
-    latency_table: LatencyTable,
-    issue_rate: float = 1.0,
+    trace: KernelTrace, latency_table: LatencyTable
 ) -> IntervalProfiles:
     """Vectorized counterpart of per-warp ``build_interval_profile``."""
     n_warps = trace.n_warps
@@ -98,11 +96,10 @@ def build_interval_profiles(
             IntervalColumns.from_rows(()),
             np.zeros(n_warps + 1, dtype=np.int64),
             warp_ids,
-            issue_rate,
         )
 
     stall_flat, cause_flat = _issue_stalls_by_class(
-        trace, latency_table.as_array, 1.0 / issue_rate
+        trace, latency_table.as_array
     )
     total = int(warp_starts[-1])
 
@@ -213,7 +210,7 @@ def build_interval_profiles(
         e2,
         e3,
     )
-    return IntervalProfiles(columns, offsets, warp_ids, issue_rate)
+    return IntervalProfiles(columns, offsets, warp_ids)
 
 
 def _seg_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -131,11 +131,7 @@ class Prediction:
         )
 
 
-def resident_warps_per_core(
-    launch,
-    config: GPUConfig,
-    warps_per_core: Optional[int] = None,
-) -> int:
+def resident_warps_per_core(launch, config: GPUConfig) -> int:
     """Concurrently resident warps on one core (block-granular residency).
 
     This is the ``#warps`` the multi-warp model plugs into Eq. 7/18 —
@@ -143,9 +139,7 @@ def resident_warps_per_core(
     :class:`KernelTrace`, or the :class:`RepresentativeSelection` that
     copies its ``n_blocks`` and ``warps_per_block``.
     """
-    limit = warps_per_core if warps_per_core is not None else (
-        config.max_warps_per_core
-    )
+    limit = config.max_warps_per_core
     blocks = launch.n_blocks
     if not blocks:
         return 1
@@ -161,8 +155,9 @@ class GPUMech:
     Parameters
     ----------
     config:
-        Machine description (Table I); its ``scheduler`` field is the
-        default policy for predictions.
+        Machine description (Table I): its ``scheduler`` is the policy
+        and its ``max_warps_per_core`` the residency of every
+        prediction.
     selection_strategy:
         Representative-warp strategy: ``"clustering"`` (paper),
         ``"max"``, ``"min"`` or ``"first"``.
@@ -196,17 +191,14 @@ class GPUMech:
         kernel: Optional[Kernel] = None,
         trace: Optional[KernelTrace] = None,
         memory: Optional[MemoryImage] = None,
-        warps_per_core: Optional[int] = None,
     ) -> ModelInputs:
         """Run the input collector and single-warp model (Fig. 5, left).
 
-        ``warps_per_core`` sets the residency the cache simulator models
-        (Sec. V-A: the cache sim uses the modeled system's warp count);
-        pass the same override you will give :meth:`predict`.
-
-        The stage chain (cache sim → latency table → interval profiles →
-        clustering) runs through :attr:`pipeline`, so repeated calls for
-        the same trace and configuration are content-addressed cache hits.
+        The cache simulator models the config's residency (Sec. V-A: the
+        cache sim uses the modeled system's warp count).  The stage chain
+        (cache sim → latency table → interval profiles → clustering) runs
+        through :attr:`pipeline`, so repeated calls for the same trace and
+        configuration are content-addressed cache hits.
         """
         if trace is None:
             if kernel is None:
@@ -216,7 +208,6 @@ class GPUMech:
             trace,
             config=self.config,
             selection_strategy=self.selection_strategy,
-            warps_per_core=warps_per_core,
         )
 
     # Stage 2: multi-warp model ---------------------------------------------------
@@ -225,22 +216,21 @@ class GPUMech:
         self,
         inputs: ModelInputs,
         n_warps: Optional[int] = None,
-        policy: Optional[str] = None,
-        warps_per_core: Optional[int] = None,
     ) -> Prediction:
         """Predict CPI under multithreading and contention (Fig. 5, right).
 
-        Reads ``inputs.selection`` alone, never the trace or another
-        upstream artifact.  The only arch-specific step is the issue-slot
-        count the multithreading model runs with (``schedulers_per_core``);
-        contention and the CPI stack are per-core under every arch.
+        ``n_warps`` replaces the config's resident warps in the model
+        alone (a model-only what-if; the cache replay keeps the config's
+        residency).  Reads ``inputs.selection`` alone, never the trace
+        or another upstream artifact.  The only arch-specific step is
+        the issue-slot count the multithreading model runs with
+        (``schedulers_per_core``); contention and the CPI stack are
+        per-core under every arch.
         """
-        policy = policy if policy is not None else self.config.scheduler
+        policy = self.config.scheduler
         selection = inputs.selection
         if n_warps is None:
-            n_warps = resident_warps_per_core(
-                selection, self.config, warps_per_core
-            )
+            n_warps = resident_warps_per_core(selection, self.config)
         profile = selection.profile
         multithreading = model_multithreading(
             profile, n_warps, policy,

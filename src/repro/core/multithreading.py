@@ -32,7 +32,7 @@ document here; the unit tests pin the corrected behaviour):
 * Eq. 16 reads ``min(issued - stall, 0)`` which is never positive; the
   accompanying text ("non-overlapped instructions are incurred if the
   number of issued instructions is more than the stall cycles") requires
-  ``max(issued - stall * issue_rate, 0)``.
+  ``max(issued - stall, 0)``.
 
 Eq. 7 as printed is instructions/cycles (an IPC); we return its
 reciprocal so ``cpi`` is cycles per core-instruction, directly comparable
@@ -87,13 +87,12 @@ def nonoverlapped_gto(
     issue_prob: float,
     n_warps: int,
     avg_interval_insts: float,
-    issue_rate: float,
 ):
     """Eq. 12-16 (with the min/max corrections): one interval under GTO."""
     issue_prob_in_stall = np.minimum(1.0, issue_prob * interval.stall_cycles)
     issue_warps_in_stall = issue_prob_in_stall * (n_warps - 1)
     issued_in_stall = avg_interval_insts * issue_warps_in_stall
-    return np.maximum(0.0, issued_in_stall - interval.stall_cycles * issue_rate)
+    return np.maximum(0.0, issued_in_stall - interval.stall_cycles)
 
 
 def model_multithreading(
@@ -111,7 +110,7 @@ def model_multithreading(
     slot contended) only by its own partition's ``ceil(n_warps / S)``
     warps, while the core still retires all ``n_warps`` warps'
     instructions over the busiest partition's span, and the CPI floor is
-    ``1 / (S * issue_rate)``.  At ``S = 1`` (the paper's core) this is
+    ``1 / S``.  At ``S = 1`` (the paper's core) this is
     Eq. 7-16 as printed.
     """
     if n_warps < 1:
@@ -119,7 +118,6 @@ def model_multithreading(
     if policy not in ("rr", "gto"):
         raise ValueError("policy must be 'rr' or 'gto'")
 
-    issue_rate = profile.issue_rate
     issue_prob = profile.issue_prob
     avg_insts = profile.avg_interval_insts
     n_slots = max(1, min(n_schedulers, n_warps))
@@ -132,7 +130,7 @@ def model_multithreading(
         per_interval = nonoverlapped_rr(intervals, issue_prob, peers)
     else:
         per_interval = nonoverlapped_gto(
-            intervals, issue_prob, peers, avg_insts, issue_rate
+            intervals, issue_prob, peers, avg_insts
         )
 
     total_nonoverlapped = ordered_sum(per_interval)  # Eq. 8
@@ -142,14 +140,13 @@ def model_multithreading(
     # cycles on top of the representative warp's execution time, and the
     # core retires n_warps x rep_insts instructions in that time.
     total_insts = n_warps * rep_insts
-    cycles = rep_cycles + total_nonoverlapped / issue_rate
+    cycles = rep_cycles + total_nonoverlapped
     cpi = cycles / total_insts if total_insts else 0.0
-    # Physical issue-bandwidth bound: a core cannot retire more than
-    # n_slots * issue_rate instructions per cycle, so per-core-instruction
-    # CPI can never drop below 1/(n_slots * issue_rate).  (The
-    # probabilistic overlap count can otherwise become optimistic for
-    # heavily saturated cores.)
-    cpi = max(cpi, 1.0 / (n_slots * issue_rate))
+    # Physical issue-bandwidth bound: a core cannot retire more than one
+    # instruction per issue slot and cycle, so per-core-instruction CPI
+    # can never drop below 1/n_slots.  (The probabilistic overlap count
+    # can otherwise become optimistic for heavily saturated cores.)
+    cpi = max(cpi, 1.0 / n_slots)
     return MultithreadingResult(
         policy=policy,
         n_warps=n_warps,
@@ -161,12 +158,3 @@ def model_multithreading(
         rep_insts=rep_insts,
     )
 
-
-def naive_multithreading_cpi(profile: IntervalProfile, n_warps: int) -> float:
-    """Eq. 1: the naive model — all remaining-warp work hides in stalls."""
-    if n_warps < 1:
-        raise ValueError("n_warps must be >= 1")
-    rep_insts = profile.n_insts
-    if not rep_insts:
-        return 0.0
-    return profile.total_cycles / (n_warps * rep_insts)

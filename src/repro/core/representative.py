@@ -87,7 +87,7 @@ def feature_vectors(profiles: Sequence[IntervalProfile]) -> np.ndarray:
         np.add.accumulate(padded, axis=1)[:, -1] + 0.0 if width
         else np.zeros(len(counts))
     )
-    cycles = n_insts / profiles.issue_rate + stalls
+    cycles = n_insts + stalls
     perf = np.divide(
         n_insts, cycles, out=np.zeros(len(counts)), where=cycles != 0
     )

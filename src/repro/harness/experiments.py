@@ -185,8 +185,9 @@ def run_model_comparison(
 ) -> ExperimentResult:
     """Per-kernel errors of all Table II models under one policy."""
     kernels = list(kernels) if kernels is not None else kernel_names()
+    config = pipeline.config.with_(scheduler=policy)
     results = pipeline.evaluate_many(
-        [EvalRequest(kernel=name, policy=policy) for name in kernels]
+        [EvalRequest(kernel=name, config=config) for name in kernels]
     )
     rows = []
     for result in results:
@@ -328,10 +329,11 @@ def run_figure16(
     sections: List[str] = []
     data: Dict[str, Dict] = {}
     categories = [t for t in StallType]
+    sweep = Sweep("warps_per_core", warp_counts)
     flat = iter(
         pipeline.evaluate_many(
             [
-                EvalRequest(kernel=name, warps_per_core=warps)
+                sweep.request(pipeline, name, warps)
                 for name in kernels
                 for warps in warp_counts
             ]

@@ -9,7 +9,8 @@ module provides the generic harness the figure drivers specialise:
 
 Sweepable parameters are any :class:`~repro.config.GPUConfig` field
 (``n_mshrs``, ``dram_bandwidth_gbps``, ``scheduler``, ``n_sfu_units``,
-...) plus the pseudo-parameter ``warps_per_core`` (residency override).
+...) plus the axis ``warps_per_core``, which sets
+``max_threads_per_core`` to that many warps.
 Each point evaluates the oracle and all Table II models, so a sweep both
 *predicts* (model CPIs) and *validates* (errors) in one pass.
 """
@@ -130,12 +131,12 @@ class Sweep:
     def request(self, pipeline: Pipeline, kernel: str,
                 value: object) -> EvalRequest:
         """The pipeline request of one (kernel × value) sweep point."""
+        config = pipeline.config
         if self.parameter == "warps_per_core":
-            return EvalRequest(kernel=kernel, warps_per_core=int(value))
-        return EvalRequest(
-            kernel=kernel,
-            config=pipeline.config.with_(**{self.parameter: value}),
-        )
+            fields = {"max_threads_per_core": int(value) * config.warp_size}
+        else:
+            fields = {self.parameter: value}
+        return EvalRequest(kernel=kernel, config=config.with_(**fields))
 
     def run(self, pipeline: Pipeline, kernels: Sequence[str]) -> SweepResult:
         """Evaluate oracle + all models at every sweep point.

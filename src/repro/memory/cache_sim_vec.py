@@ -29,7 +29,7 @@ Bitwise-compatibility notes (the contract is pickle-identical
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -83,11 +83,7 @@ def _lru_stream(
     return hits, misses
 
 
-def simulate_caches_vectorized(
-    trace: KernelTrace,
-    config: GPUConfig,
-    warps_per_core: Optional[int] = None,
-):
+def simulate_caches_vectorized(trace: KernelTrace, config: GPUConfig):
     """Vectorized counterpart of scalar ``simulate_caches``."""
     # Deferred import: cache_simulator dispatches to this module.
     from repro.memory.cache_simulator import (
@@ -118,7 +114,7 @@ def simulate_caches_vectorized(
     warp_base = np.zeros(n_warps, dtype=np.int64)
     warp_core = np.zeros(n_warps, dtype=np.int64)
     warp_wavepos = np.zeros(n_warps, dtype=np.int64)
-    for core, waves in enumerate(_resident_waves(trace, config, warps_per_core)):
+    for core, waves in enumerate(_resident_waves(trace, config)):
         base = 0
         for wave in waves:
             for pos, w in enumerate(wave):

@@ -17,7 +17,7 @@ the output is, per static memory instruction (PC):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import GPUConfig
 from repro.memory.hierarchy import MemoryHierarchy, MissEvent
@@ -121,7 +121,7 @@ class CacheSimResult:
 
 
 def _resident_waves(
-    trace: KernelTrace, config: GPUConfig, warps_per_core: Optional[int]
+    trace: KernelTrace, config: GPUConfig
 ) -> List[List[List[int]]]:
     """Group warp indices into per-core residency waves.
 
@@ -129,11 +129,10 @@ def _resident_waves(
     cores equal to that of the modeled system" (Sec. V-A): only the warps
     that are *concurrently resident* interleave their accesses.  Blocks
     are assigned to cores round-robin (like the oracle) and chunked into
-    waves of at most the core's resident-block capacity.
+    waves of at most the core's resident-block capacity (a block larger
+    than the core's warp limit runs alone, as in the oracle).
     """
-    limit = warps_per_core if warps_per_core is not None else (
-        config.max_warps_per_core
-    )
+    limit = config.max_warps_per_core
     blocks: Dict[int, List[int]] = {}
     for w, block_id in enumerate(trace.block_ids.tolist()):
         blocks.setdefault(block_id, []).append(w)
@@ -154,11 +153,7 @@ def _resident_waves(
     return per_core_waves
 
 
-def simulate_caches(
-    trace: KernelTrace,
-    config: GPUConfig,
-    warps_per_core: Optional[int] = None,
-) -> CacheSimResult:
+def simulate_caches(trace: KernelTrace, config: GPUConfig) -> CacheSimResult:
     """Replay all memory traffic and collect per-PC miss distributions.
 
     Warps interleave round-robin *within their residency wave* (the set
@@ -175,9 +170,7 @@ def simulate_caches(
     if not use_scalar():
         from repro.memory.cache_sim_vec import simulate_caches_vectorized
 
-        return simulate_caches_vectorized(
-            trace, config, warps_per_core=warps_per_core
-        )
+        return simulate_caches_vectorized(trace, config)
     hierarchy = MemoryHierarchy(config)
     per_pc: Dict[int, PCStats] = {}
 
@@ -193,7 +186,7 @@ def simulate_caches(
         )
 
     cursors = [0] * len(trace.warps)
-    waves = _resident_waves(trace, config, warps_per_core)
+    waves = _resident_waves(trace, config)
     wave_cursor = [0] * config.n_cores
 
     def replay_one(core: int, w: int) -> bool:

@@ -92,8 +92,6 @@ class EvalRequest:
 
     kernel: str
     config: Optional[GPUConfig] = None
-    policy: Optional[str] = None
-    warps_per_core: Optional[int] = None
     selection_strategy: str = "clustering"
 
 
@@ -131,13 +129,7 @@ def _evaluate_in_worker(request: EvalRequest):
     """Run one sweep point; returns (result, metric delta, spans)."""
     global _WORKER_BASELINE
     pipeline = _WORKER_PIPELINE
-    result = pipeline.evaluate(
-        request.kernel,
-        config=request.config,
-        policy=request.policy,
-        warps_per_core=request.warps_per_core,
-        selection_strategy=request.selection_strategy,
-    )
+    result = _evaluate_with(pipeline, request)
     snapshot = pipeline.metrics.snapshot()
     delta = diff_snapshots(snapshot, _WORKER_BASELINE)
     _WORKER_BASELINE = snapshot
@@ -291,13 +283,8 @@ class Pipeline:
             )
         return bound
 
-    def _effective_config(
-        self, config: Optional[GPUConfig], policy: Optional[str] = None
-    ) -> GPUConfig:
-        config = config if config is not None else self.config
-        if policy is not None and policy != config.scheduler:
-            config = config.with_(scheduler=policy)
-        return config
+    def _effective_config(self, config: Optional[GPUConfig]) -> GPUConfig:
+        return config if config is not None else self.config
 
     # -- stage accessors ----------------------------------------------------
 
@@ -314,13 +301,12 @@ class Pipeline:
         )
 
     def _chain(self, kernel_name: str, config: GPUConfig,
-               selection_strategy: str = "clustering",
-               warps_per_core: Optional[int] = None) -> "_InputChain":
+               selection_strategy: str = "clustering") -> "_InputChain":
         """The input walk of a suite kernel; it builds the trace on a
         miss that needs it."""
         return _InputChain(
             self, config, self.trace_key(kernel_name, config),
-            selection_strategy, warps_per_core, kernel_name=kernel_name,
+            selection_strategy, kernel_name=kernel_name,
         )
 
     def _record_cache_metrics(self, result) -> None:
@@ -344,20 +330,16 @@ class Pipeline:
         kernel_name: str,
         config: Optional[GPUConfig] = None,
         selection_strategy: str = "clustering",
-        warps_per_core: Optional[int] = None,
     ):
         """Fig. 5 left side for a suite kernel: trace → ... → clustering."""
         config = self._effective_config(config)
-        return self._chain(
-            kernel_name, config, selection_strategy, warps_per_core
-        ).inputs()
+        return self._chain(kernel_name, config, selection_strategy).inputs()
 
     def model_inputs_from_trace(
         self,
         trace,
         config: Optional[GPUConfig] = None,
         selection_strategy: str = "clustering",
-        warps_per_core: Optional[int] = None,
         trace_key_: Optional[str] = None,
     ):
         """Fig. 5 left side for an externally supplied trace."""
@@ -365,28 +347,21 @@ class Pipeline:
         if trace_key_ is None:
             trace_key_ = "trace:" + trace_digest(trace)
         return _InputChain(
-            self, config, trace_key_, selection_strategy, warps_per_core,
-            trace=trace,
+            self, config, trace_key_, selection_strategy, trace=trace,
         ).inputs()
 
-    def simulate(
-        self,
-        kernel_name: str,
-        config: Optional[GPUConfig] = None,
-        warps_per_core: Optional[int] = None,
-    ):
+    def simulate(self, kernel_name: str,
+                 config: Optional[GPUConfig] = None):
         """Run the cycle-level timing oracle (cached on the full config)."""
         config = self._effective_config(config)
-        return self._simulate(
-            self._chain(kernel_name, config, warps_per_core=warps_per_core)
-        )
+        return self._simulate(self._chain(kernel_name, config))
 
     def _simulate(self, chain: "_InputChain"):
         """The oracle of ``chain``'s kernel; it reads the trace on a miss
         only."""
-        config, warps_per_core = chain.config, chain.warps_per_core
+        config = chain.config
         interval = self.timeline_interval
-        parts: tuple = (chain.keys["trace"], warps_per_core)
+        parts: tuple = (chain.keys["trace"],)
         if interval is not None:
             # Timeline-bearing artifacts are keyed apart so a cached
             # no-timeline run never satisfies a sampling request (and
@@ -395,9 +370,7 @@ class Pipeline:
         key = stage_key("oracle", config, *parts)
 
         def compute(config, trace):
-            stats = compute_oracle(
-                trace, config, warps_per_core, timeline_interval=interval
-            )
+            stats = compute_oracle(trace, config, timeline_interval=interval)
             self._record_oracle_metrics(stats)
             return stats
 
@@ -442,20 +415,15 @@ class Pipeline:
         self,
         kernel_name: str,
         config: Optional[GPUConfig] = None,
-        policy: Optional[str] = None,
-        warps_per_core: Optional[int] = None,
-        n_warps: Optional[int] = None,
         selection_strategy: str = "clustering",
     ):
         """GPUMech prediction through the cached stage chain."""
-        config = self._effective_config(config, policy)
+        config = self._effective_config(config)
         return self._predict(
-            self._chain(kernel_name, config, selection_strategy,
-                        warps_per_core),
-            n_warps,
+            self._chain(kernel_name, config, selection_strategy)
         )[2]
 
-    def _predict(self, chain: "_InputChain", n_warps=None):
+    def _predict(self, chain: "_InputChain"):
         """Fig. 5 down one input walk: ``(inputs, n_warps, prediction)``.
 
         The resident warps and the prediction come from the selection
@@ -464,10 +432,7 @@ class Pipeline:
         from repro.core.model import GPUMech, resident_warps_per_core
 
         inputs, config = chain.inputs(), chain.config
-        if n_warps is None:
-            n_warps = resident_warps_per_core(
-                inputs.selection, config, chain.warps_per_core
-            )
+        n_warps = resident_warps_per_core(inputs.selection, config)
         key = stage_key("predict", config, chain.keys["clustering"], n_warps)
         prediction = self._execute(
             "predict", key, config,
@@ -479,33 +444,27 @@ class Pipeline:
         self,
         kernel_name: str,
         config: Optional[GPUConfig] = None,
-        policy: Optional[str] = None,
-        warps_per_core: Optional[int] = None,
         selection_strategy: str = "clustering",
     ):
         """Oracle + all Table II models on one kernel (one sweep point)."""
-        config = self._effective_config(config, policy)
+        config = self._effective_config(config)
         with self.tracer.span(
             "evaluate",
             category="pipeline",
             args={"kernel": kernel_name, "policy": config.scheduler},
         ):
             return self._evaluate_traced(
-                kernel_name, config, warps_per_core, selection_strategy
+                kernel_name, config, selection_strategy
             )
 
-    def _evaluate_traced(
-        self, kernel_name, config, warps_per_core, selection_strategy
-    ):
+    def _evaluate_traced(self, kernel_name, config, selection_strategy):
         from repro.baselines.markov import markov_chain_cpi
         from repro.baselines.naive import naive_interval_cpi
         from repro.harness.runner import KernelResult  # circular at import
 
         started = time.perf_counter()
         timings_before = dict(self.timings) if self.ledger else {}
-        chain = self._chain(
-            kernel_name, config, selection_strategy, warps_per_core
-        )
+        chain = self._chain(kernel_name, config, selection_strategy)
         oracle = self._simulate(chain)
         inputs, n_warps, prediction = self._predict(chain)
         representative = inputs.representative
@@ -596,10 +555,7 @@ class Pipeline:
             args={"points": len(requests), "jobs": jobs},
         ):
             for request in requests:  # warm shared traces (store-deduped)
-                self.trace(
-                    request.kernel,
-                    self._effective_config(request.config, request.policy),
-                )
+                self.trace(request.kernel, request.config)
             context = _mp_context()
             _LOG.info(
                 "fanning %d sweep points out over %d workers (%s)",
@@ -625,8 +581,6 @@ def _evaluate_with(pipeline: Pipeline, request: EvalRequest):
     return pipeline.evaluate(
         request.kernel,
         config=request.config,
-        policy=request.policy,
-        warps_per_core=request.warps_per_core,
         selection_strategy=request.selection_strategy,
     )
 
@@ -647,16 +601,15 @@ class _InputChain:
     """
 
     def __init__(self, pipeline, config, trace_key, strategy,
-                 warps_per_core, kernel_name=None, trace=None):
+                 kernel_name=None, trace=None):
         self.pipeline = pipeline
         self.config = config
         self.strategy = strategy
-        self.warps_per_core = warps_per_core
         self.kernel_name = kernel_name
         self.artifacts: Dict[str, Any] = (
             {} if trace is None else {"trace": trace}
         )
-        cache_key = stage_key("cache_sim", config, trace_key, warps_per_core)
+        cache_key = stage_key("cache_sim", config, trace_key)
         latency_key = stage_key("latency_table", config, cache_key)
         profiles_key = stage_key("interval_profiles", config, latency_key)
         # The profiles key hashes the latency key, which hashes the trace
@@ -691,9 +644,7 @@ class _InputChain:
         return compute_trace(self.kernel_name, self.pipeline.scale, config)
 
     def _cache_sim(self, config, trace):
-        result = simulate_caches(
-            trace, config, warps_per_core=self.warps_per_core
-        )
+        result = simulate_caches(trace, config)
         self.pipeline._record_cache_metrics(result)
         return result
 
@@ -701,7 +652,7 @@ class _InputChain:
         return build_latency_table(trace, cache_result, config)
 
     def _interval_profiles(self, config, trace, latency_table):
-        return build_interval_profiles(trace, latency_table, config.issue_rate)
+        return build_interval_profiles(trace, latency_table)
 
     def _clustering(self, config, trace, profiles, latency_table):
         selection = select_representative(profiles, self.strategy)

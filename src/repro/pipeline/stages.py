@@ -13,7 +13,7 @@ invalidates:
 ``trace``             functional emulation (config: trace fields only)
 ``cache_sim``         functional cache replay (cache geometry + residency)
 ``latency_table``     per-PC AMAT + avg miss latency (latency parameters)
-``interval_profiles`` per-warp Eq. 4 scan (issue bandwidth)
+``interval_profiles`` per-warp Eq. 4 scan (no field of its own)
 ``clustering``        representative warp + all a prediction reads upstream
 ``predict``           multi-warp analytical model (scheduling, contention)
 ``oracle``            cycle-level timing simulation (full config)
@@ -70,16 +70,10 @@ LATENCY_FIELDS: FrozenSet[str] = frozenset(
     }
 )
 
-#: Interval-profile config dependencies: issue bandwidth.  (Profiles of
-#: two archs never share an artifact: ``arch`` keys the trace, and the
-#: profile key folds in the trace key.)
-PROFILE_FIELDS: FrozenSet[str] = frozenset({"issue_width"})
-
 #: Analytical-model config dependencies beyond the clustering key's
-#: coverage (which already brings in cache geometry, residency,
-#: latencies and issue width): the scheduler policy, the issue slots per
-#: core (``arch``, ``n_schedulers``), and the Sec. IV-B contention
-#: parameters.
+#: coverage (which already brings in cache geometry, residency and
+#: latencies): the scheduler policy, the issue slots per core (``arch``,
+#: ``n_schedulers``), and the Sec. IV-B contention parameters.
 PREDICT_FIELDS: FrozenSet[str] = frozenset(
     {
         "scheduler",
@@ -94,12 +88,9 @@ PREDICT_FIELDS: FrozenSet[str] = frozenset(
 )
 
 #: Timing-oracle config dependencies: the cycle-level simulator reads
-#: the whole machine description except ``simt_width`` (pinned to
-#: ``warp_size``), ``issue_width`` (pinned to 1 — single-issue cores),
-#: and the scratchpad geometry already serialized into the trace.
-ORACLE_FIELDS: FrozenSet[str] = ALL_FIELDS - frozenset(
-    {"simt_width", "issue_width", "smem_size", "smem_banks"}
-)
+#: the whole machine description except the scratchpad banking already
+#: serialized into the trace.
+ORACLE_FIELDS: FrozenSet[str] = ALL_FIELDS - {"smem_banks"}
 
 
 @dataclass(frozen=True)
@@ -155,9 +146,13 @@ STAGES = {
         StageSpec(
             "interval_profiles",
             inputs=("trace", "latency_table"),
-            config_fields=PROFILE_FIELDS,
+            # A core issues one instruction a cycle.  Profiles of two
+            # archs never share an artifact: ``arch`` keys the trace,
+            # and the profile key folds in the trace key.
+            config_fields=frozenset(),
             description="per-warp interval profiles (Eq. 4)",
-            layout=2,  # launch-wide interval columns
+            # 2: launch-wide interval columns; 3: no issue rate
+            layout=3,
         ),
         StageSpec(
             "clustering",
@@ -367,14 +362,7 @@ def compute_trace(kernel_name: str, scale, config: GPUConfig) -> KernelTrace:
 
 
 def compute_oracle(
-    trace,
-    config,
-    warps_per_core: Optional[int],
-    timeline_interval: Optional[float] = None,
+    trace, config, timeline_interval: Optional[float] = None
 ):
-    simulator = TimingSimulator(
-        config,
-        warps_per_core=warps_per_core,
-        timeline_interval=timeline_interval,
-    )
+    simulator = TimingSimulator(config, timeline_interval=timeline_interval)
     return simulator.run(trace)

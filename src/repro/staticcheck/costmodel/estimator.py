@@ -14,8 +14,8 @@ interpreter and the access classifier, then folds their facts into one
   class and count interval — the static shape of the interval profile
   GPUMech builds from dynamic traces;
 * **static occupancy** (resident blocks/warps per core against the
-  hardware limits) and a **CPI lower bound**: the issue-width floor or
-  the DRAM-bandwidth floor (predicted store line traffic, which always
+  hardware limits) and a **CPI lower bound**: the issue floor (one
+  instruction a cycle per scheduler) or the DRAM-bandwidth floor (predicted store line traffic, which always
   reaches DRAM, priced at ``dram_service_cycles``), whichever binds.
   The CPI convention matches the oracle's
   ``total_cycles · n_cores_used / total_insts``.
@@ -194,9 +194,7 @@ def _empty_model(name: str, n_threads: int, block_size: int,
         resident_blocks_per_core=0,
         resident_warps_per_core=0,
         occupancy=0.0,
-        cpi_lower_bound=1.0 / (
-            config.issue_width * config.schedulers_per_core
-        ),
+        cpi_lower_bound=1.0 / config.schedulers_per_core,
         counts={},
     )
 
@@ -323,9 +321,9 @@ def analyze_program(
     # Issue floor always holds; the DRAM floor needs a finite instruction
     # upper bound to be sound.  It prices store traffic only: a load can
     # hit in L1 or L2, but stores are write-through and no-write-allocate,
-    # so every store transaction reaches DRAM.  A core issues from one
-    # slot per scheduler.
-    cpi_lb = 1.0 / (config.issue_width * config.schedulers_per_core)
+    # so every store transaction reaches DRAM.  A core issues one
+    # instruction a cycle from each scheduler's slot.
+    cpi_lb = 1.0 / config.schedulers_per_core
     n_blocks = max(1, n_threads // max(1, block_size))
     n_cores_used = min(config.n_cores, n_blocks)
     if insts.hi is not None and insts.hi > 0:

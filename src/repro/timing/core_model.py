@@ -1,7 +1,8 @@
 """Per-core issue logic of the timing oracle.
 
-Each core holds a queue of thread blocks, keeps up to ``warps_per_core``
-warps resident (block-granular residency, like real GPUs), and issues
+Each core holds a queue of thread blocks, keeps up to
+``config.max_warps_per_core`` warps resident (block-granular residency,
+like real GPUs; a block larger than that runs alone), and issues
 through ``config.schedulers_per_core`` *scheduler partitions*.  The
 paper's ``gpumech2014`` machine has a single partition holding every
 resident warp; ``arch="subcore"`` builds ``n_schedulers`` partitions
@@ -163,7 +164,6 @@ class CoreModel:
         dram: DRAMSystem,
         trace: KernelTrace,
         blocks: Sequence[Sequence[int]],
-        warps_per_core: Optional[int] = None,
     ):
         """``blocks`` lists this core's thread blocks in dispatch order,
         each as the launch indices of its warps in ``trace``."""
@@ -173,10 +173,7 @@ class CoreModel:
         self.l2 = l2
         self.dram = dram
         self.mshr = MSHRFile(config.n_mshrs)
-        self.warps_per_core = (
-            warps_per_core if warps_per_core is not None
-            else config.max_warps_per_core
-        )
+        self._max_warps = config.max_warps_per_core
         self.stats = CoreStats(core_id)
         # Fixed latency of each pipeline op, indexed by opcode (None for
         # the memory, scratchpad and barrier ops step handles apart).
@@ -248,10 +245,16 @@ class CoreModel:
     # Residency -------------------------------------------------------------
 
     def _activate_blocks(self) -> None:
-        """Bring queued blocks on-core while warp slots are available."""
+        """Bring queued blocks on-core while warp slots are available.
+
+        A core with no resident warps admits the next block whatever its
+        size, so a block larger than the warp limit runs alone (as in
+        the cache replay and the model) instead of never running.
+        """
         while self._block_queue:
             block = self._block_queue[0]
-            if len(self._resident) + len(block) > self.warps_per_core:
+            resident = len(self._resident)
+            if resident and resident + len(block) > self._max_warps:
                 break
             self._block_queue.pop(0)
             runs = []

@@ -38,10 +38,8 @@ class TimingSimulator:
     Parameters
     ----------
     config:
-        Machine description (Table I).
-    warps_per_core:
-        Override of the resident-warp limit (Fig. 13/16 sweeps); defaults
-        to ``config.max_warps_per_core``.
+        Machine description (Table I); ``config.max_warps_per_core`` is
+        the resident-warp limit of every core.
     cycle_skipping:
         Disable to force the naive one-cycle-at-a-time loop (used by the
         equivalence tests; dramatically slower).
@@ -55,13 +53,11 @@ class TimingSimulator:
     def __init__(
         self,
         config: GPUConfig,
-        warps_per_core: Optional[int] = None,
         cycle_skipping: bool = True,
         max_cycles: float = 5e8,
         timeline_interval: Optional[float] = None,
     ):
         self.config = config
-        self.warps_per_core = warps_per_core
         self.cycle_skipping = cycle_skipping
         self.max_cycles = max_cycles
         if timeline_interval is not None and timeline_interval <= 0:
@@ -97,7 +93,6 @@ class TimingSimulator:
                 dram,
                 trace,
                 per_core_blocks[core_id],
-                warps_per_core=self.warps_per_core,
             )
             for core_id in range(config.n_cores)
             if per_core_blocks[core_id]
@@ -193,10 +188,6 @@ class TimingSimulator:
             )
 
 
-def simulate_kernel(
-    trace: KernelTrace,
-    config: GPUConfig,
-    warps_per_core: Optional[int] = None,
-) -> SimStats:
+def simulate_kernel(trace: KernelTrace, config: GPUConfig) -> SimStats:
     """Convenience wrapper: run the oracle on a kernel trace."""
-    return TimingSimulator(config, warps_per_core=warps_per_core).run(trace)
+    return TimingSimulator(config).run(trace)

@@ -90,8 +90,7 @@ class TestCacheKeys:
         assert SUBCORE.fingerprint(ALL_FIELDS) != SUBCORE.with_(
             n_schedulers=4
         ).fingerprint(ALL_FIELDS)
-        # ...but the trace does not depend on the partition count (nor
-        # on simt_width, which validation pins to warp_size).
+        # ...but the trace does not depend on the partition count.
         assert TRACE_FIELDS == frozenset(
             {"warp_size", "line_size", "smem_banks", "arch"}
         )
@@ -186,8 +185,12 @@ class TestOneSchedulerSubcoreIsThePaperMachine:
                 name, column,
             )
         for policy in ("rr", "gto"):
-            want = paper.predict(name, policy=policy)
-            got = one_slot.predict(name, policy=policy)
+            want = paper.predict(
+                name, paper.config.with_(scheduler=policy)
+            )
+            got = one_slot.predict(
+                name, one_slot.config.with_(scheduler=policy)
+            )
             assert got.cpi == want.cpi, (name, policy)
             assert got.cpi_multithreading == want.cpi_multithreading, (
                 name, policy,
@@ -347,14 +350,12 @@ class TestSubcoreEndToEnd:
         trace = emulate(kernel, SUBCORE, memory=memory)
         cache = simulate_caches(trace, SUBCORE)
         table = build_latency_table(trace, cache, SUBCORE)
-        profile = build_interval_profiles(
-            trace, table, SUBCORE.issue_rate
-        )[0]
+        profile = build_interval_profiles(trace, table)[0]
         sub = model_multithreading(
             profile, 8, "rr", n_schedulers=SUBCORE.schedulers_per_core
         )
         assert sub.n_warps == 8
-        assert sub.cpi >= 1.0 / (2 * SUBCORE.issue_rate)
+        assert sub.cpi >= 1.0 / 2
 
     def test_arch_comparison_report(self):
         from repro.analysis import (

@@ -96,11 +96,18 @@ class TestConfigView:
 
 
 class TestKeyCoverage:
+    def test_every_field_is_covered_by_some_stage(self):
+        # With TestDeclaredFieldsAreRead (every declared field is read),
+        # a config field that no stage reads fails here: the machine
+        # description holds no field that selects nothing.
+        covered = frozenset().union(*key_coverage(STAGES).values())
+        assert covered == ALL_FIELDS
+
     def test_predict_coverage_reaches_through_its_inputs(self):
         # predict declares only what it adds; everything else arrives
         # through the clustering key chain, ending at the trace key.
         covered = key_coverage(STAGES)["predict"]
-        assert covered == ALL_FIELDS - {"simt_width", "smem_size"}
+        assert covered == ALL_FIELDS
         assert PREDICT_FIELDS < covered
 
     def test_upstream_covered_field_stays_readable(self):

@@ -68,16 +68,74 @@ class TestCommands:
 
     def test_predict_warps_reaches_the_cache_replay(self, capsys):
         """``--warps`` sets the residency of the whole model-input chain,
-        the cache replay included, as ``Pipeline.predict`` does."""
+        the cache replay included: it is the config's."""
         assert main(
             ["predict", "streamcluster_dist", "--scale", "small",
              "--cores", "2", "--warps", "4"]
         ) == 0
         out = capsys.readouterr().out
-        expected = Pipeline(GPUConfig(n_cores=2), Scale.small()).predict(
-            "streamcluster_dist", warps_per_core=4
-        )
+        expected = Pipeline(
+            GPUConfig.small(n_cores=2, warps_per_core=4), Scale.small()
+        ).predict("streamcluster_dist")
         assert ": CPI %.3f = " % expected.cpi in out
+        assert ": CPI 20.617 = " in out
+
+    def test_simulate_warps_reach_the_oracle(self, capsys):
+        """The oracle runs the flags' machine: on one core, vectoradd's
+        two-warp blocks run one at a time at 2 warps, two at 4."""
+        out = {}
+        for warps in (2, 4):
+            assert main(
+                ["simulate", "vectoradd", "--scale", "tiny", "--cores", "1",
+                 "--warps", str(warps)]
+            ) == 0
+            out[warps] = capsys.readouterr().out
+            expected = Pipeline(
+                GPUConfig(n_cores=1, max_threads_per_core=warps * 32),
+                Scale.tiny(),
+            ).simulate("vectoradd")
+            assert out[warps] == expected.summary() + "\n"
+        assert "CPI 28.125 " in out[2] and "CPI 14.297 " in out[4]
+
+    def test_experiment_warps_reach_the_figure(self, capsys):
+        """Every command with machine flags runs the machine they name:
+        ``--warps`` reaches the experiments too."""
+        assert main(
+            ["experiment", "figure4", "--scale", "tiny", "--cores", "2",
+             "--warps", "2"]
+        ) == 0
+        assert "(rr, 2 warps/core)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--warps", "0", "max_threads_per_core"),
+        ("--mshrs", "0", "n_mshrs"),
+        ("--cores", "0", "n_cores"),
+    ])
+    def test_invalid_machine_flag_fails_cleanly(
+        self, capsys, flag, value, field
+    ):
+        """A machine the config rejects exits 2 with one line naming
+        the field: no prediction, no traceback."""
+        assert main(
+            ["predict", "vectoradd", "--scale", "tiny", flag, value]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "invalid machine" in lines[0] and field in lines[0]
+
+    def test_compare_arch_rejects_a_machine_one_arch_cannot_be(
+        self, capsys
+    ):
+        """``--compare-arch`` runs the flags' machine under every arch;
+        2 warps cannot be split over 4 sub-core schedulers."""
+        assert main(
+            ["characterize", "vectoradd", "--compare-arch", "--scale",
+             "tiny", "--warps", "2"]
+        ) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "must divide" in lines[0]
 
     def test_jobs_and_cache_dir_flags(self, capsys, tmp_path):
         cache = str(tmp_path / "artifacts")

@@ -61,7 +61,6 @@ class RefProfile:
 
     warp_id: int
     intervals: List[Interval] = field(default_factory=list)
-    issue_rate: float = 1.0
 
     @property
     def n_intervals(self) -> int:
@@ -77,7 +76,7 @@ class RefProfile:
 
     @property
     def total_cycles(self) -> float:
-        return self.n_insts / self.issue_rate + self.total_stall_cycles
+        return self.n_insts + self.total_stall_cycles
 
     @property
     def warp_perf(self) -> float:
@@ -140,7 +139,6 @@ def ref_dram_queuing_delay(core_reqs, interval_cycles, config) -> float:
 def ref_model_contention(profile, n_warps, config, avg_miss_latency):
     per_mshr: List[float] = []
     per_queue: List[float] = []
-    issue_rate = profile.issue_rate
     sfu_limited = config.n_sfu_units < config.warp_size
     sfu_service = config.sfu_service_cycles
 
@@ -155,7 +153,7 @@ def ref_model_contention(profile, n_warps, config, avg_miss_latency):
         # --- DRAM bandwidth (reads that miss L2 + write-through stores) --
         core_dram_reqs = interval.dram_reqs * n_warps
         wait = ref_dram_queuing_delay(
-            core_dram_reqs, interval.cycles(issue_rate), config
+            core_dram_reqs, interval.cycles, config
         )
         per_queue.append(wait * interval.exp_dram_loads)
 
@@ -202,18 +200,15 @@ def ref_nonoverlapped_rr(interval, issue_prob, n_warps):
     return issue_prob * (n_warps - 1) * waiting_slots
 
 
-def ref_nonoverlapped_gto(
-    interval, issue_prob, n_warps, avg_interval_insts, issue_rate
-):
+def ref_nonoverlapped_gto(interval, issue_prob, n_warps, avg_interval_insts):
     issue_prob_in_stall = min(issue_prob * interval.stall_cycles, 1.0)
     issue_warps_in_stall = issue_prob_in_stall * (n_warps - 1)
     issued_in_stall = avg_interval_insts * issue_warps_in_stall
-    return max(issued_in_stall - interval.stall_cycles * issue_rate, 0.0)
+    return max(issued_in_stall - interval.stall_cycles, 0.0)
 
 
 def ref_model_multithreading(profile, n_warps, policy):
     """(cpi, total_nonoverlapped, per_interval, rep_total_cycles)."""
-    issue_rate = profile.issue_rate
     issue_prob = profile.issue_prob
     avg_insts = profile.avg_interval_insts
 
@@ -227,9 +222,7 @@ def ref_model_multithreading(profile, n_warps, policy):
         ]
     else:
         per_interval = [
-            ref_nonoverlapped_gto(
-                i, issue_prob, n_warps, avg_insts, issue_rate
-            )
+            ref_nonoverlapped_gto(i, issue_prob, n_warps, avg_insts)
             for i in profile.intervals
         ]
 
@@ -237,9 +230,9 @@ def ref_model_multithreading(profile, n_warps, policy):
     rep_insts = profile.n_insts
     rep_cycles = profile.total_cycles
     total_insts = n_warps * rep_insts
-    cycles = rep_cycles + total_nonoverlapped / issue_rate
+    cycles = rep_cycles + total_nonoverlapped
     cpi = cycles / total_insts if total_insts else 0.0
-    cpi = max(cpi, 1.0 / issue_rate)
+    cpi = max(cpi, 1.0)
     return cpi, total_nonoverlapped, per_interval, rep_cycles
 
 
@@ -256,7 +249,7 @@ def ref_single_warp_stack(profile, latency_table):
     if not n_insts:
         return stack
     components = stack.components
-    components[StallType.BASE] = 1.0 / profile.issue_rate
+    components[StallType.BASE] = 1.0
     for interval in profile.intervals:
         stall = interval.stall_cycles
         if stall <= 0.0:
@@ -283,21 +276,19 @@ def ref_markov_chain_cpi(profile, n_warps):
         1 for i in profile.intervals if i.stall_cycles > 0.0
     )
     if not stalling_intervals or stall <= 0.0:
-        return 1.0 / profile.issue_rate  # never stalls: issue-bound
+        return 1.0  # never stalls: issue-bound
     p = stalling_intervals / n_insts
     m = stall / stalling_intervals
     activation = 1.0 / (1.0 + p * m)
-    ipc = (1.0 - (1.0 - activation) ** n_warps) * profile.issue_rate
+    ipc = 1.0 - (1.0 - activation) ** n_warps
     return 1.0 / ipc
 
 
-def ref_naive_interval_cpi(profile, n_warps, cap_at_issue_rate=True):
+def ref_naive_interval_cpi(profile, n_warps):
     if not profile.n_insts:
         return 0.0
     cpi = profile.total_cycles / (n_warps * profile.n_insts)
-    if cap_at_issue_rate:
-        cpi = max(cpi, 1.0 / profile.issue_rate)
-    return cpi
+    return max(cpi, 1.0)
 
 
 def ref_feature_vectors(profiles):
@@ -363,9 +354,7 @@ def intervals(draw):
     )
 
 
-profiles = st.tuples(
-    st.lists(intervals(), max_size=40), st.sampled_from([1.0, 2.0])
-)
+profiles = st.lists(intervals(), max_size=40)
 
 
 @st.composite
@@ -393,11 +382,11 @@ def latency_tables(draw):
     return LatencyTable(np.ones(8), pc_stats, 420.0)
 
 
-def both(rows, issue_rate=1.0, warp_id=0):
+def both(rows, warp_id=0):
     """The same intervals as a columnar profile and as a reference one."""
     return (
-        IntervalProfile.from_intervals(warp_id, rows, issue_rate),
-        RefProfile(warp_id, list(rows), issue_rate),
+        IntervalProfile.from_intervals(warp_id, rows),
+        RefProfile(warp_id, list(rows)),
     )
 
 
@@ -406,8 +395,8 @@ def both(rows, issue_rate=1.0, warp_id=0):
 # ---------------------------------------------------------------------------
 
 
-def check_contention(rows, issue_rate, n_warps, config, avg_miss_latency):
-    profile, ref = both(rows, issue_rate)
+def check_contention(rows, n_warps, config, avg_miss_latency):
+    profile, ref = both(rows)
     got = model_contention(profile, n_warps, config, avg_miss_latency)
     want = ref_model_contention(ref, n_warps, config, avg_miss_latency)
     for spec in fields(ContentionResult):
@@ -416,8 +405,8 @@ def check_contention(rows, issue_rate, n_warps, config, avg_miss_latency):
         )
 
 
-def check_multithreading(rows, issue_rate, n_warps):
-    profile, ref = both(rows, issue_rate)
+def check_multithreading(rows, n_warps):
+    profile, ref = both(rows)
     for policy in ("rr", "gto"):
         got = model_multithreading(profile, n_warps, policy)
         cpi, total, per_interval, rep_cycles = ref_model_multithreading(
@@ -430,23 +419,22 @@ def check_multithreading(rows, issue_rate, n_warps):
         assert got.rep_insts == ref.n_insts
 
 
-def check_baselines(rows, issue_rate, n_warps):
-    profile, ref = both(rows, issue_rate)
+def check_baselines(rows, n_warps):
+    profile, ref = both(rows)
     assert_same_bits(
         markov_chain_cpi(profile, n_warps),
         ref_markov_chain_cpi(ref, n_warps),
         "markov",
     )
-    for cap in (True, False):
-        assert_same_bits(
-            naive_interval_cpi(profile, n_warps, cap),
-            ref_naive_interval_cpi(ref, n_warps, cap),
-            "naive",
-        )
+    assert_same_bits(
+        naive_interval_cpi(profile, n_warps),
+        ref_naive_interval_cpi(ref, n_warps),
+        "naive",
+    )
 
 
-def check_aggregates(rows, issue_rate):
-    profile, ref = both(rows, issue_rate)
+def check_aggregates(rows):
+    profile, ref = both(rows)
     for name in ("n_intervals", "n_insts", "total_stall_cycles",
                  "total_cycles", "warp_perf", "single_warp_cpi",
                  "avg_interval_insts", "issue_prob"):
@@ -461,23 +449,20 @@ def check_aggregates(rows, issue_rate):
 
 @settings(deadline=None, max_examples=50)
 @given(profiles, st.integers(1, 64), machines(), floats(1000.0))
-def test_contention_matches_reference(profile, n_warps, config, latency):
-    rows, issue_rate = profile
-    check_contention(rows, issue_rate, n_warps, config, latency)
+def test_contention_matches_reference(rows, n_warps, config, latency):
+    check_contention(rows, n_warps, config, latency)
 
 
 @settings(deadline=None, max_examples=50)
 @given(profiles, st.integers(1, 64))
-def test_multithreading_matches_reference(profile, n_warps):
-    rows, issue_rate = profile
-    check_multithreading(rows, issue_rate, n_warps)
+def test_multithreading_matches_reference(rows, n_warps):
+    check_multithreading(rows, n_warps)
 
 
 @settings(deadline=None, max_examples=50)
 @given(profiles, latency_tables())
-def test_single_warp_stack_matches_reference(profile, table):
-    rows, issue_rate = profile
-    got, ref = both(rows, issue_rate)
+def test_single_warp_stack_matches_reference(rows, table):
+    got, ref = both(rows)
     assert_same_stack(
         single_warp_stack(got, table), ref_single_warp_stack(ref, table)
     )
@@ -485,10 +470,9 @@ def test_single_warp_stack_matches_reference(profile, table):
 
 @settings(deadline=None, max_examples=50)
 @given(profiles, st.integers(1, 64))
-def test_baselines_and_aggregates_match_reference(profile, n_warps):
-    rows, issue_rate = profile
-    check_baselines(rows, issue_rate, n_warps)
-    check_aggregates(rows, issue_rate)
+def test_baselines_and_aggregates_match_reference(rows, n_warps):
+    check_baselines(rows, n_warps)
+    check_aggregates(rows)
 
 
 #: Only instruction counts and stalls enter the clustering features.
@@ -500,13 +484,9 @@ timing_rows = st.builds(
 
 
 @settings(deadline=None, max_examples=50)
-@given(
-    st.lists(st.lists(timing_rows, max_size=12), min_size=1, max_size=8),
-    st.sampled_from([1.0, 2.0]),
-)
-def test_feature_vectors_match_reference(warps, issue_rate):
-    pairs = [both(rows, issue_rate, warp_id) for warp_id, rows in
-             enumerate(warps)]
+@given(st.lists(st.lists(timing_rows, max_size=12), min_size=1, max_size=8))
+def test_feature_vectors_match_reference(warps):
+    pairs = [both(rows, warp_id) for warp_id, rows in enumerate(warps)]
     assert_same_bits(
         feature_vectors([got for got, _ in pairs]),
         ref_feature_vectors([ref for _, ref in pairs]),
@@ -543,10 +523,10 @@ def test_edge_profiles_match_reference(name, n_warps):
     rows = EDGE_PROFILES[name]
     config = GPUConfig()
     table = LatencyTable(np.ones(8), {}, 420.0)
-    check_contention(rows, 1.0, n_warps, config, 420.0)
-    check_multithreading(rows, 1.0, n_warps)
-    check_baselines(rows, 1.0, n_warps)
-    check_aggregates(rows, 1.0)
+    check_contention(rows, n_warps, config, 420.0)
+    check_multithreading(rows, n_warps)
+    check_baselines(rows, n_warps)
+    check_aggregates(rows)
     got, ref = both(rows)
     assert_same_stack(
         single_warp_stack(got, table), ref_single_warp_stack(ref, table)
@@ -561,7 +541,7 @@ def test_requests_exactly_at_mshr_capacity():
     over = Interval(n_insts=4, stall_cycles=50.0, exp_mshr_reqs=2.0625,
                     exp_mshr_loads=1.0)
     config = GPUConfig(n_mshrs=32)
-    check_contention([at, over], 1.0, 16, config, 420.0)
+    check_contention([at, over], 16, config, 420.0)
     result = model_contention(both([at, over])[0], 16, config, 420.0)
     assert result.per_interval_mshr[0] == 0.0
     assert result.per_interval_mshr[1] > 0.0
@@ -576,9 +556,9 @@ def test_saturated_dram_bus():
                      exp_dram_read_reqs=0.5, exp_dram_loads=1.0)
     config = GPUConfig(dram_bandwidth_gbps=32.0)
     for n_warps in (1, 32):
-        check_contention([heavy, light], 1.0, n_warps, config, 420.0)
+        check_contention([heavy, light], n_warps, config, 420.0)
     traffic = heavy.dram_reqs * 32 * config.n_cores
-    rho = traffic / heavy.cycles(1.0) * config.dram_service_cycles
+    rho = traffic / heavy.cycles * config.dram_service_cycles
     assert rho >= 1.0
     result = model_contention(both([heavy, light])[0], 32, config, 420.0)
     cap = config.dram_service_cycles * traffic / 2.0
@@ -593,10 +573,10 @@ def test_wait_capped_below_saturation():
     traffic = 1 * config.n_cores  # one DRAM request from one warp
     capped = Interval(n_insts=1, stall_cycles=traffic * service / 0.9 - 1.0,
                       store_reqs=1, exp_dram_loads=1.0)
-    rho = traffic / capped.cycles(1.0) * service
+    rho = traffic / capped.cycles * service
     assert rho < 1.0
     assert rho * service / (2.0 * (1.0 - rho)) > service * traffic / 2.0
-    check_contention([capped], 1.0, 1, config, 420.0)
+    check_contention([capped], 1, config, 420.0)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +595,7 @@ def test_rows_round_trip_through_columns():
     columns = IntervalColumns.from_rows(rows)
     for column, dtype in zip(columns, INTERVAL_DTYPES.values()):
         assert column.dtype == dtype
-    profile = IntervalProfile(3, columns, 1.0)
+    profile = IntervalProfile(3, columns)
     assert list(profile.intervals) == rows
     assert len(profile.intervals) == 2
     assert math.isclose(profile.total_cycles, 6.0 + 300.0)

@@ -14,7 +14,6 @@ class TestDefaults:
         assert cfg.n_cores == 16
         assert cfg.warp_size == 32
         assert cfg.max_warps_per_core == 32
-        assert cfg.issue_width == 1
         assert cfg.l1_size == 32 * 1024
         assert cfg.l1_latency == 25
         assert cfg.l2_size == 768 * 1024
@@ -55,9 +54,6 @@ class TestDerived:
         with pytest.raises(ConfigError):
             GPUConfig().miss_event_latency("l3_hit")
 
-    def test_issue_rate(self):
-        assert GPUConfig().issue_rate == 1.0
-
 
 class TestWith:
     def test_with_returns_modified_copy(self):
@@ -78,7 +74,6 @@ class TestValidation:
             ("n_cores", 0),
             ("warp_size", 0),
             ("scheduler", "fifo"),
-            ("issue_width", 2),
             ("n_mshrs", 0),
             ("dram_bandwidth_gbps", 0.0),
             ("core_clock_ghz", -1.0),
@@ -105,6 +100,10 @@ class TestValidation:
             ("l2_latency", -1),
             ("dram_latency", -300),
             ("op_latencies", {"ialu": 4, "falu": -1, "sfu": 40}),
+            # Scratchpad accesses take at least a cycle, over at least
+            # one bank.
+            ("smem_latency", 0),
+            ("smem_banks", 0),
             # Counts that are not integers: a fraction, a bool (one
             # MSHR), and floats that crash the oracle's integer maths.
             ("n_mshrs", 32.5),
@@ -143,10 +142,64 @@ class TestValidation:
         with pytest.raises(ConfigError):
             GPUConfig(l1_size=1000)
 
-    def test_simt_width_must_equal_warp_size(self):
-        with pytest.raises(ConfigError):
-            GPUConfig(simt_width=16)
-
     def test_missing_op_latency_class(self):
         with pytest.raises(ConfigError):
             GPUConfig(op_latencies={"ialu": 4})
+
+
+class TestTheConfigIsTheMachine:
+    """Residency, the scheduler and the issue rate have one home, the
+    config: no entry point takes them as a per-call override."""
+
+    @staticmethod
+    def _entry_points():
+        from repro.baselines.markov import markov_chain_cpi
+        from repro.baselines.naive import naive_interval_cpi
+        from repro.core import interval, interval_vec
+        from repro.core.model import GPUMech, resident_warps_per_core
+        from repro.core.multithreading import nonoverlapped_gto
+        from repro.memory.cache_sim_vec import simulate_caches_vectorized
+        from repro.memory.cache_simulator import (
+            _resident_waves,
+            simulate_caches,
+        )
+        from repro.pipeline.pipeline import EvalRequest, Pipeline
+        from repro.pipeline.stages import compute_oracle
+        from repro.timing.core_model import CoreModel
+        from repro.timing.simulator import TimingSimulator, simulate_kernel
+
+        return [
+            Pipeline.model_inputs, Pipeline.model_inputs_from_trace,
+            Pipeline.simulate, Pipeline.predict, Pipeline.evaluate,
+            Pipeline._chain, EvalRequest, compute_oracle,
+            TimingSimulator, CoreModel, simulate_kernel,
+            simulate_caches, simulate_caches_vectorized, _resident_waves,
+            resident_warps_per_core, GPUMech.prepare, GPUMech.predict,
+            interval.build_interval_profile,
+            interval.build_interval_profiles,
+            interval_vec.build_interval_profiles, interval.issue_stalls,
+            interval.IntervalProfile, interval.IntervalProfile.from_intervals,
+            interval.IntervalProfiles.from_profiles, nonoverlapped_gto,
+            markov_chain_cpi, naive_interval_cpi,
+        ]
+
+    @pytest.mark.parametrize(
+        "override", ["warps_per_core", "policy", "issue_rate"]
+    )
+    def test_no_entry_point_takes_the_override(self, override):
+        import inspect
+
+        taking = [
+            entry.__qualname__ for entry in self._entry_points()
+            if override in inspect.signature(entry).parameters
+        ]
+        assert taking == []
+
+    def test_the_preset_builds_the_residency_into_the_config(self):
+        # GPUConfig.small is the one place a warp count is a parameter:
+        # it sets the config's field, which every reader reads.
+        config = GPUConfig.small(n_cores=2, warps_per_core=4)
+        assert config.max_warps_per_core == 4
+        assert config == GPUConfig.small(n_cores=2).with_(
+            max_threads_per_core=4 * config.warp_size
+        )

@@ -410,7 +410,7 @@ class TestKernelCostModel:
             a.access_class is AccessClass.COALESCED for a in cost.accesses
         )
         assert cost.insts_per_warp.is_exact
-        assert cost.cpi_lower_bound >= 1.0 / GPUConfig().issue_width
+        assert cost.cpi_lower_bound >= 1.0  # one issue slot per core
 
     def test_occupancy(self):
         kernel, _ = SUITE["vectoradd"].build(Scale.tiny())
@@ -506,13 +506,13 @@ class TestCPILowerBound:
         cost = self.cost_of(lambda b, addr: b.fadd(b.ld(addr), 1.0))
         # The load's line is still reported, but not priced: it may hit.
         assert cost.transactions_per_warp == Interval.exact(1)
-        assert cost.cpi_lower_bound == 1.0 / self.NARROW.issue_width
+        assert cost.cpi_lower_bound == 1.0
 
     def test_store_traffic_sets_the_dram_floor(self):
         cost = self.cost_of(lambda b, addr: b.st(addr, 1.0))
         assert cost.transactions_per_warp == Interval.exact(1)
         assert cost.cpi_lower_bound == self.store_floor(cost, 1)
-        assert cost.cpi_lower_bound > 1.0 / self.NARROW.issue_width
+        assert cost.cpi_lower_bound > 1.0
 
     def test_mixed_kernel_prices_only_its_stores(self):
         cost = self.cost_of(lambda b, addr: b.st(addr, b.ld(addr)))
@@ -548,7 +548,7 @@ class TestCPILowerBound:
         or L2, and pricing loads too puts the bound above the model on
         write-heavy kernels such as ``kmeans_invert_mapping``.  A
         sub-core SM issues from one slot per scheduler, so its issue
-        floor is ``1 / (issue_width * schedulers_per_core)``;
+        floor is ``1 / schedulers_per_core``;
         ``quasirandom`` sits on it."""
         pipeline = request.getfixturevalue(pipeline_fixture)
         names = (
@@ -559,7 +559,8 @@ class TestCPILowerBound:
         for name in names:
             kernel, _ = SUITE[name].build(pipeline.scale)
             bound = analyze_kernel(kernel, pipeline.config).cpi_lower_bound
-            cpi = pipeline.predict(name, policy=policy).cpi
+            config = pipeline.config.with_(scheduler=policy)
+            cpi = pipeline.predict(name, config).cpi
             if bound > cpi:
                 over[name] = (bound, cpi)
         assert over == {}

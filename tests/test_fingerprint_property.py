@@ -6,9 +6,9 @@ stable across process spawns (no ``PYTHONHASHSEED`` or dict-order
 dependence).  The memo in front of ``stage_key`` must return exactly
 the key computed from scratch, so two inputs share a key only when
 they did before it.  The fuzz covers every fingerprinted field, including the
-architecture-backend ones (``arch``/``n_schedulers``); validation
-couples a few fields, so each mutation names the full set of fields it
-touches and the iff-property is asserted against that set.
+architecture-backend ones (``arch``/``n_schedulers``); each mutation
+names the set of fields it touches and the iff-property is asserted
+against that set.
 """
 
 import os
@@ -25,14 +25,10 @@ from repro.pipeline import stages
 from repro.pipeline.stages import STAGES, hash_stage_key, stage_key
 
 #: One validation-respecting mutation per field: field -> overrides.
-#: Coupled constraints (``simt_width == warp_size``) make some
-#: mutations touch several fields at once; ``issue_width`` is pinned to
-#: 1 by validation and therefore has no legal mutation at all.
 MUTATIONS = {
     "n_cores": {"n_cores": 8},
     "core_clock_ghz": {"core_clock_ghz": 1.4},
-    "warp_size": {"warp_size": 64, "simt_width": 64},
-    "simt_width": {"simt_width": 64, "warp_size": 64},
+    "warp_size": {"warp_size": 64},
     "max_threads_per_core": {"max_threads_per_core": 512},
     "scheduler": {"scheduler": "gto"},
     "line_size": {"line_size": 64},
@@ -46,7 +42,6 @@ MUTATIONS = {
     "dram_latency": {"dram_latency": 400},
     "dram_bandwidth_gbps": {"dram_bandwidth_gbps": 96.0},
     "n_dram_channels": {"n_dram_channels": 2},
-    "smem_size": {"smem_size": 32 * 1024},
     "smem_latency": {"smem_latency": 20},
     "smem_banks": {"smem_banks": 16},
     "n_sfu_units": {"n_sfu_units": 16},
@@ -57,13 +52,11 @@ MUTATIONS = {
     "n_schedulers": {"n_schedulers": 8},
 }
 
-UNMUTABLE = frozenset({"issue_width"})  # pinned to 1 by validation
-
 BASE = GPUConfig()
 
 
 def test_every_field_has_a_mutation():
-    assert frozenset(MUTATIONS) | UNMUTABLE == ALL_FIELDS
+    assert frozenset(MUTATIONS) == ALL_FIELDS
 
 
 @pytest.mark.parametrize("field", sorted(MUTATIONS))
@@ -184,7 +177,8 @@ def test_keys_match_pinned_keys(direct):
         assert stage_key(stage, config, *parts) == want  # computed
         assert stage_key(stage, config, *parts) == want  # memo hit
     assert len(direct) == len(PINNED_KEYS)
-    assert config.fingerprint() == "f16ac09ea3bbf390"
+    # The whole-config fingerprint moves with the field set.
+    assert config.fingerprint() == "067d16ea9741d1de"
 
 
 def test_memoized_keys_equal_direct_keys_on_fuzz_configs(direct):

@@ -57,14 +57,19 @@ class TestRunner:
             assert result.error(model) == pytest.approx(expected)
         assert set(result.errors()) == set(MODELS)
 
-    def test_policy_override(self, pipeline):
-        result = pipeline.evaluate("vectoradd", policy="gto")
+    def test_policy_from_config(self, pipeline):
+        gto = pipeline.config.with_(scheduler="gto")
+        result = pipeline.evaluate("vectoradd", config=gto)
         assert result.policy == "gto"
 
-    def test_warps_override_changes_prediction(self, pipeline):
+    def test_warps_per_core_changes_prediction(self, pipeline):
         # A dependence-stall kernel: more resident warps hide stalls.
-        few = pipeline.evaluate("mandelbrot", warps_per_core=2)
-        many = pipeline.evaluate("mandelbrot", warps_per_core=4)
+        few = pipeline.evaluate(
+            "mandelbrot", pipeline.config.with_(max_threads_per_core=64)
+        )
+        many = pipeline.evaluate(
+            "mandelbrot", pipeline.config.with_(max_threads_per_core=128)
+        )
         assert few.n_warps == 2 and many.n_warps == 4
         assert many.oracle_cpi < few.oracle_cpi
         assert many.model_cpis["mt"] < few.model_cpis["mt"]

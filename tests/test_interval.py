@@ -115,12 +115,12 @@ class TestIntervalAlgorithm:
         )
         assert profile.intervals[0].cause_pc == 1
 
-    def test_issue_rate_scales_base_cycles(self):
+    def test_one_issue_cycle_per_instruction(self):
         rows = [(pc, OpCode.IALU, []) for pc in range(4)]
         profile = build_interval_profile(
-            make_trace(rows), make_latency_table([1.0] * 4), issue_rate=2.0
+            make_trace(rows), make_latency_table([1.0] * 4)
         )
-        assert profile.total_cycles == pytest.approx(2.0)
+        assert profile.total_cycles == 4.0
 
     def test_empty_trace(self):
         trace = make_trace([(0, OpCode.EXIT, [])])[0:0] if False else None
@@ -156,8 +156,7 @@ class TestIntervalAccounting:
 
     def test_interval_cycles(self):
         interval = Interval(n_insts=4, stall_cycles=6.0)
-        assert interval.cycles(1.0) == 10.0
-        assert interval.cycles(2.0) == 8.0
+        assert interval.cycles == 10.0
 
 
 class TestProfileAggregates:
@@ -166,7 +165,6 @@ class TestProfileAggregates:
             0,
             [Interval(n_insts=1, stall_cycles=10.0),
              Interval(n_insts=4, stall_cycles=10.0)],
-            issue_rate=1.0,
         )
         # Eq. 5: 5 insts / (5 + 20) cycles.
         assert profile.warp_perf == pytest.approx(5 / 25)
@@ -228,7 +226,7 @@ def suite_profiles(name, scale):
     kernel, memory = SUITE[name].build(scale)
     trace = emulate(kernel, config, memory=memory)
     table = build_latency_table(trace, simulate_caches(trace, config), config)
-    return build_interval_profiles(trace, table, config.issue_rate)
+    return build_interval_profiles(trace, table)
 
 
 class TestProfilesArtifact:

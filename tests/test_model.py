@@ -58,11 +58,10 @@ class TestPredict:
         prediction = GPUMech(config).predict_kernel(build_divergent_load())
         assert prediction.cpi_stack.total == pytest.approx(prediction.cpi)
 
-    def test_policy_override(self, config):
-        model = GPUMech(config)
-        inputs = model.prepare(build_saxpy())
-        rr = model.predict(inputs, policy="rr")
-        gto = model.predict(inputs, policy="gto")
+    def test_policy_from_config(self, config):
+        inputs = GPUMech(config).prepare(build_saxpy())
+        rr = GPUMech(config.with_(scheduler="rr")).predict(inputs)
+        gto = GPUMech(config.with_(scheduler="gto")).predict(inputs)
         assert rr.policy == "rr" and gto.policy == "gto"
 
     def test_n_warps_override(self, config):
@@ -124,9 +123,10 @@ class TestResidentWarps:
         trace = emulate(build_saxpy(n_threads=128, block_size=64), config)
         assert resident_warps_per_core(trace, config) == 2
 
-    def test_explicit_override(self, config):
+    def test_limited_by_fewer_warp_slots(self, config):
+        # 4 slots: 2 of the 8 2-warp blocks resident.
         trace = emulate(build_saxpy(n_threads=512, block_size=64), config)
-        assert resident_warps_per_core(trace, config, warps_per_core=4) == 4
+        assert resident_warps_per_core(trace, limited(config, 4)) == 4
 
     def test_block_granularity(self, config):
         # 3-warp blocks with an 8-slot core: only 2 blocks (6 warps) fit.
@@ -134,9 +134,29 @@ class TestResidentWarps:
         assert resident_warps_per_core(trace, config) == 6
 
 
-#: Machines and residency limits the residency property crosses.
+#: Machines and residency limits the residency property crosses (None:
+#: the machine's own limit).
 N_CORES = (1, 2, 16)
 WARPS_PER_CORE = (None, 1, 4, 8, 48)
+
+
+def limited(config, warps):
+    """``config`` with ``warps`` resident warps per core (None: as is)."""
+    if warps is None:
+        return config
+    return config.with_(max_threads_per_core=warps * config.warp_size)
+
+
+def limits(config):
+    """The limits of :data:`WARPS_PER_CORE` a machine can take: the
+    sub-core schedulers must divide the resident warps."""
+    return [
+        warps for warps in WARPS_PER_CORE
+        if warps is None or config.arch != "subcore"
+        or warps % config.n_schedulers == 0
+    ]
+
+
 #: Sub-core kernels checked at ``Scale.small``: all 40 cost ~40 s of
 #: per-warp emulation there, and every suite kernel shares one launch
 #: geometry per scale, so the cheapest few stand for the suite.
@@ -171,9 +191,10 @@ class TestResidencyFromSelection:
             assert selection.kernel_name == trace.kernel_name == kernel
             for n_cores in N_CORES:
                 config = pipeline.config.with_(n_cores=n_cores)
-                for limit in WARPS_PER_CORE:
-                    got = resident_warps_per_core(selection, config, limit)
-                    want = resident_warps_per_core(trace, config, limit)
+                for limit in limits(config):
+                    machine = limited(config, limit)
+                    got = resident_warps_per_core(selection, machine)
+                    want = resident_warps_per_core(trace, machine)
                     if got != want:
                         wrong.append((kernel, n_cores, limit, got, want))
         assert wrong == []
@@ -187,12 +208,11 @@ class TestResidencyFromSelection:
         trace = pipeline.trace("vectoradd")
         for n_cores in N_CORES:
             config = pipeline.config.with_(n_cores=n_cores)
-            for limit in WARPS_PER_CORE:
-                got = pipeline.predict(
-                    "vectoradd", config, warps_per_core=limit
-                )
+            for limit in limits(config):
+                machine = limited(config, limit)
+                got = pipeline.predict("vectoradd", machine)
                 assert got.n_warps == resident_warps_per_core(
-                    trace, config, limit
+                    trace, machine
                 ), (n_cores, limit)
 
     @pytest.mark.parametrize(
@@ -202,9 +222,9 @@ class TestResidencyFromSelection:
         """Launch shapes the suite does not have: few blocks, 3-warp
         blocks."""
         trace = emulate(build_saxpy(n_threads, block_size), config)
-        model = GPUMech(config)
-        inputs = model.prepare(trace=trace)
-        for limit in WARPS_PER_CORE:
-            assert model.predict(inputs, warps_per_core=limit).n_warps == (
-                resident_warps_per_core(trace, config, limit)
+        for limit in limits(config):
+            model = GPUMech(limited(config, limit))
+            inputs = model.prepare(trace=trace)
+            assert model.predict(inputs).n_warps == (
+                resident_warps_per_core(trace, model.config)
             )

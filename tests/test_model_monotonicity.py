@@ -50,8 +50,8 @@ def rises(pipeline, name, base, sweeps):
         for field, values in sweeps.items():
             cpis = [
                 pipeline.predict(
-                    name, config=base.with_(**{field: value}),
-                    policy=policy,
+                    name,
+                    config=base.with_(scheduler=policy, **{field: value}),
                 ).cpi
                 for value in values
             ]

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.baselines.naive import naive_interval_cpi
 from repro.core.interval import Interval, IntervalProfile
 from repro.core.multithreading import (
     model_multithreading,
-    naive_multithreading_cpi,
     nonoverlapped_gto,
     nonoverlapped_rr,
 )
@@ -20,8 +20,9 @@ class TestPaperFigure2:
 
     def test_naive_matches_paper(self):
         profile = profile_of([Interval(n_insts=1, stall_cycles=10.0)])
-        # Paper: core IPC = 3/11 -> CPI per core-instruction = 11/3.
-        assert naive_multithreading_cpi(profile, 3) == pytest.approx(11 / 3)
+        # Paper: core IPC = 3/11 -> CPI per core-instruction = 11/3,
+        # above the issue-bandwidth cap of 1.0.
+        assert naive_interval_cpi(profile, 3) == pytest.approx(11 / 3)
 
     def test_rr_single_instruction_interval_has_no_waiting_slots(self):
         interval = Interval(n_insts=1, stall_cycles=10.0)
@@ -62,7 +63,7 @@ class TestPaperFigure8:
         # issue_prob_in_stall = min(1/3 * 6, 1) = 1
         # issued_in_stall = 3 * (1 * 3) = 9; nonoverlap = max(9 - 6, 0) = 3.
         assert nonoverlapped_gto(
-            self.interval(), p, 4, avg, 1.0
+            self.interval(), p, 4, avg
         ) == pytest.approx(3.0)
 
     def test_gto_matches_figure_count(self):
@@ -95,17 +96,18 @@ class TestModelBehaviour:
         assert cpis == sorted(cpis, reverse=True)
 
     def test_rr_at_least_naive(self):
-        # Non-overlapped instructions only add cycles.
+        # Non-overlapped instructions only add cycles, and both CPIs are
+        # floored at 1.0.
         profile = profile_of(
             [Interval(n_insts=5, stall_cycles=10.0)] * 3
         )
         for n in (2, 4, 8):
             rr = model_multithreading(profile, n, "rr").cpi
-            assert rr >= naive_multithreading_cpi(profile, n) - 1e-12
+            assert rr >= naive_interval_cpi(profile, n) - 1e-12
 
     def test_gto_zero_stall_interval(self):
         interval = Interval(n_insts=5, stall_cycles=0.0)
-        assert nonoverlapped_gto(interval, 0.5, 4, 5.0, 1.0) == 0.0
+        assert nonoverlapped_gto(interval, 0.5, 4, 5.0) == 0.0
 
     def test_stretch_factor(self):
         profile = profile_of([Interval(n_insts=1, stall_cycles=10.0)])
@@ -119,13 +121,11 @@ class TestModelBehaviour:
         with pytest.raises(ValueError):
             model_multithreading(profile, 2, "lrr")
         with pytest.raises(ValueError):
-            naive_multithreading_cpi(profile, 0)
+            naive_interval_cpi(profile, 0)
 
-    def test_naive_cap_optional(self):
-        from repro.baselines.naive import naive_interval_cpi
-
+    def test_naive_is_capped_at_issue_bandwidth(self):
+        # Eq. 1 gives 20 / 640 at 64 warps; one instruction a cycle
+        # caps it at 1.0.  Above the cap it is Eq. 1 as printed.
         profile = profile_of([Interval(n_insts=10, stall_cycles=10.0)])
-        capped = naive_interval_cpi(profile, 64)
-        uncapped = naive_interval_cpi(profile, 64, cap_at_issue_rate=False)
-        assert capped == 1.0
-        assert uncapped == pytest.approx(20.0 / 640.0)
+        assert naive_interval_cpi(profile, 64) == 1.0
+        assert naive_interval_cpi(profile, 1) == 2.0

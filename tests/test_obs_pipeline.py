@@ -19,11 +19,11 @@ SWEEP = ("vectoradd", "strided_deg8", "transpose_naive")
 
 @pytest.fixture
 def config():
-    return GPUConfig.small(n_cores=2, warps_per_core=8)
+    return GPUConfig.small(n_cores=2)
 
 
 def _requests():
-    return [EvalRequest(kernel=k, warps_per_core=4) for k in SWEEP]
+    return [EvalRequest(kernel=k) for k in SWEEP]
 
 
 def _stage_runs(metrics):
@@ -39,7 +39,7 @@ def _stage_runs(metrics):
 class TestStageMetrics:
     def test_counters_hits_timings_are_registry_views(self, config):
         pipeline = Pipeline(config, scale=Scale.tiny())
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         assert pipeline.counters == dict(
             pipeline.metrics.labeled_values(
                 "pipeline.stage_executions", "stage"
@@ -48,14 +48,14 @@ class TestStageMetrics:
         assert pipeline.counters["trace"] == 1
         assert pipeline.timings["oracle"] > 0.0
         # Second evaluation is served from the store.
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         assert pipeline.hits["predict"] >= 1
         assert pipeline.hits["oracle"] >= 1
         assert pipeline.counters["trace"] == 1
 
     def test_cache_and_oracle_metrics_recorded(self, config):
         pipeline = Pipeline(config, scale=Scale.tiny())
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         metrics = pipeline.metrics
         assert metrics.counter_value("cache_sim.runs") == 1
         assert metrics.counter_value("oracle.runs") == 1
@@ -70,7 +70,7 @@ class TestStageMetrics:
     def test_stage_table_renders(self, config):
         pipeline = Pipeline(config, scale=Scale.tiny())
         assert render_stage_table(pipeline.metrics) is None  # nothing ran
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         table = render_stage_table(pipeline.metrics)
         assert "trace" in table and "oracle" in table
         assert "p95 ms" in table
@@ -79,7 +79,7 @@ class TestStageMetrics:
         from repro.backend import BACKEND_STAGES
 
         pipeline = Pipeline(config, scale=Scale.tiny())
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         metrics = pipeline.metrics
         for stage in BACKEND_STAGES:
             assert metrics.counter_value(
@@ -98,14 +98,14 @@ class TestStageMetrics:
         assert "vectorized" in render_stage_table(metrics)
         # A scalar re-run of the same stages renders as mixed.
         monkeypatch.setenv("REPRO_SCALAR", "1")
-        pipeline.evaluate("strided_deg8", warps_per_core=4)
+        pipeline.evaluate("strided_deg8")
         assert "mixed" in render_stage_table(pipeline.metrics)
 
     def test_backend_span_arg(self, config, monkeypatch):
         monkeypatch.setenv("REPRO_SCALAR", "1")
         tracer = Tracer()
         pipeline = Pipeline(config, scale=Scale.tiny(), tracer=tracer)
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         by_name = {
             s["name"]: s for s in tracer.spans() if s["cat"] == "stage"
         }
@@ -118,7 +118,7 @@ class TestStageSpans:
     def test_stage_spans_recorded_when_enabled(self, config):
         tracer = Tracer()
         pipeline = Pipeline(config, scale=Scale.tiny(), tracer=tracer)
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         spans = tracer.spans()
         names = {s["name"] for s in spans if s["cat"] == "stage"}
         assert {"trace", "cache_sim", "oracle", "predict"} <= names
@@ -131,15 +131,15 @@ class TestStageSpans:
     def test_disabled_tracer_records_nothing(self, config):
         tracer = Tracer(enabled=False)
         pipeline = Pipeline(config, scale=Scale.tiny(), tracer=tracer)
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         assert tracer.n_spans == 0
 
     def test_cache_hits_do_not_emit_stage_spans(self, config):
         tracer = Tracer()
         pipeline = Pipeline(config, scale=Scale.tiny(), tracer=tracer)
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         before = sum(1 for s in tracer.spans() if s["cat"] == "stage")
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         after = sum(1 for s in tracer.spans() if s["cat"] == "stage")
         assert after == before
 
@@ -202,17 +202,17 @@ class TestTimelineThroughPipeline:
     def test_oracle_timeline_populated(self, config):
         pipeline = Pipeline(config, scale=Scale.tiny(),
                             timeline_interval=32.0)
-        stats = pipeline.simulate("vectoradd", warps_per_core=4)
+        stats = pipeline.simulate("vectoradd")
         assert stats.timeline is not None
         assert stats.timeline.n_samples > 0
 
     def test_timeline_key_does_not_collide_with_plain_oracle(self, config):
         plain = Pipeline(config, scale=Scale.tiny())
-        plain_stats = plain.simulate("vectoradd", warps_per_core=4)
+        plain_stats = plain.simulate("vectoradd")
         assert plain_stats.timeline is None
         sampled = Pipeline(config, scale=Scale.tiny(), store=plain.store,
                            timeline_interval=32.0)
-        stats = sampled.simulate("vectoradd", warps_per_core=4)
+        stats = sampled.simulate("vectoradd")
         # The cached plain-oracle artifact must not satisfy the sampled
         # request (its key differs), so the timeline is present.
         assert stats.timeline is not None

@@ -31,7 +31,7 @@ from repro.workloads import Scale
 
 @pytest.fixture
 def config():
-    return GPUConfig.small(n_cores=2, warps_per_core=8)
+    return GPUConfig.small(n_cores=2, warps_per_core=4)
 
 
 # ---------------------------------------------------------------------------
@@ -673,14 +673,16 @@ class TestLedger:
         path = tmp_path / "ledger.jsonl"
         pipeline = Pipeline(config, scale=Scale.tiny(),
                             ledger=PredictionLedger(str(path)))
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
         records = read_ledger(str(path))
         assert len(records) == 1
         record = records[0]
         schema = load_schema("ledger")
         assert validate(record, schema) == []
         assert record["kernel"] == "vectoradd"
-        assert record["fingerprint"]
+        # The record names the machine that ran: 4 warps/core.
+        assert record["fingerprint"] == config.fingerprint()
+        assert record["n_warps"] == 4
         assert record["arch"] == config.arch
         assert set(record["model_cpis"]) == {
             "naive", "markov", "mt", "mt_mshr", "mt_mshr_band"
@@ -697,7 +699,7 @@ class TestLedger:
                             ledger=PredictionLedger(str(path)))
         kernels = ("vectoradd", "strided_deg8", "transpose_naive")
         pipeline.evaluate_many(
-            [{"kernel": k, "warps_per_core": 4} for k in kernels]
+            [{"kernel": k} for k in kernels]
         )
         records = read_ledger(str(path))
         assert sorted(r["kernel"] for r in records) == sorted(kernels)
@@ -709,8 +711,8 @@ class TestLedger:
         path = tmp_path / "ledger.jsonl"
         pipeline = Pipeline(config, scale=Scale.tiny(),
                             ledger=PredictionLedger(str(path)))
-        pipeline.evaluate("vectoradd", warps_per_core=4)
-        pipeline.evaluate("vectoradd", warps_per_core=4)
+        pipeline.evaluate("vectoradd")
+        pipeline.evaluate("vectoradd")
         assert len(read_ledger(str(path))) == 2
 
 

@@ -1,8 +1,8 @@
 """Exact pin of the timing oracle on every suite kernel.
 
-The oracle counterpart of ``tests/test_prediction_pin.py``.  At the
-ledger's configuration (``GPUConfig.small(n_cores=2,
-warps_per_core=8)``, ``Scale.tiny()``, 4 warps per core) the simulated
+The oracle counterpart of ``tests/test_prediction_pin.py``.  On the
+machine the ledger was simulated on (``GPUConfig.small(n_cores=2,
+warps_per_core=4)``, ``Scale.tiny()``) the simulated
 CPI of every kernel must equal the ``oracle_cpi`` recorded in
 ``BASELINE_ledger.jsonl`` exactly, and the total cycle counts under the
 GTO scheduler and the ``subcore`` architecture must equal the values
@@ -29,7 +29,6 @@ from repro.pipeline import Pipeline
 from repro.workloads import Scale
 
 LEDGER = Path(__file__).resolve().parent.parent / "BASELINE_ledger.jsonl"
-WARPS_PER_CORE = 4
 
 
 def _records():
@@ -88,7 +87,7 @@ PINNED_CYCLES = {
 @pytest.fixture(scope="module")
 def pipeline():
     return Pipeline(
-        GPUConfig.small(n_cores=2, warps_per_core=8), scale=Scale.tiny()
+        GPUConfig.small(n_cores=2, warps_per_core=4), scale=Scale.tiny()
     )
 
 
@@ -98,7 +97,7 @@ def test_pins_cover_the_ledger():
 
 @pytest.mark.parametrize("kernel", sorted(RECORDS))
 def test_oracle_cpi_matches_ledger_exactly(pipeline, kernel):
-    stats = pipeline.simulate(kernel, warps_per_core=WARPS_PER_CORE)
+    stats = pipeline.simulate(kernel)
     assert stats.cpi == RECORDS[kernel]["oracle_cpi"]
 
 
@@ -107,10 +106,10 @@ def test_gto_and_subcore_cycles_pinned(pipeline, kernel):
     gto, subcore = PINNED_CYCLES[kernel]
     base = pipeline.config
     assert pipeline.simulate(
-        kernel, base.with_(scheduler="gto"), warps_per_core=WARPS_PER_CORE
+        kernel, base.with_(scheduler="gto")
     ).total_cycles == gto
     assert pipeline.simulate(
-        kernel, base.with_(arch="subcore"), warps_per_core=WARPS_PER_CORE
+        kernel, base.with_(arch="subcore")
     ).total_cycles == subcore
 
 

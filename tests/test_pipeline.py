@@ -270,10 +270,11 @@ class TestParallel:
         assert parallel.data["series"] == serial.data["series"]
 
     def test_evaluate_many_preserves_request_order(self, config):
+        four = config.with_(max_threads_per_core=4 * config.warp_size)
         requests = [
-            EvalRequest(kernel="strided_deg8", warps_per_core=4),
-            EvalRequest(kernel="vectoradd", warps_per_core=8),
-            EvalRequest(kernel="vectoradd", warps_per_core=4),
+            EvalRequest(kernel="strided_deg8", config=four),
+            EvalRequest(kernel="vectoradd", config=config),
+            EvalRequest(kernel="vectoradd", config=four),
         ]
         results = Pipeline(config, scale=Scale.tiny(),
                            jobs=2).evaluate_many(requests)
@@ -368,8 +369,7 @@ class TestArtifactLayout:
         profiles under the old keys; they must miss, not be returned."""
         kernel = "vectoradd"
         pipeline = Pipeline(config, scale=Scale.tiny(), cache_dir=str(tmp_path))
-        cache_key = stage_key("cache_sim", config, pipeline.trace_key(kernel),
-                              None)
+        cache_key = stage_key("cache_sim", config, pipeline.trace_key(kernel))
         latency_key = stage_key("latency_table", config, cache_key)
         profiles_key = legacy_key("interval_profiles", config, latency_key)
         clustering_key = legacy_key("clustering", config, profiles_key,
@@ -404,8 +404,7 @@ class TestArtifactLayout:
         kernel = "vectoradd"
         want = Pipeline(config, scale=Scale.tiny()).predict(kernel)
         pipeline = Pipeline(config, scale=Scale.tiny(), cache_dir=str(tmp_path))
-        cache_key = stage_key("cache_sim", config, pipeline.trace_key(kernel),
-                              None)
+        cache_key = stage_key("cache_sim", config, pipeline.trace_key(kernel))
         profiles_key = stage_key(
             "interval_profiles", config,
             stage_key("latency_table", config, cache_key),
@@ -432,8 +431,7 @@ class TestArtifactLayout:
         for name in LAUNCH_FIELDS:
             delattr(old, name)
         pipeline = Pipeline(config, scale=Scale.tiny(), cache_dir=str(tmp_path))
-        cache_key = stage_key("cache_sim", config, pipeline.trace_key(kernel),
-                              None)
+        cache_key = stage_key("cache_sim", config, pipeline.trace_key(kernel))
         parts = (
             stage_key("interval_profiles", config,
                       stage_key("latency_table", config, cache_key)),

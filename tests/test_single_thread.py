@@ -124,7 +124,7 @@ def test_serial_evaluation_starts_no_thread():
     before = set(threading.enumerate())
     pipeline = Pipeline(GPUConfig.small(n_cores=2, warps_per_core=4),
                         scale=Scale.tiny())
-    pipeline.evaluate("vectoradd", warps_per_core=4)
+    pipeline.evaluate("vectoradd")
     assert set(threading.enumerate()) <= before
 
 

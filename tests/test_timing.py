@@ -194,20 +194,31 @@ class TestMultiCore:
         stats = run(kernel, config)
         assert stats.n_cores_used == 1
 
-    def test_warps_per_core_override(self):
+    def test_warps_per_core_limit(self):
         kernel = build_fp_chain(length=8, n_threads=512, block_size=64)
-        config = GPUConfig.small(n_cores=1, warps_per_core=16)
-        fewer = TimingSimulator(config, warps_per_core=2).run(
-            emulate(kernel, config)
-        )
-        more = TimingSimulator(config, warps_per_core=16).run(
-            emulate(kernel, config)
-        )
+        fewer = run(kernel, one_core(warps=2))
+        more = run(kernel, one_core(warps=16))
         assert more.total_cycles < fewer.total_cycles
+
+    def test_block_larger_than_the_warp_limit_runs_alone(self):
+        # vectoradd's blocks hold 2 warps; a 1-warp core runs each one
+        # alone, exactly as a 2-warp core does (one block at a time).
+        # A core that refused such a block never finished: the small
+        # max_cycles turns that into a SimulationError, not a hang.
+        pipeline = Pipeline(GPUConfig.small(n_cores=2, warps_per_core=1),
+                            scale=Scale.tiny())
+        trace = pipeline.trace("vectoradd")
+        assert trace.warps_per_block == 2
+        alone = TimingSimulator(pipeline.config, max_cycles=1e5).run(trace)
+        paired = TimingSimulator(
+            GPUConfig.small(n_cores=2, warps_per_core=2)
+        ).run(trace)
+        assert alone == paired
+        assert alone.cpi == 28.140625
 
 
 #: Machines of the suite-wide equivalence check, all at the ledger's
-#: configuration (2 cores, evaluated at 4 warps per core).
+#: configuration (2 cores, 4 warps per core).
 SKIP_CONFIGS = {
     "rr": {},
     "gto": {"scheduler": "gto"},
@@ -219,7 +230,7 @@ SKIP_CONFIGS = {
 @pytest.fixture(scope="module")
 def tiny_pipeline():
     return Pipeline(
-        GPUConfig.small(n_cores=2, warps_per_core=8), scale=Scale.tiny()
+        GPUConfig.small(n_cores=2, warps_per_core=4), scale=Scale.tiny()
     )
 
 
@@ -253,12 +264,8 @@ class TestCycleSkippingEquivalence:
     ):
         config = tiny_pipeline.config.with_(**SKIP_CONFIGS[machine])
         trace = tiny_pipeline.trace(kernel, config)
-        fast = TimingSimulator(
-            config, warps_per_core=4, cycle_skipping=True
-        ).run(trace)
-        slow = TimingSimulator(
-            config, warps_per_core=4, cycle_skipping=False
-        ).run(trace)
+        fast = TimingSimulator(config, cycle_skipping=True).run(trace)
+        slow = TimingSimulator(config, cycle_skipping=False).run(trace)
         assert fast == slow
 
 
@@ -304,9 +311,11 @@ class TestMSHRNeedMemo:
     def test_memo_matches_no_memo(
         self, memo_pipeline, monkeypatch, kernel, machine, warps
     ):
-        config = MEMO_CONFIGS[machine]
+        config = MEMO_CONFIGS[machine].with_(
+            max_threads_per_core=warps * 32
+        )
         trace = memo_pipeline.trace(kernel, config)
-        shipped = TimingSimulator(config, warps_per_core=warps).run(trace)
+        shipped = TimingSimulator(config).run(trace)
 
         step = CoreModel.step
 
@@ -316,7 +325,7 @@ class TestMSHRNeedMemo:
             return step(core, now)
 
         monkeypatch.setattr(CoreModel, "step", step_without_memo)
-        bare = TimingSimulator(config, warps_per_core=warps).run(trace)
+        bare = TimingSimulator(config).run(trace)
         assert shipped == bare
 
     @pytest.mark.parametrize("kernel", sorted(WORK_BOUNDS))

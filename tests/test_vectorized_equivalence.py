@@ -66,9 +66,7 @@ def _artifacts(name, scalar):
         trace = emulate(kernel, CONFIG, memory=memory)
         cache = simulate_caches(trace, CONFIG)
         table = build_latency_table(trace, cache, CONFIG)
-        profiles = build_interval_profiles(
-            trace, table, CONFIG.issue_rate
-        )
+        profiles = build_interval_profiles(trace, table)
     return trace, cache, profiles
 
 
@@ -204,7 +202,7 @@ class TestWarpClassEquivalence:
         for scalar in (True, False):
             with backend(scalar):
                 profiles.append(
-                    build_interval_profiles(vtrace, table, CONFIG.issue_rate)
+                    build_interval_profiles(vtrace, table)
                 )
         assert pickle.dumps(profiles[1]) == pickle.dumps(profiles[0])
 
@@ -310,7 +308,7 @@ class TestWarpClassWork:
         table = build_latency_table(
             trace, simulate_caches(trace, CONFIG), CONFIG
         )
-        build_interval_profiles(trace, table, CONFIG.issue_rate)
+        build_interval_profiles(trace, table)
         assert trace.n_warps == 192
         assert len(runs) == classes
 
@@ -325,7 +323,7 @@ class TestWarpClassWork:
         assert grouped_runs == grouped
 
 
-def padded_march(deps, lat, step):
+def padded_march(deps, lat):
     """The padded ``(warps, max_len, MAX_DEPS)`` Eq. 4 march that
     ``interval_vec._issue_clocks`` ran, one numpy step per position,
     before the builder ran the recurrence once per warp class; kept as
@@ -335,9 +333,9 @@ def padded_march(deps, lat, step):
     stall = np.zeros((n_warps, max_len), dtype=np.float64)
     cause = np.full((n_warps, max_len), -1, dtype=np.int32)
     rows = np.arange(n_warps)
-    prev = np.full(n_warps, -step, dtype=np.float64)
+    prev = np.full(n_warps, -1.0, dtype=np.float64)
     for k in range(max_len):
-        earliest = prev + step
+        earliest = prev + 1.0
         ready = earliest.copy()
         best = np.full(n_warps, -1, dtype=np.int32)
         for j in range(MAX_DEPS):
@@ -373,20 +371,17 @@ def producer_dags(draw):
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.lists(producer_dags(), min_size=1, max_size=4),
-       st.sampled_from([1.0, 0.5]))
-def test_recurrence_matches_the_padded_march(warps, step):
+@given(st.lists(producer_dags(), min_size=1, max_size=4))
+def test_recurrence_matches_the_padded_march(warps):
     max_len = max(len(lat) for _, lat in warps)
     deps = np.full((len(warps), max_len, MAX_DEPS), -1, dtype=np.int32)
     lat = np.zeros((len(warps), max_len))
     for w, (warp_deps, warp_lat) in enumerate(warps):
         deps[w, :len(warp_lat)] = warp_deps
         lat[w, :len(warp_lat)] = warp_lat
-    want_stall, want_cause = padded_march(deps, lat, step)
+    want_stall, want_cause = padded_march(deps, lat)
     for w, (warp_deps, warp_lat) in enumerate(warps):
         n = len(warp_lat)
-        stall, cause = issue_stalls(
-            warp_deps.tolist(), warp_lat.tolist(), step
-        )
+        stall, cause = issue_stalls(warp_deps.tolist(), warp_lat.tolist())
         assert np.array(stall).tobytes() == want_stall[w, :n].tobytes()
         assert cause == want_cause[w, :n].tolist()

@@ -20,7 +20,7 @@ class TestResidentWaves:
         config = GPUConfig.small(n_cores=n_cores,
                                  warps_per_core=warps_per_core)
         trace = emulate(kernel_with_blocks(n_blocks), config)
-        return _resident_waves(trace, config, warps_per_core), trace
+        return _resident_waves(trace, config), trace
 
     def test_single_wave_when_everything_fits(self):
         waves, trace = self.waves_for(n_blocks=4, n_cores=2, warps_per_core=8)
@@ -55,7 +55,7 @@ class TestResidentWaves:
         # A block larger than the residency limit must still get a wave.
         config = GPUConfig.small(n_cores=1, warps_per_core=2)
         trace = emulate(kernel_with_blocks(1, block_size=128), config)
-        waves = _resident_waves(trace, config, 2)
+        waves = _resident_waves(trace, config)
         assert sum(len(w) for w in waves[0]) == trace.n_warps
 
 
@@ -74,6 +74,8 @@ class TestResidencyAffectsMissRates:
         kernel = b.build(n_threads=64 * 64, block_size=64)
         config = GPUConfig.small(n_cores=1, warps_per_core=8)
         trace = emulate(kernel, config)
-        resident = simulate_caches(trace, config, warps_per_core=8)
-        whole_launch = simulate_caches(trace, config, warps_per_core=10_000)
+        resident = simulate_caches(trace, config)
+        whole_launch = simulate_caches(
+            trace, GPUConfig.small(n_cores=1, warps_per_core=10_000)
+        )
         assert resident.l1_miss_rate <= whole_launch.l1_miss_rate
